@@ -66,20 +66,20 @@ def _write_rows(out_dir, name, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _finish(report: ExperimentReport, out_dir: str, fmt: str) -> int:
-    report.write(out_dir, fmt)
+def _finish(report: ExperimentReport, out_dir: str) -> int:
+    report.write(out_dir)
     for c in report.criteria:
         status = "pass" if c.passed else "FAIL"
         print(f"[{status}] {c.cid}: {c.value:.6g} {c.comparator} {c.threshold:.6g}")
     return report.exit_code()
 
 
-def _verify_to_report(results, out_dir, fmt, config_echo) -> int:
+def _verify_to_report(results, out_dir, config_echo) -> int:
     criteria = [Criterion(r.name, 0.0 if r.passed else 1.0, 0.0) for r in results]
     tables = {r.name: r.rows for r in results if r.rows}
     rep = ExperimentReport(config=config_echo, criteria=criteria, tables=tables,
                            notes={r.name: r.detail for r in results})
-    return _finish(rep, out_dir, fmt)
+    return _finish(rep, out_dir)
 
 
 def main(argv=None) -> int:
@@ -90,7 +90,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON file overriding defaults")
     parser.add_argument("--seed", type=int, default=20240808)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=["csv", "json"], default="json")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--n-grid", default=None,
                         help="comma-separated strictly increasing integers")
@@ -120,13 +119,12 @@ def main(argv=None) -> int:
     overrides = _load_config_file(args.config)
     out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
     seed = overrides.get("seed", args.seed)
-    fmt = overrides.get("format", args.format)
 
     try:
         if args.command == "verify":
-            return _cmd_verify(args, overrides, out_dir, fmt, seed)
+            return _cmd_verify(args, overrides, out_dir, seed)
         if args.command == "converge":
-            return _cmd_converge(args, overrides, out_dir, fmt, seed)
+            return _cmd_converge(args, overrides, out_dir, seed)
         if args.command == "simulate":
             return _cmd_simulate(args, overrides, out_dir, seed)
         if args.command == "tables":
@@ -140,7 +138,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _cmd_verify(args, overrides, out_dir, fmt, seed) -> int:
+def _cmd_verify(args, overrides, out_dir, seed) -> int:
     m = overrides.get("max_length", args.max_length)
     if args.suite == "fristedt":
         res = [certify.certify_fristedt(K=overrides.get("truncation", 60))]
@@ -162,7 +160,7 @@ def _cmd_verify(args, overrides, out_dir, fmt, seed) -> int:
         res = [certify.certify_h_kernel(max_length=m)]
     echo = {"command": "verify", "suite": args.suite, "seed": seed,
             "max_length": m, "overrides": overrides}
-    return _verify_to_report(res, out_dir, fmt, echo)
+    return _verify_to_report(res, out_dir, echo)
 
 
 def _default_config(args, overrides, seed, experiment, law, n_grid, trials,
@@ -180,7 +178,7 @@ def _default_config(args, overrides, seed, experiment, law, n_grid, trials,
                             params=params)
 
 
-def _cmd_converge(args, overrides, out_dir, fmt, seed) -> int:
+def _cmd_converge(args, overrides, out_dir, seed) -> int:
     law_text = args.law or overrides.get("law")
     if args.experiment == "theorem1":
         law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
@@ -188,14 +186,14 @@ def _cmd_converge(args, overrides, out_dir, fmt, seed) -> int:
                               [256, 1024], 2000,
                               {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
                               {"height_cap": 20_000})
-        return _finish(run_theorem1(cfg), out_dir, fmt)
+        return _finish(run_theorem1(cfg), out_dir)
     if args.experiment == "localtime":
         law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
         cfg = _default_config(args, overrides, seed, "localtime", law,
                               [2**q for q in range(6, 11)], 100,
                               {"violations": 1, "ratio": 0.6},
                               {"base_resolution": 2**13, "paths": 100})
-        return _finish(run_localtime_stability(cfg), out_dir, fmt)
+        return _finish(run_localtime_stability(cfg), out_dir)
     if args.experiment == "lemma1":
         law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
         cfg = _default_config(args, overrides, seed, "lemma1", law,
@@ -203,14 +201,14 @@ def _cmd_converge(args, overrides, out_dir, fmt, seed) -> int:
                               {"drift_rel": 0.05, "interval_mass": 0.03,
                                "ratio_rel": 0.15},
                               {"height_samples": 50_000, "height_cap": 20_000})
-        return _finish(run_lemma1(cfg), out_dir, fmt)
+        return _finish(run_lemma1(cfg), out_dir)
     if args.experiment == "meander":
         law = _parse_law(law_text) if law_text else IncrementLaw.fair_pm1()
         cfg = _default_config(args, overrides, seed, "meander", law,
                               [256, 1024], 4000,
                               {"endpoint_ks": 0.04, "cross_method_ks": 0.02},
                               {"cross_check_n": 32, "cross_check_trials": 20_000})
-        return _finish(run_meander(cfg), out_dir, fmt)
+        return _finish(run_meander(cfg), out_dir)
     # harmonic
     law = _parse_law(law_text) if law_text else IncrementLaw.fair_pm1()
     n_grid = overrides.get("n_grid", [2**q for q in range(8, 12)])
@@ -232,7 +230,7 @@ def _cmd_converge(args, overrides, out_dir, fmt, seed) -> int:
             "seed": seed, "tolerances": tol}
     report = ExperimentReport(config=echo, criteria=criteria,
                               tables={"harmonic": rep.to_csv_rows()})
-    return _finish(report, out_dir, fmt)
+    return _finish(report, out_dir)
 
 
 def _cmd_simulate(args, overrides, out_dir, seed) -> int:

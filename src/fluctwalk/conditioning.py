@@ -32,9 +32,11 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk, _rng
-from .oracle import ExactDistribution
-from .scaling import norming_constant, positivity_probabilities, positivity_rule
+from .increments import (IncrementLaw, WalkPath, derive_seed, sample_steps, sample_walk,
+                         _rng)
+from .oracle import ExactDistribution, lattice_sweep
+from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
+                      required_truncation)
 from .transforms import tanaka_transform
 
 __all__ = [
@@ -299,38 +301,6 @@ class SurvivalEstimate:
         return float(self.probability)
 
 
-def _nonneg_weight_sweep(law: IncrementLaw, kmax: int):
-    """Integer-weight recursion over nonnegative levels, one step at a time.
-
-    Probabilities p_j = a_j / D give P(C_k) = W_k / D^k where the integer
-    W_k is the total weight of nonnegative paths.  Pure integer arithmetic
-    keeps the recursion exact out to k in the thousands.  Yields
-    (k, level -> weight) after each step; the mapping is reused in place.
-    """
-    unit, steps, probs = law.lattice_integer_form()
-    denom = math.lcm(*(p.denominator for p in probs))
-    live = [(s, int(p * denom)) for s, p in zip(steps, probs) if p > 0]
-    w = {0: 1}
-    for k in range(1, kmax + 1):
-        nw: Dict[int, int] = {}
-        for y, c in w.items():
-            for s, a in live:
-                z = y + s
-                if z >= 0:
-                    nw[z] = nw.get(z, 0) + c * a
-        w = nw
-        yield k, w, denom
-
-
-def _survival_weights(law: IncrementLaw, kmax: int, record: set) -> Tuple[Dict[int, int], int]:
-    out = {}
-    denom = 1
-    for k, w, denom in _nonneg_weight_sweep(law, kmax):
-        if k in record:
-            out[k] = sum(w.values())
-    return out, denom
-
-
 def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistribution:
     """Exact endpoint law of the k-step meander, on the integer lattice.
 
@@ -342,12 +312,12 @@ def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistributio
         raise UnsupportedModeError("exact meander endpoints require a lattice law")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    final = None
-    for kk, w, _ in _nonneg_weight_sweep(law, k):
-        if kk == k:
-            final = dict(w)
-    total = sum(final.values())
-    dist = ExactDistribution({y: Fraction(c, total) for y, c in final.items()})
+    for _, lo, w, _ in lattice_sweep(law, k, keep=+1):
+        pass  # only the last step's levels are needed
+    start = max(0, -lo)
+    total = int(w[start:].sum())
+    dist = ExactDistribution({lo + j: Fraction(w[j], total)
+                              for j in range(start, len(w)) if w[j]})
     dist.validate()
     return dist
 
@@ -360,8 +330,7 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
     if mode == "exact":
         if law.kind != "lattice":
             raise UnsupportedModeError("exact survival requires a lattice law")
-        weights, denom = _survival_weights(law, k, {k})
-        return SurvivalEstimate(Fraction(weights[k], denom ** k), 0.0, "exact")
+        return SurvivalEstimate(survival_sequence(law, [k])[k], 0.0, "exact")
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
     hits = 0
@@ -371,7 +340,6 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
     t = 0
     while done < trials:
         b = min(chunk, trials - done)
-        from .increments import sample_steps
         steps = np.vstack([sample_steps(law, k, derive_seed(seed, t + i))
                            for i in range(b)])
         t += b
@@ -386,8 +354,11 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
 def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fraction]:
     """Exact P(C_k) for every k in ks, from one recursion sweep."""
     record = set(int(k) for k in ks)
-    weights, denom = _survival_weights(law, max(record), record)
-    return {k: Fraction(weights[k], denom ** k) for k in record}
+    out = {}
+    for k, lo, w, D in lattice_sweep(law, max(record), keep=+1):
+        if k in record:
+            out[k] = Fraction(int(w[max(0, -lo):].sum()), D ** k)
+    return out
 
 
 def meander_sample(law: IncrementLaw, k: int, seed: int,
@@ -403,14 +374,13 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
     if k < 1:
         raise ParameterError("length must be >= 1")
     if method == "rejection":
-        accepts = 0
         for attempt in range(budget):
             w = sample_walk(law, k, derive_seed(seed, attempt))
             if min(w.values[1:]) >= 0:
                 return w, 1.0
         raise BudgetError(
             f"no meander accepted in {budget} attempts",
-            acceptance_rate=accepts / budget)
+            acceptance_rate=0.0)
     if method != "reweight":
         raise ParameterError(f"unknown method {method!r}")
     if V is None:
@@ -525,7 +495,6 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     sigma = math.sqrt(float(var))
 
     rule = positivity_rule(law, sign=-1)
-    from .scaling import required_truncation
     a_hat = []
     for n in n_grid:
         if rule is not None:

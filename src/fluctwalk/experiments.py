@@ -28,7 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class ExperimentConfig:
     seed: int = 20240801
     tolerances: Dict[str, float] = field(default_factory=dict)
     params: Dict[str, object] = field(default_factory=dict)
-    out: Optional[str] = None
-    format: str = "json"
 
     def validate(self) -> None:
         if not self.n_grid:
@@ -135,15 +133,14 @@ class ExperimentReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    def write(self, out_dir: str, fmt: str = "json") -> None:
+    def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-        if fmt in ("csv", "both", "json"):
-            for name, rows in self.tables.items():
-                with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-                    csv.writer(fh).writerows(rows)
+        for name, rows in self.tables.items():
+            with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
 
 
 def check_bilateral(law: IncrementLaw) -> None:

@@ -6,6 +6,11 @@ distribution.  Floating point never enters: outcome keys are increment index
 sequences (not real values), path values are integers on the lattice spanned
 by the support, and all masses are :class:`fractions.Fraction`.
 
+Internally a lattice law's exact mass is an integer numerator over D**k
+(:func:`integer_law`); the path DFS and the level sweep
+(:func:`lattice_sweep`) behind every exact lattice recursion in the package
+work on those integers and build Fractions only in returned values.
+
 This module is the certification substrate for the package's identity
 checks: a total-variation distance of exactly zero between two enumerated
 distributions is a proof over the enumerated window, not a numerical
@@ -14,16 +19,20 @@ coincidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+
+import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .increments import IncrementLaw
 
 __all__ = [
     "ExactDistribution",
+    "integer_law",
+    "lattice_sweep",
     "iter_paths",
     "enumerate_paths",
     "functional_distribution",
@@ -54,37 +63,90 @@ class ExactDistribution:
         return {repr(k): str(v) for k, v in sorted(self.atoms.items(), key=lambda kv: repr(kv[0]))}
 
 
-def _lattice_parts(law: IncrementLaw):
+def integer_law(law: IncrementLaw):
+    """Integer form of a lattice law's exact mass: (unit, live, D).
+
+    ``live`` lists (support index, integer step, numerator) for every atom of
+    positive probability, with P(step) = numerator / D and D the least common
+    denominator; k steps then carry integer weights over D**k.
+    """
     if law.kind != "lattice":
         raise ParameterError("exact enumeration requires a finite-support lattice law")
     unit, steps, probs = law.lattice_integer_form()
-    live = [(i, s, p) for i, (s, p) in enumerate(zip(steps, probs)) if p > 0]
-    return unit, live
+    D = math.lcm(*(p.denominator for p in probs))
+    live = [(i, s, int(p * D)) for i, (s, p) in enumerate(zip(steps, probs)) if p > 0]
+    return unit, live, D
+
+
+def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0):
+    """Push the law's integer weights forward one step at a time, k = 1..kmax.
+
+    Level lo + j carries weight ``weights[j]`` (a numpy object array of
+    Python ints) over D**k.  Yields (k, lo, weights, D) after each step and
+    *before* the kill, so an absorbing caller reads the mass that leaves;
+    then ``keep`` = +1 drops levels below 0 and -1 drops levels above 0
+    (0 keeps every level).  The arrays are fresh each step.
+    """
+    _, live, D = integer_law(law)
+    smin = min(s for _, s, _ in live)
+    span = max(s for _, s, _ in live) - smin
+    w = np.ones(1, dtype=object)
+    lo = 0
+    for k in range(1, kmax + 1):
+        n = len(w)
+        nw = np.zeros(n + span, dtype=object)
+        for _, s, a in live:
+            nw[s - smin: s - smin + n] += w if a == 1 else w * a
+        w, lo = nw, lo + smin
+        yield k, lo, w, D
+        if keep > 0 and lo < 0:
+            w, lo = w[-lo:], 0
+        elif keep < 0 and lo + len(w) > 1:
+            w = w[:max(0, 1 - lo)]
 
 
 def iter_paths(law: IncrementLaw, length: int,
                budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[tuple, tuple, Fraction]]:
     """Yield (increment index key, integer path values, probability).
 
-    Depth-first over increment choices, so functionals can stream without
-    all paths being materialized.  Path values are on the integer lattice of
-    the law's support; multiply by the unit from ``lattice_integer_form`` to
-    recover rational values.
+    Depth-first over increment choices in lexicographic order, so functionals
+    can stream without all paths being materialized.  Prefixes are shared:
+    a choice change at depth j recomputes the values and integer weight
+    numerators from depth j on only.  Path values are on the integer lattice of the law's
+    support; multiply by the unit from ``lattice_integer_form`` to recover
+    rational values.
     """
     if length < 0:
         raise ParameterError("length must be >= 0")
-    _, live = _lattice_parts(law)
-    n_paths = len(live) ** length
+    _, live, D = integer_law(law)
+    r = len(live)
+    n_paths = r ** length
     if n_paths > budget:
         raise BudgetError(f"{n_paths} paths exceed the enumeration budget {budget}")
-    for choice in product(range(len(live)), repeat=length):
-        vals = [0]
-        prob = Fraction(1)
-        for c in choice:
-            idx, step, p = live[c]
-            vals.append(vals[-1] + step)
-            prob *= p
-        yield tuple(live[c][0] for c in choice), tuple(vals), prob
+    denom = D ** length
+    probs: Dict[int, Fraction] = {}  # paths of equal weight share one Fraction
+    choice = [0] * length
+    keys = [0] * length
+    vals = [0] * (length + 1)
+    nums = [1] * (length + 1)
+    j = 0
+    while True:
+        for d in range(j, length):
+            keys[d], s, a = live[choice[d]]
+            vals[d + 1] = vals[d] + s
+            nums[d + 1] = nums[d] * a
+        c = nums[length]
+        prob = probs.get(c)
+        if prob is None:
+            prob = probs[c] = Fraction(c, denom)
+        yield tuple(keys), tuple(vals), prob
+        j = length - 1
+        while j >= 0 and choice[j] == r - 1:
+            choice[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        choice[j] += 1
 
 
 def enumerate_paths(law: IncrementLaw, length: int,

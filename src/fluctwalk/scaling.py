@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (InsufficientDataError, ParameterError, UnboundedTailError,
                      UnsupportedModeError)
 from .increments import IncrementLaw, derive_seed, sample_steps
+from .oracle import lattice_sweep
 
 __all__ = [
     "PositivitySequence",
@@ -152,18 +153,11 @@ def step_distributions(law: IncrementLaw, K: int):
     """
     if law.kind != "lattice":
         raise UnsupportedModeError("exact convolution requires a lattice law")
-    unit, steps, probs = law.lattice_integer_form()
-    live = [(s, p) for s, p in zip(steps, probs) if p > 0]
+    unit = law.lattice_integer_form()[0]
     dists = []
-    cur = {0: Fraction(1)}
-    for _ in range(K):
-        nxt: Dict[int, Fraction] = {}
-        for x, px in cur.items():
-            for s, p in live:
-                y = x + s
-                nxt[y] = nxt.get(y, Fraction(0)) + px * p
-        cur = nxt
-        dists.append(cur)
+    for k, lo, w, D in lattice_sweep(law, K):
+        Dk = D ** k
+        dists.append({lo + j: Fraction(c, Dk) for j, c in enumerate(w) if c})
     return unit, dists
 
 
@@ -234,21 +228,17 @@ def first_ladder_pair_table(law: IncrementLaw, K: int):
     """
     if law.kind != "lattice":
         raise UnsupportedModeError("exact ladder-pair table requires a lattice law")
-    unit, steps, probs = law.lattice_integer_form()
-    live = [(s, p) for s, p in zip(steps, probs) if p > 0]
+    unit = law.lattice_integer_form()[0]
     table: Dict[tuple, Fraction] = {}
-    cur = {0: Fraction(1)}  # sub-probability mass of walks with S_i <= 0 so far
-    for t in range(1, K + 1):
-        nxt: Dict[int, Fraction] = {}
-        for x, px in cur.items():
-            for s, p in live:
-                y = x + s
-                if y > 0:
-                    table[(t, y)] = table.get((t, y), Fraction(0)) + px * p
-                else:
-                    nxt[y] = nxt.get(y, Fraction(0)) + px * p
-        cur = nxt
-    survivor = sum(cur.values(), Fraction(0))
+    survivor = Fraction(1)
+    # levels <= 0 carry the mass of walks with S_i <= 0 so far; the rest ascend
+    for t, lo, w, D in lattice_sweep(law, K, keep=-1):
+        Dt = D ** t
+        cut = max(0, 1 - lo)
+        for j in range(cut, len(w)):
+            if w[j]:
+                table[(t, lo + j)] = Fraction(w[j], Dt)
+        survivor = Fraction(int(w[:cut].sum()), Dt)
     return unit, table, survivor
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import InsufficientLadderError, ParameterError
-from .fluctuation import LocalTimeCurve, ladder_epochs
+from .fluctuation import LocalTimeCurve, ladder_epochs, last_max_index, last_min_index
 from .increments import WalkPath, path_values
 
 __all__ = [
@@ -160,15 +160,7 @@ def reverse_at_ladder(path, k: int):
 def reverse_at_last_max(path, m: int):
     """Reversed pre-G path, G the last time at the running maximum by m."""
     vals = path_values(path)
-    if not (0 <= m <= len(vals) - 1):
-        raise ParameterError("index outside the window")
-    mx = vals[0]
-    g = 0
-    for j in range(1, m + 1):
-        if vals[j] > mx:
-            mx = vals[j]
-        if vals[j] == mx:
-            g = j
+    g = last_max_index(vals, m)
     top = vals[g]
     return _wrap_like(path, [top - vals[g - i] for i in range(g + 1)])
 
@@ -179,14 +171,6 @@ def post_min_process(path, m: int):
     where K is the last time at the running minimum by m; rebased at 0.
     """
     vals = path_values(path)
-    if not (0 <= m <= len(vals) - 1):
-        raise ParameterError("index outside the window")
-    mn = vals[0]
-    kk = 0
-    for j in range(1, m + 1):
-        if vals[j] < mn:
-            mn = vals[j]
-        if vals[j] == mn:
-            kk = j
+    kk = last_min_index(vals, m)
     base = vals[kk]
     return _wrap_like(path, [vals[kk + i] - base for i in range(m - kk + 1)])

@@ -203,7 +203,7 @@ def test_report_write_and_exit_codes(tmp_path):
             tolerances={"endpoint_ks": 0.5, "cross_method_ks": 0.5},
             params={"cross_check_n": 8, "cross_check_trials": 2_000})
     rep = run_meander(c)
-    rep.write(str(tmp_path), "csv")
+    rep.write(str(tmp_path))
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["pass"] is True and rep.exit_code() == 0
     assert (tmp_path / "meander.csv").exists()

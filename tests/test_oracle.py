@@ -3,12 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fluctwalk.certify import DEFAULT_LAWS
+from fluctwalk.conditioning import meander_endpoint_distribution, survival_sequence
 from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.fluctuation import local_time_strict, local_time_verbatim
 from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
 from fluctwalk.oracle import (ExactDistribution, distribution_equality,
                               enumerate_paths, exact_functional_distribution,
                               functional_distribution, iter_paths)
+from fluctwalk.scaling import first_ladder_pair_table, step_distributions
 from fluctwalk.stats import dkw_epsilon
 
 F = Fraction
@@ -88,3 +91,30 @@ def test_json_export_uses_fraction_strings():
     d = enumerate_paths(IncrementLaw.fair_pm1(), 1)
     js = d.to_json()
     assert set(js.values()) == {"1/2"}
+
+
+@pytest.mark.parametrize("law", DEFAULT_LAWS(), ids=lambda law: law.description)
+def test_level_sweeps_match_path_enumeration(law):
+    # every exact quantity built on lattice_sweep equals the pushforward of
+    # the enumerated paths, atom by atom (biased 3/4 has D = 4, the others 2, 3)
+    K = 7
+    _, dists = step_distributions(law, K)
+    surv = survival_sequence(law, range(1, K + 1))
+    for k in range(1, K + 1):
+        ends, table, meander = {}, {}, {}
+        survivor = alive = F(0)
+        for _, vals, prob in iter_paths(law, k):
+            ends[vals[-1]] = ends.get(vals[-1], F(0)) + prob
+            t = next((j for j in range(1, k + 1) if vals[j] > 0), None)
+            if t is None:
+                survivor += prob
+            else:
+                table[(t, vals[t])] = table.get((t, vals[t]), F(0)) + prob
+            if min(vals[1:]) >= 0:
+                alive += prob
+                meander[vals[-1]] = meander.get(vals[-1], F(0)) + prob
+        assert dists[k - 1] == ends
+        assert first_ladder_pair_table(law, k)[1:] == (table, survivor)
+        assert surv[k] == alive
+        assert meander_endpoint_distribution(law, k).atoms == {
+            y: p / alive for y, p in meander.items()}
