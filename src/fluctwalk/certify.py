@@ -40,7 +40,7 @@ from .conditioning import (hchain_endpoint_distribution, hchain_path_distributio
                            renewal_function, survival_sequence)
 from .fluctuation import (ladder_epochs, last_max_index, local_time_strict,
                           local_time_verbatim)
-from .increments import IncrementLaw, derive_seed, sample_walk
+from .increments import IncrementLaw, derive_seed, path_from_steps, sample_rows
 from .oracle import ExactDistribution, distribution_equality, iter_paths
 from .scaling import fristedt_residual
 from .transforms import future_min_local_time, tanaka_transform
@@ -177,6 +177,10 @@ def certify_reversal(laws: Sequence[IncrementLaw] = None,
 # local-time identity under the excursion rebuild
 
 
+# most steps one batch of sampled idloc paths holds
+_IDLOC_ELEMS = 1 << 20
+
+
 def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
                   gaussian_length: int = 1_000, seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
@@ -196,18 +200,21 @@ def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
 
     g_viol = 0
     glaw = IncrementLaw.gaussian(0.0, 1.0)
-    for t in range(gaussian_paths):
-        w = sample_walk(glaw, gaussian_length, derive_seed(seed, t))
-        vals = w.values
-        T = ladder_epochs(vals)
-        if len(T) < 2:
-            continue
-        t_last = T[-1]
-        up = tanaka_transform(vals)
-        a = local_time_verbatim(vals).counts
-        b = future_min_local_time(up, variant="verbatim").counts
-        if any(a[j] != b[j] for j in range(t_last)):
-            g_viol += 1
+    chunk = max(1, _IDLOC_ELEMS // gaussian_length)
+    for first in range(0, gaussian_paths, chunk):
+        rows = sample_rows(glaw, gaussian_length, seed, first,
+                           min(chunk, gaussian_paths - first))
+        for steps in rows:
+            vals = path_from_steps(steps).values
+            T = ladder_epochs(vals)
+            if len(T) < 2:
+                continue
+            t_last = T[-1]
+            up = tanaka_transform(vals)
+            a = local_time_verbatim(vals).counts
+            b = future_min_local_time(up, variant="verbatim").counts
+            if any(a[j] != b[j] for j in range(t_last)):
+                g_viol += 1
 
     passed = violations == 0 and g_viol == 0
     detail = (f"{checked} enumerated lattice windows and {gaussian_paths} sampled "

@@ -26,12 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .conditioning import harmonic_limits, meander_sample, conditioned_walk
-from .errors import FluctwalkError, HypothesisViolationError
+from .conditioning import (conditioned_walk, harmonic_limits, meander_sample,
+                           renewal_function)
+from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (Criterion, ExperimentConfig, ExperimentReport,
                           run_lemma1, run_localtime_stability, run_meander,
                           run_theorem1)
-from .increments import IncrementLaw, derive_seed, sample_walk
+from .increments import IncrementLaw, derive_seed, path_from_steps, sample_rows
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
         if args.command == "converge":
             return _cmd_converge(args, overrides, out_dir, seed)
         if args.command == "simulate":
-            return _cmd_simulate(args, overrides, out_dir, seed)
+            return _cmd_simulate(args, overrides, out_dir, seed, p_sim.error)
         if args.command == "tables":
             return _cmd_tables(args, out_dir)
     except HypothesisViolationError as exc:
@@ -233,21 +234,27 @@ def _cmd_converge(args, overrides, out_dir, seed) -> int:
     return _finish(report, out_dir)
 
 
-def _cmd_simulate(args, overrides, out_dir, seed) -> int:
+def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     law = _parse_law(overrides.get("law", args.law))
     length = overrides.get("length", args.length)
     n_paths = overrides.get("paths", args.paths)
     kind = overrides.get("kind", args.kind)
+    if kind == "walk":
+        paths = [(path_from_steps(steps), 1.0)
+                 for steps in sample_rows(law, length, seed, 0, n_paths)]
+    elif kind == "conditioned":
+        try:
+            V = renewal_function(law, mode="exact")
+        except UnsupportedModeError as exc:
+            usage_error(f"--kind conditioned needs a --law with an exact renewal "
+                        f"function, such as fair-pm1: {exc}")
+        paths = [(conditioned_walk(law, length, derive_seed(seed, t), method="h_chain",
+                                   V=V), 1.0) for t in range(n_paths)]
+    else:
+        paths = [meander_sample(law, length, derive_seed(seed, t), method="rejection")
+                 for t in range(n_paths)]
     rows = [["trial", "index", "value", "weight"]]
-    for t in range(n_paths):
-        s = derive_seed(seed, t)
-        weight = 1.0
-        if kind == "walk":
-            path = sample_walk(law, length, s)
-        elif kind == "conditioned":
-            path = conditioned_walk(law, length, s, method="h_chain")
-        else:
-            path, weight = meander_sample(law, length, s, method="rejection")
+    for t, (path, weight) in enumerate(paths):
         for i, v in enumerate(path.values):
             rows.append([t, i, v, weight])
     _write_rows(out_dir, f"{kind}_paths", rows)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import (IncrementLaw, WalkPath, derive_seed, sample_steps, sample_walk,
-                         _rng)
+from .increments import (IncrementLaw, WalkPath, derive_seed, path_from_steps,
+                         sample_rows, sample_walk, _rng)
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
@@ -336,16 +336,9 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
     hits = 0
     trials = max(100, budget)
     chunk = max(1, min(trials, 2_000_000 // max(k, 1)))
-    done = 0
-    t = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        steps = np.vstack([sample_steps(law, k, derive_seed(seed, t + i))
-                           for i in range(b)])
-        t += b
-        S = np.cumsum(steps, axis=1)
-        hits += int((S.min(axis=1) >= 0).sum())
-        done += b
+    for first in range(0, trials, chunk):
+        rows = sample_rows(law, k, seed, first, min(chunk, trials - first))
+        hits += int((np.cumsum(rows, axis=1).min(axis=1) >= 0).sum())
     p = hits / trials
     se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
     return SurvivalEstimate(p, se, "montecarlo")
@@ -361,6 +354,10 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
     return out
 
 
+# most steps one rejection block draws
+_REJECTION_ELEMS = 1 << 20
+
+
 def meander_sample(law: IncrementLaw, k: int, seed: int,
                    method: str = "rejection", budget: int = 100_000,
                    V: Optional[RenewalFunction] = None,
@@ -374,10 +371,17 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
     if k < 1:
         raise ParameterError("length must be >= 1")
     if method == "rejection":
-        for attempt in range(budget):
-            w = sample_walk(law, k, derive_seed(seed, attempt))
-            if min(w.values[1:]) >= 0:
-                return w, 1.0
+        # attempt t is trial t of ``seed``; blocks grow so that a rare meander
+        # costs few calls and a common one few wasted rows
+        attempted, block = 0, 16
+        while attempted < budget:
+            b = min(block, budget - attempted, max(1, _REJECTION_ELEMS // k))
+            rows = sample_rows(law, k, seed, attempted, b)
+            ok = np.cumsum(rows, axis=1).min(axis=1) >= 0
+            if ok.any():
+                return path_from_steps(rows[int(np.argmax(ok))]), 1.0
+            attempted += b
+            block *= 2
         raise BudgetError(
             f"no meander accepted in {budget} attempts",
             acceptance_rate=0.0)

@@ -33,8 +33,9 @@ from typing import Dict, List
 import numpy as np
 
 from .conditioning import survival_sequence
-from .errors import ConfigError, HypothesisViolationError, ParameterError
-from .increments import IncrementLaw, derive_seed, _rng
+from .errors import (ConfigError, HypothesisViolationError, InsufficientLadderError,
+                     ParameterError)
+from .increments import IncrementLaw, derive_seed, draw_steps, sample_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
@@ -211,9 +212,6 @@ def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
     law; it is windowed, so the heavy right tail of the ladder time is
     truncated at window_mult in scaled units.
     """
-    from .errors import InsufficientLadderError
-    from .increments import sample_steps
-
     width = window_mult * n
     Ts: List[np.ndarray] = []
     Hs: List[np.ndarray] = []
@@ -229,12 +227,9 @@ def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
         done = 0
         while done < batch and got < count:
             b = min(chunk, batch - done)
-            rows = np.vstack([
-                sample_steps(law, width, derive_seed(seed, attempted + i))
-                for i in range(b)])
+            S = np.cumsum(sample_rows(law, width, seed, attempted, b), axis=1)
             attempted += b
             done += b
-            S = np.cumsum(rows, axis=1)
             # running max including the start value 0
             M = np.maximum(np.maximum.accumulate(S, axis=1), 0.0)
             rec = np.concatenate(
@@ -284,24 +279,8 @@ def first_passage_heights(law: IncrementLaw, count: int, cap: int,
         sub = 0
         while active.size and done < cap:
             b = min(block, cap - done)
-            rows = []
-            chunk_rng = _rng(derive_seed(base, sub))
+            Z = draw_steps(law, _rng(derive_seed(base, sub)), np.empty((active.size, b)))
             sub += 1
-            if law.kind == "gaussian":
-                Z = law.mean + law.stddev * chunk_rng.standard_normal((active.size, b))
-            elif law.kind == "heavy_tail":
-                uu = chunk_rng.random((active.size, b))
-                if law.alpha == 1.0:
-                    Z = np.tan(np.pi * (uu - 0.5))
-                else:
-                    sg = np.where(chunk_rng.random((active.size, b)) < 0.5, -1.0, 1.0)
-                    Z = sg * (1.0 - uu) ** (-1.0 / law.alpha)
-            else:
-                cum = np.cumsum([float(p) for p in law.probs])
-                cum[-1] = 1.0
-                sup = np.array([float(s) for s in law.support])
-                Z = sup[np.searchsorted(cum, chunk_rng.random((active.size, b)),
-                                        side="right")]
             C = S[active, None] + np.cumsum(Z, axis=1)
             pos = C > 0
             hit = pos.any(axis=1)

@@ -14,6 +14,12 @@ Sampling is a pure function of (law, length, seed): identical inputs give
 bit-identical paths.  Per-trial streams derive from a master seed via
 :func:`derive_seed`, so embarrassingly parallel Monte Carlo stays
 reproducible regardless of scheduling.
+
+Monte Carlo loops draw their trials in batches with :func:`sample_rows`:
+the per-trial seeds and PCG64 states of a batch come from one vectorized
+pass of numpy's ``SeedSequence`` hash, and row i of a batch is bit-identical
+to ``sample_steps(law, length, derive_seed(master, first + i))``.
+:func:`draw_steps` is the one map from a law and a generator to steps.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ __all__ = [
     "IncrementLaw",
     "WalkPath",
     "derive_seed",
+    "draw_steps",
+    "path_from_steps",
+    "sample_rows",
+    "sample_steps",
     "sample_walk",
     "skeleton",
 ]
@@ -242,43 +252,234 @@ def path_values(path) -> Sequence:
     return path
 
 
+# numpy's SeedSequence (O'Neill's seed_seq hash for PCG) on uint32 words
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_SIZE = 4
+# PCG64: 128-bit LCG multiplier (pcg64_set_seed steps the state twice)
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_M128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list:
+    """Little-endian uint32 words of ``n`` as SeedSequence reads an int (0 is [0])."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's word hash; each call advances the hash constant."""
+    def hash_word(v):
+        nonlocal const
+        v = v ^ const
+        const = const * mult & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+    return hash_word
+
+
+def _seed_seq(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)``, word by word.
+
+    Each entropy word is a Python int or a uint32 array holding that word for
+    a batch of sequences; every operation wraps mod 2**32 either way, so one
+    call hashes a whole batch and a Python-int call hashes one sequence.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    return [out_hash(pool[i % _POOL_SIZE]) for i in range(n_words)]
+
+
+def _join64(lo, hi):
+    if isinstance(lo, int):
+        return lo | hi << 32
+    return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
+
+
+def _split_words(values: np.ndarray):
+    """Group uint64 values by their SeedSequence word count: (mask, words) pairs."""
+    lo = (values & _M32).astype(np.uint32)
+    hi = (values >> 32).astype(np.uint32)
+    one = hi == 0
+    return [(m, w) for m, w in ((one, [lo[one]]), (~one, [lo[~one], hi[~one]]))
+            if m.any()]
+
+
+def _derived_seeds(master_seed: int, first: int, count: int) -> np.ndarray:
+    """``derive_seed(master_seed, first + i)`` for i < count, as uint64."""
+    if first < 0 or first + count > 1 << 64:
+        raise ParameterError("trial indices must lie in [0, 2**64)")
+    master = _words(master_seed)
+    seeds = np.empty(count, dtype=np.uint64)
+    for mask, trial in _split_words(np.arange(first, first + count, dtype=np.uint64)):
+        seeds[mask] = _join64(*_seed_seq(master + trial, 2))
+    return seeds
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed))`` for every uint64 seed."""
+    words = [np.empty(len(seeds), dtype=np.uint32) for _ in range(8)]
+    for mask, entropy in _split_words(seeds):
+        for dst, w in zip(words, _seed_seq(entropy, 8)):
+            dst[mask] = w
+    s_hi, s_lo, i_hi, i_lo = (_join64(words[j], words[j + 1]).tolist()
+                              for j in range(0, 8, 2))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
 def derive_seed(master_seed: int, trial_index: int) -> int:
-    """Stable per-trial seed derived from (master seed, trial index)."""
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(trial_index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable per-trial seed derived from (master seed, trial index).
+
+    Equals ``SeedSequence(entropy=(master_seed, trial_index))
+    .generate_state(1, np.uint64)[0]``; :func:`sample_rows` derives whole
+    batches of these seeds through the same hash.
+    """
+    return _join64(*_seed_seq(_words(master_seed) + _words(trial_index), 2))
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
+# uniforms mapped to lattice steps per piece: bounds the index array
+_MAP_PIECE = 1 << 15
+
+
+def _lattice_steps(law: IncrementLaw, u: np.ndarray) -> np.ndarray:
+    """Map uniforms in ``u`` to steps of a lattice law in place.
+
+    The atom index is sum_j (u >= cum_j), which equals
+    ``np.searchsorted(cum, u, side="right")`` element for element.
+    """
+    cum = np.cumsum([float(p) for p in law.probs])
+    cum[-1] = 1.0
+    sup = np.array([float(s) for s in law.support])
+    flat = u.reshape(-1)
+    for lo in range(0, flat.size, _MAP_PIECE):
+        piece = flat[lo:lo + _MAP_PIECE]
+        idx = np.zeros(piece.size, dtype=np.intp)
+        for c in cum[:-1]:
+            idx += piece >= c
+        # indices lie in range; "clip" only skips the buffered copy of "raise"
+        np.take(sup, idx, out=piece, mode="clip")
+    return u
+
+
+def _signed(law: IncrementLaw) -> bool:
+    """Whether a step of ``law`` takes a second uniform for its sign."""
+    return law.kind == "heavy_tail" and law.alpha != 1.0
+
+
+def _draw_raw(law: IncrementLaw, rng: np.random.Generator, raw: np.ndarray,
+              negative: Optional[np.ndarray] = None) -> None:
+    """Draw the variates that :func:`_to_steps` maps to steps, in C order.
+
+    Normals for a Gaussian law, uniforms otherwise; a signed heavy-tailed law
+    then draws one more uniform per step into the sign array ``negative``.
+    """
+    if law.kind == "gaussian":
+        rng.standard_normal(out=raw)
+    else:
+        rng.random(out=raw)
+    if negative is not None:
+        np.less(rng.random(raw.shape), 0.5, out=negative)
+
+
+def _to_steps(law: IncrementLaw, raw: np.ndarray,
+              negative: Optional[np.ndarray] = None) -> np.ndarray:
+    """Map the variates of :func:`_draw_raw` to steps of ``law`` in place."""
+    if law.kind == "gaussian":
+        raw *= law.stddev
+        raw += law.mean
+        return raw
+    if law.kind == "lattice":
+        return _lattice_steps(law, raw)
+    if law.alpha == 1.0:
+        raw -= 0.5
+        raw *= np.pi
+        return np.tan(raw, out=raw)
+    np.subtract(1.0, raw, out=raw)
+    raw **= -1.0 / law.alpha
+    return np.negative(raw, out=raw, where=negative)
+
+
+def draw_steps(law: IncrementLaw, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array ``out`` with i.i.d. steps of ``law`` from ``rng``.
+
+    The one law -> steps map.  Draws run in C order over ``out``; a
+    heavy-tailed law with alpha != 1 draws all magnitudes, then all signs.
+    """
+    negative = np.empty(out.shape, dtype=bool) if _signed(law) else None
+    _draw_raw(law, rng, out, negative)
+    return _to_steps(law, out, negative)
+
+
 def sample_steps(law: IncrementLaw, length: int, seed: int) -> np.ndarray:
     """Raw i.i.d. steps as a float array; deterministic in (law, length, seed)."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    rng = _rng(seed)
-    if law.kind == "lattice":
-        cum = np.cumsum([float(p) for p in law.probs])
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(length), side="right")
-        sup = np.array([float(s) for s in law.support])
-        return sup[idx]
-    if law.kind == "gaussian":
-        return law.mean + law.stddev * rng.standard_normal(length)
-    u = rng.random(length)
-    if law.alpha == 1.0:
-        return np.tan(np.pi * (u - 0.5))
-    signs = np.where(rng.random(length) < 0.5, -1.0, 1.0)
-    return signs * (1.0 - u) ** (-1.0 / law.alpha)
+    return draw_steps(law, _rng(seed), np.empty(length))
+
+
+def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
+                count: int) -> np.ndarray:
+    """Steps of trials first .. first + count - 1 of ``master_seed``, one row each.
+
+    Row i equals ``sample_steps(law, length, derive_seed(master_seed, first + i))``
+    bit for bit.  The seeds and PCG64 states of the whole batch are derived
+    at once; one generator is re-seeded per row through its state and draws
+    into the row, and the batch is mapped to steps in one pass.
+    """
+    if length < 1 or count < 0:
+        raise ParameterError("length must be >= 1 and count >= 0")
+    out = np.empty((count, length))
+    negative = np.empty(out.shape, dtype=bool) if _signed(law) else None
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    states = _pcg64_states(_derived_seeds(master_seed, first, count))
+    for i, (state, inc) in enumerate(states):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        _draw_raw(law, rng, out[i], None if negative is None else negative[i])
+    return _to_steps(law, out, negative)
+
+
+def path_from_steps(steps: np.ndarray) -> WalkPath:
+    """The walk S_0 = 0, S_k = steps[0] + ... + steps[k-1]."""
+    vals = np.empty(len(steps) + 1)
+    vals[0] = 0.0
+    np.cumsum(steps, out=vals[1:])
+    return WalkPath(values=tuple(vals.tolist()))
 
 
 def sample_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
     """Sample a walk of the given length; pure in (law, length, seed)."""
-    steps = sample_steps(law, length, seed)
-    vals = np.empty(length + 1)
-    vals[0] = 0.0
-    np.cumsum(steps, out=vals[1:])
-    return WalkPath(values=tuple(vals.tolist()))
+    return path_from_steps(sample_steps(law, length, seed))
 
 
 def skeleton(path, stride: int):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (InsufficientDataError, ParameterError, UnboundedTailError,
                      UnsupportedModeError)
-from .increments import IncrementLaw, derive_seed, sample_steps
+from .increments import IncrementLaw, derive_seed, sample_rows
 from .oracle import lattice_sweep
 
 __all__ = [
@@ -179,16 +179,9 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
     trials = max(100, budget // max(K, 1))
     counts = np.zeros(K, dtype=np.int64)
     chunk = max(1, min(trials, 4_000_000 // max(K, 1)))
-    done = 0
-    t = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        steps = np.vstack([
-            sample_steps(law, K, derive_seed(rng_seed, t + i)) for i in range(b)])
-        t += b
-        S = np.cumsum(steps, axis=1)
-        counts += (S > 0).sum(axis=0)
-        done += b
+    for first in range(0, trials, chunk):
+        rows = sample_rows(law, K, rng_seed, first, min(chunk, trials - first))
+        counts += (np.cumsum(rows, axis=1) > 0).sum(axis=0)
     p = counts / trials
     se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / trials)
     return PositivitySequence(

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from fluctwalk.cli import main
 
 
@@ -128,6 +130,23 @@ def test_simulate_conditioned(tmp_path):
     assert run(["--out", out, "simulate", "--law", "fair-pm1", "--length", "8",
                 "--paths", "2", "--kind", "conditioned"]) == 0
     assert os.path.exists(os.path.join(out, "conditioned_paths.csv"))
+
+
+@pytest.mark.parametrize("law", [None, "cauchy",
+                                 '{"kind": "lattice", "support": ["-2", "1"], '
+                                 '"probs": ["1/3", "2/3"]}'])
+def test_simulate_conditioned_rejects_law_without_exact_renewal(tmp_path, capsys, law):
+    # the default Gaussian law, a non-lattice law and a lattice law that can
+    # jump two units down have no exact renewal function: usage error, no file
+    out = str(tmp_path / "bad")
+    argv = ["--out", out, "simulate", "--kind", "conditioned"]
+    if law is not None:
+        argv += ["--law", law]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "--law" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_tables(tmp_path):

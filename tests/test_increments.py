@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.errors import DimensionError, ParameterError
-from fluctwalk.increments import (IncrementLaw, WalkPath, derive_seed,
-                                  sample_walk, skeleton)
+from fluctwalk import certify, conditioning
+from fluctwalk.conditioning import meander_sample, survival_probability
+from fluctwalk.errors import BudgetError, DimensionError, ParameterError
+from fluctwalk.experiments import windowed_ladder_pairs
+from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
+                                  _pcg64_states, _rng, derive_seed, sample_rows,
+                                  sample_steps, sample_walk, skeleton)
+from fluctwalk.scaling import positivity_probabilities
 
 
 def test_point_mass_walk_is_deterministic_ramp():
@@ -113,3 +118,185 @@ def test_skeleton_composition(seed):
 def test_walk_must_start_at_zero():
     with pytest.raises(ParameterError):
         WalkPath(values=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# batched per-trial streams against numpy's own per-row seeding
+
+STREAM_LAWS = [
+    IncrementLaw.fair_pm1(),
+    IncrementLaw.uniform3(),
+    IncrementLaw.lattice([-1, 0, 2, 5], ["1/4", "0", "1/2", "1/4"]),  # zero-mass atom
+    IncrementLaw.lattice(["-1/2", "3/2"], ["3/4", "1/4"]),            # unit 1/2
+    IncrementLaw.gaussian(0.3, 2.5),
+    IncrementLaw.heavy_tail(1.0),
+    IncrementLaw.heavy_tail(1.5),
+    IncrementLaw.heavy_tail(0.5),
+    IncrementLaw.heavy_tail(2.0),
+]
+MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D3A9F21B]
+
+
+def oracle_seed(master, t):
+    ss = np.random.SeedSequence(entropy=(master, t))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def oracle_steps(law, length, seed):
+    """Per-row sampler as written before batching: a fresh PCG64 per seed."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if law.kind == "lattice":
+        cum = np.cumsum([float(p) for p in law.probs])
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, rng.random(length), side="right")
+        return np.array([float(s) for s in law.support])[idx]
+    if law.kind == "gaussian":
+        return law.mean + law.stddev * rng.standard_normal(length)
+    u = rng.random(length)
+    if law.alpha == 1.0:
+        return np.tan(np.pi * (u - 0.5))
+    signs = np.where(rng.random(length) < 0.5, -1.0, 1.0)
+    return signs * (1.0 - u) ** (-1.0 / law.alpha)
+
+
+def oracle_rows(law, length, master, first, count):
+    return np.vstack([oracle_steps(law, length, oracle_seed(master, first + i))
+                      for i in range(count)])
+
+
+def oracle_walk(law, length, seed):
+    vals = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
+    return WalkPath(values=tuple(vals.tolist()))
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_batched_derivation_matches_seed_sequence(master):
+    expected = [oracle_seed(master, t) for t in range(3000)]
+    assert _derived_seeds(master, 0, 3000).tolist() == expected
+    assert [derive_seed(master, t) for t in range(0, 3000, 97)] == expected[::97]
+    # a batch across 2**32 mixes one- and two-word trial indices
+    first = 2**32 - 4
+    assert _derived_seeds(master, first, 8).tolist() == [
+        oracle_seed(master, first + i) for i in range(8)]
+
+
+def test_pcg64_states_match_numpy_seeding():
+    seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1] + _derived_seeds(3, 0, 300).tolist()
+    states = _pcg64_states(np.array(seeds, dtype=np.uint64))
+    for seed, (state, inc) in zip(seeds, states):
+        assert _rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("law", STREAM_LAWS, ids=lambda law: law.describe()["kind"])
+def test_sample_rows_equal_per_row_sampling(law):
+    master, first, count, length = 0x5DEECE66D3A9F21B, 40, 25, 57
+    rows = sample_rows(law, length, master, first, count)
+    assert rows.shape == (count, length)
+    for i, row in enumerate(rows):
+        seed = derive_seed(master, first + i)
+        assert np.array_equal(row, sample_steps(law, length, seed))
+        assert np.array_equal(row, oracle_steps(law, length, seed))
+    assert sample_rows(law, length, master, first, 0).shape == (0, length)
+
+
+def test_lattice_map_matches_searchsorted_at_atom_boundaries():
+    law = IncrementLaw.lattice([-1, 0, 2, 5], ["1/4", "0", "1/2", "1/4"])
+    cum = np.cumsum([float(p) for p in law.probs])
+    cum[-1] = 1.0
+    sup = np.array([float(s) for s in law.support])
+    u = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0),
+                        np.nextafter(cum[:-1], 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    expected = sup[np.searchsorted(cum, u, side="right")]
+    assert np.array_equal(_lattice_steps(law, u.copy()), expected)
+
+
+# caller-level equality: each reference loop is the caller as written before
+# batching, drawing its rows from the oracle above
+
+
+def test_survival_montecarlo_matches_per_row_loop():
+    law, k, budget, seed = IncrementLaw.fair_pm1(), 12, 3000, 5
+    S = np.cumsum(oracle_rows(law, k, seed, 0, budget), axis=1)
+    p = int((S.min(axis=1) >= 0).sum()) / budget
+    est = survival_probability(law, k, "montecarlo", budget=budget, seed=seed)
+    assert est.probability == p
+    assert est.error == math.sqrt(max(p * (1 - p), 1e-12) / budget)
+
+
+def test_positivity_montecarlo_matches_per_row_loop():
+    law, K, budget, seed = IncrementLaw.uniform3(), 10, 20_000, 3
+    trials = budget // K
+    S = np.cumsum(oracle_rows(law, K, oracle_seed(seed, 0), 0, trials), axis=1)
+    p = (S > 0).sum(axis=0) / trials
+    seq = positivity_probabilities(law, K, "montecarlo", budget=budget, seed=seed)
+    assert seq.probabilities == {k + 1: float(p[k]) for k in range(K)}
+
+
+def test_windowed_ladder_pairs_match_per_row_loop():
+    law, n, block, count, seed = IncrementLaw.uniform3(), 8, 4, 60, 17
+    width = 2 * n
+    Ts, Hs, got, failed, attempted = [], [], 0, 0, 0
+    while got < count:
+        b = int((count - got) * 1.2) + 8
+        S = np.cumsum(oracle_rows(law, width, seed, attempted, b), axis=1)
+        attempted += b
+        M = np.maximum(np.maximum.accumulate(S, axis=1), 0.0)
+        cnt = np.cumsum(np.concatenate([S[:, :1] > 0, S[:, 1:] > M[:, :-1]], axis=1),
+                        axis=1)
+        ok = cnt[:, -1] >= block
+        failed += int((~ok).sum())
+        idx = np.argmax(cnt[ok] >= block, axis=1)
+        take = min(int(ok.sum()), count - got)
+        Ts.append(idx[:take] + 1)
+        Hs.append(S[ok][np.arange(take), idx[:take]])
+        got += take
+    T, H, frac = windowed_ladder_pairs(law, n, block, count, seed, window_mult=2)
+    assert np.array_equal(T, np.concatenate(Ts))
+    assert np.array_equal(H, np.concatenate(Hs))
+    assert failed > 0 and frac == failed / attempted
+
+
+@pytest.mark.parametrize("law,k", [(IncrementLaw.fair_pm1(), 2),
+                                   (IncrementLaw.fair_pm1(), 9),
+                                   (IncrementLaw.gaussian(), 40)])
+def test_meander_rejection_matches_per_row_loop(law, k):
+    for seed in range(6):
+        attempt = 0
+        while True:
+            w = oracle_walk(law, k, oracle_seed(seed, attempt))
+            if min(w.values[1:]) >= 0:
+                break
+            attempt += 1
+        assert meander_sample(law, k, seed, method="rejection") == (w, 1.0)
+
+
+def test_meander_rejection_budget_counts_attempts(monkeypatch):
+    law = IncrementLaw.biased_pm1(Fraction(1, 10))
+    drawn = []
+
+    def counting_rows(law, length, master, first, count):
+        drawn.append((first, count))
+        return sample_rows(law, length, master, first, count)
+
+    monkeypatch.setattr(conditioning, "sample_rows", counting_rows)
+    with pytest.raises(BudgetError, match="no meander accepted in 50 attempts"):
+        meander_sample(law, 20, 3, method="rejection", budget=50)
+    firsts = [0] + list(np.cumsum([c for _, c in drawn]))
+    assert [f for f, _ in drawn] == firsts[:-1] and firsts[-1] == 50
+
+
+def test_idloc_checks_the_per_row_paths(monkeypatch):
+    seen = []
+    ladder_epochs = certify.ladder_epochs
+
+    def recording_epochs(vals):
+        if len(vals) == 31:
+            seen.append(tuple(vals))
+        return ladder_epochs(vals)
+
+    monkeypatch.setattr(certify, "ladder_epochs", recording_epochs)
+    res = certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
+                                seed=8)
+    law = IncrementLaw.gaussian(0.0, 1.0)
+    assert seen == [oracle_walk(law, 30, oracle_seed(8, t)).values for t in range(40)]
+    assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
