@@ -22,8 +22,7 @@ from .conditioning import (RenewalFunction, SurvivalEstimate, conditioned_walk,
 from .oracle import (ExactDistribution, distribution_equality, enumerate_paths,
                      exact_functional_distribution, functional_distribution)
 from .stats import Sample, ks_statistic, trend_test, wasserstein1
-from .limit_laws import (ReferenceLaw, h_bm, half_stable_tau_tail, kappa_bm,
-                         levy_half_cdf, rayleigh_cdf, reference)
+from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf
 from .experiments import (ExperimentConfig, ExperimentReport, run_lemma1,
                           run_localtime_stability, run_meander, run_theorem1)
 

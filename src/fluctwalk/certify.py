@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .conditioning import (hchain_endpoint_distribution, hchain_path_distribution,
-                           renewal_function, survival_sequence)
+from .conditioning import (h_kernel_row, hchain_endpoint_distribution,
+                           hchain_path_distribution, renewal_function, survival_sequence)
+from .experiments import pm1_conditioned_endpoints
 from .fluctuation import (ladder_epochs, last_max_index, local_time_strict,
                           local_time_verbatim)
-from .increments import IncrementLaw, derive_seed, path_from_steps, sample_rows
+from .increments import IncrementLaw, derive_seed, iter_rows, path_from_steps
 from .oracle import ExactDistribution, distribution_equality, iter_paths
 from .scaling import fristedt_residual
 from .transforms import future_min_local_time, tanaka_transform
@@ -177,10 +178,6 @@ def certify_reversal(laws: Sequence[IncrementLaw] = None,
 # local-time identity under the excursion rebuild
 
 
-# most steps one batch of sampled idloc paths holds
-_IDLOC_ELEMS = 1 << 20
-
-
 def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
                   gaussian_length: int = 1_000, seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
@@ -200,10 +197,7 @@ def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
 
     g_viol = 0
     glaw = IncrementLaw.gaussian(0.0, 1.0)
-    chunk = max(1, _IDLOC_ELEMS // gaussian_length)
-    for first in range(0, gaussian_paths, chunk):
-        rows = sample_rows(glaw, gaussian_length, seed, first,
-                           min(chunk, gaussian_paths - first))
+    for rows in iter_rows(glaw, gaussian_length, seed, gaussian_paths):
         for steps in rows:
             vals = path_from_steps(steps).values
             T = ladder_epochs(vals)
@@ -261,7 +255,6 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
         rows.append([m, total, mism])
 
     # weight normalization: mean of 1/(P(C_n) V(endpoint)) over chain samples
-    from .experiments import pm1_conditioned_endpoints
     x = pm1_conditioned_endpoints(weight_n, weight_trials, derive_seed(seed, 7))
     pc = float(surv[weight_n]) if weight_n in surv else float(
         survival_sequence(law, [weight_n])[weight_n])
@@ -282,7 +275,6 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
 
 
 def certify_h_kernel(max_length: int = 10) -> CheckResult:
-    from .conditioning import h_kernel_row
     law = IncrementLaw.fair_pm1()
     V = renewal_function(law, mode="exact")
     rows = [["check", "value", "pass"]]

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import (IncrementLaw, WalkPath, derive_seed, path_from_steps,
-                         sample_rows, sample_walk, _rng)
+from .increments import (IncrementLaw, WalkPath, derive_seed, draw_steps, iter_rows,
+                         path_from_steps, sample_rows, sample_walk, _batch_rows, _rng)
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
@@ -146,10 +146,11 @@ def renewal_function(law: IncrementLaw, mode: str = "exact",
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
 
+    if law.kind != "gaussian":
+        raise UnsupportedModeError("estimated renewal function implemented for gaussian laws")
     # Simulate walks until the running minimum drops below -x_max (or the cap
     # hits); strict new minima are the descending ladder points.
     heights: List[np.ndarray] = []
-    censored = 0
     block = 1024
     for t in range(budget):
         rng = _rng(derive_seed(seed, t))
@@ -159,23 +160,18 @@ def renewal_function(law: IncrementLaw, mode: str = "exact",
         steps_done = 0
         while mn >= -x_max and steps_done < step_cap:
             b = min(block, step_cap - steps_done)
-            if law.kind == "gaussian":
-                z = law.mean + law.stddev * rng.standard_normal(b)
-            else:
-                raise UnsupportedModeError(
-                    "estimated renewal function implemented for gaussian laws")
-            c = s + np.cumsum(z)
-            for v in c:
-                if v < mn:
-                    mn = v
-                    recs.append(-v)
-                    if mn < -x_max:
-                        break
-            s = c[-1] if mn >= -x_max else mn
+            c = s + np.cumsum(draw_steps(law, rng, np.empty(b)))
+            # strict new minima, up to and including the first one below -x_max
+            low = c[c < np.minimum.accumulate(np.concatenate([[mn], c[:-1]]))]
+            deep = np.flatnonzero(low < -x_max)
+            if deep.size:
+                low = low[: deep[0] + 1]
+            if low.size:
+                mn = low[-1]
+                recs.append(-low)
+            s = c[-1]
             steps_done += b
-        if mn >= -x_max:
-            censored += 1
-        heights.append(np.array(recs))
+        heights.append(np.concatenate(recs) if recs else np.array([]))
 
     def evaluator(x):
         if not (0 <= x <= x_max):
@@ -333,12 +329,9 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
         return SurvivalEstimate(survival_sequence(law, [k])[k], 0.0, "exact")
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
-    hits = 0
     trials = max(100, budget)
-    chunk = max(1, min(trials, 2_000_000 // max(k, 1)))
-    for first in range(0, trials, chunk):
-        rows = sample_rows(law, k, seed, first, min(chunk, trials - first))
-        hits += int((np.cumsum(rows, axis=1).min(axis=1) >= 0).sum())
+    hits = sum(int((np.cumsum(rows, axis=1).min(axis=1) >= 0).sum())
+               for rows in iter_rows(law, k, seed, trials))
     p = hits / trials
     se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
     return SurvivalEstimate(p, se, "montecarlo")
@@ -352,10 +345,6 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
         if k in record:
             out[k] = Fraction(int(w[max(0, -lo):].sum()), D ** k)
     return out
-
-
-# most steps one rejection block draws
-_REJECTION_ELEMS = 1 << 20
 
 
 def meander_sample(law: IncrementLaw, k: int, seed: int,
@@ -372,10 +361,10 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
         raise ParameterError("length must be >= 1")
     if method == "rejection":
         # attempt t is trial t of ``seed``; blocks grow so that a rare meander
-        # costs few calls and a common one few wasted rows
+        # costs few calls and a common one few wasted rows, up to one batch
         attempted, block = 0, 16
         while attempted < budget:
-            b = min(block, budget - attempted, max(1, _REJECTION_ELEMS // k))
+            b = min(block, budget - attempted, _batch_rows(k))
             rows = sample_rows(law, k, seed, attempted, b)
             ok = np.cumsum(rows, axis=1).min(axis=1) >= 0
             if ok.any():

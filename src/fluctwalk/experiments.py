@@ -33,13 +33,14 @@ from typing import Dict, List
 import numpy as np
 
 from .conditioning import survival_sequence
-from .errors import (ConfigError, HypothesisViolationError, InsufficientLadderError,
-                     ParameterError)
-from .increments import IncrementLaw, derive_seed, draw_steps, sample_rows, _rng
+from .errors import (BudgetError, ConfigError, HypothesisViolationError,
+                     InsufficientLadderError, ParameterError)
+from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
-from .scaling import norming_constant, positivity_rule
+from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
+                      required_truncation)
 from .stats import Sample, ks_statistic, trend_test
 
 __all__ = [
@@ -200,58 +201,52 @@ def sample_ladder_times(rng, shape, tail: np.ndarray, tail_kind: str) -> np.ndar
     return out
 
 
+# most windows windowed_ladder_pairs reads per requested pair
+_WINDOWS_PER_PAIR = 16
+
+
 def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
                           seed: int, window_mult: int = 64,
-                          resample: bool = True, max_rounds: int = 12) -> tuple:
+                          resample: bool = True) -> tuple:
     """(T_block, H_block) read off simulated windows of length window_mult * n.
 
-    Walks that do not realize ``block`` ladder epochs inside their window are
-    resampled with fresh streams when ``resample`` is set (the induced
-    conditioning is the recorded resampled fraction), and otherwise raise.
-    This is the generic route for lattice laws without a closed ladder-time
-    law; it is windowed, so the heavy right tail of the ladder time is
-    truncated at window_mult in scaled units.
+    Window t is trial t of ``seed``; windows are read in order, and a pair
+    comes from each window that realizes ``block`` ladder epochs.  With
+    ``resample`` the windows that do not are skipped, and reading stops at
+    the window that delivers the ``count``-th pair; at most 16 * count
+    windows are read.  Without it the first ``count`` windows must all
+    realize the epochs.  Either way a shortfall raises.  The third value,
+    the resampled fraction, is the share of failed windows among those read
+    (the induced conditioning).  This is the generic route for lattice laws
+    without a closed ladder-time law; it is windowed, so the heavy right
+    tail of the ladder time is truncated at window_mult in scaled units.
     """
     width = window_mult * n
     Ts: List[np.ndarray] = []
     Hs: List[np.ndarray] = []
     got = 0
-    failed = 0
-    attempted = 0
-    for round_idx in range(max_rounds):
-        need = count - got
-        if need <= 0:
+    read = 0
+    limit = count * _WINDOWS_PER_PAIR if resample else count
+    for steps in iter_rows(law, width, seed, limit):
+        S = np.cumsum(steps, axis=1)
+        # running max including the start value 0
+        M = np.maximum(np.maximum.accumulate(S, axis=1), 0.0)
+        cnt = np.cumsum(np.concatenate([S[:, :1] > 0, S[:, 1:] > M[:, :-1]], axis=1),
+                        axis=1)
+        ok = np.flatnonzero(cnt[:, -1] >= block)[: count - got]
+        idx = np.argmax(cnt[ok] >= block, axis=1)
+        Ts.append((idx + 1).astype(np.int64))
+        Hs.append(S[ok, idx])
+        got += ok.size
+        if got == count:
+            read += int(ok[-1]) + 1
             break
-        batch = int(need * 1.2) + 8
-        chunk = max(1, min(batch, 8_000_000 // max(width, 1)))
-        done = 0
-        while done < batch and got < count:
-            b = min(chunk, batch - done)
-            S = np.cumsum(sample_rows(law, width, seed, attempted, b), axis=1)
-            attempted += b
-            done += b
-            # running max including the start value 0
-            M = np.maximum(np.maximum.accumulate(S, axis=1), 0.0)
-            rec = np.concatenate(
-                [(S[:, :1] > 0), S[:, 1:] > M[:, :-1]], axis=1)
-            cnt = np.cumsum(rec, axis=1)
-            ok = cnt[:, -1] >= block
-            failed += int((~ok).sum())
-            if not ok.any():
-                continue
-            idx = np.argmax(cnt[ok] >= block, axis=1)
-            take = min(int(ok.sum()), count - got)
-            Ts.append((idx[:take] + 1).astype(np.int64))
-            Hs.append(S[ok][np.arange(len(idx))[:take], idx[:take]])
-            got += take
-        if not resample:
-            break
+        read += len(steps)
     if got < count:
         raise InsufficientLadderError(
             f"only {got}/{count} windows realized {block} ladder epochs "
             f"(window {window_mult}n, resample={resample})")
-    return (np.concatenate(Ts), np.concatenate(Hs),
-            failed / max(attempted, 1))
+    return np.concatenate(Ts), np.concatenate(Hs), (read - count) / read
 
 
 def first_passage_heights(law: IncrementLaw, count: int, cap: int,
@@ -316,6 +311,12 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     is the variance of the first ladder height of the standard Gaussian
     walk); on the +-1 route it is exactly 0.  A threshold below that value
     at the largest n of the grid cannot pass.
+
+    On the windowed route (symmetric lattice laws other than +-1) the norming
+    constants come from Monte Carlo positivity, and the notes record
+    ``resampled_fraction_n{n}``: the share of windows without [a_n] ladder
+    epochs among those read, in trial order, up to the window that delivered
+    the last pair (see :func:`windowed_ladder_pairs`).
     """
     config.validate()
     law = config.law
@@ -364,7 +365,6 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     notes: Dict[str, object] = {}
     if route == "windowed":
         # no closed positivity rule: estimate the norming sum by Monte Carlo
-        from .scaling import positivity_probabilities, required_truncation
         K = required_truncation(max(config.n_grid), 1e-6)
         seq = positivity_probabilities(law, K, mode="montecarlo",
                                        budget=K * 4_000,
@@ -451,21 +451,19 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("n grid exceeds the base resolution")
 
     discrepancies = {n: [] for n in config.n_grid[:-1]}
-    scale = 1.0 / math.sqrt(N)
-    for p in range(paths):
-        rng = _rng(derive_seed(config.seed, p))
-        base = np.concatenate([[0.0], np.cumsum(rng.standard_normal(N) * scale)])
-        lam = {}
-        for n in config.n_grid:
-            lam[n] = local_time_curve_np(base[:: N // n], variant)
-        for n in config.n_grid[:-1]:
-            n2 = 2 * n
-            if n2 not in lam:
-                continue
-            j = np.arange(2 * n + 1)
-            c1 = lam[n][j // 2] / gaussian_norming(n)
-            c2 = lam[n2][j] / gaussian_norming(n2)
-            discrepancies[n].append(float(np.max(np.abs(c1 - c2))))
+    base_law = IncrementLaw.gaussian(0.0, 1.0 / math.sqrt(N))
+    for rows in iter_rows(base_law, N, config.seed, paths):
+        for steps in rows:
+            base = np.concatenate([[0.0], np.cumsum(steps)])
+            lam = {n: local_time_curve_np(base[:: N // n], variant)
+                   for n in config.n_grid}
+            for n in config.n_grid[:-1]:
+                if 2 * n not in lam:
+                    continue
+                j = np.arange(2 * n + 1)
+                c1 = lam[n][j // 2] / gaussian_norming(n)
+                c2 = lam[2 * n][j] / gaussian_norming(2 * n)
+                discrepancies[n].append(float(np.max(np.abs(c1 - c2))))
 
     rows = [["n", "n_next", "median_sup_discrepancy"]]
     series = []
@@ -598,6 +596,7 @@ def pm1_meander_endpoints_rejection(n: int, count: int, seed: int,
     """Endpoints of exact-law meanders by vectorized rejection."""
     out = []
     got = 0
+    drawn = 0
     stream = 0
     while got < count and stream < budget_factor:
         rng = _rng(derive_seed(seed, stream))
@@ -608,10 +607,10 @@ def pm1_meander_endpoints_rejection(n: int, count: int, seed: int,
         ok = S.min(axis=1) >= 0
         out.append(S[ok, -1])
         got += int(ok.sum())
+        drawn += batch
     if got < count:
-        from .errors import BudgetError
         raise BudgetError("rejection budget exhausted",
-                          acceptance_rate=got / max(1, batch * stream))
+                          acceptance_rate=got / max(1, drawn))
     return np.concatenate(out)[:count]
 
 

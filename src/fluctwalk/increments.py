@@ -15,11 +15,13 @@ bit-identical paths.  Per-trial streams derive from a master seed via
 :func:`derive_seed`, so embarrassingly parallel Monte Carlo stays
 reproducible regardless of scheduling.
 
-Monte Carlo loops draw their trials in batches with :func:`sample_rows`:
-the per-trial seeds and PCG64 states of a batch come from one vectorized
-pass of numpy's ``SeedSequence`` hash, and row i of a batch is bit-identical
-to ``sample_steps(law, length, derive_seed(master, first + i))``.
-:func:`draw_steps` is the one map from a law and a generator to steps.
+Monte Carlo loops draw their trials with :func:`iter_rows`, in batches of
+at most ``_BATCH_STEPS`` steps made by :func:`sample_rows`: the per-trial
+seeds and PCG64 states of a batch come from one vectorized pass of numpy's
+``SeedSequence`` hash, and row i of a batch is bit-identical to
+``sample_steps(law, length, derive_seed(master, first + i))``, so no result
+depends on the batch size.  :func:`draw_steps` is the one map from a law and
+a generator to steps.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "WalkPath",
     "derive_seed",
     "draw_steps",
+    "iter_rows",
     "path_from_steps",
     "sample_rows",
     "sample_steps",
@@ -467,6 +470,28 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
                          "has_uint32": 0, "uinteger": 0}
         _draw_raw(law, rng, out[i], None if negative is None else negative[i])
     return _to_steps(law, out, negative)
+
+
+# most steps one batch of rows holds (a batch has at least one row)
+_BATCH_STEPS = 1 << 20
+
+
+def _batch_rows(length: int) -> int:
+    """Rows of ``length`` steps in one batch."""
+    return max(1, _BATCH_STEPS // max(length, 1))
+
+
+def iter_rows(law: IncrementLaw, length: int, master_seed: int, count: int,
+              first: int = 0) -> Iterator[np.ndarray]:
+    """Trials first .. first + count - 1 of ``master_seed`` as consecutive row batches.
+
+    Each batch is a :func:`sample_rows` array of at most ``_BATCH_STEPS``
+    steps and at least one row; batches are drawn only when asked for, so a
+    loop that stops early draws no further trials.
+    """
+    step = _batch_rows(length)
+    for lo in range(first, first + count, step):
+        yield sample_rows(law, length, master_seed, lo, min(step, first + count - lo))
 
 
 def path_from_steps(steps: np.ndarray) -> WalkPath:

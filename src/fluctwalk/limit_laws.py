@@ -21,7 +21,6 @@ normalization-free ratios, so no further constants are tabulated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -29,8 +28,6 @@ from scipy.special import erfc
 from .errors import ParameterError
 
 __all__ = [
-    "ReferenceLaw",
-    "reference",
     "kappa_bm",
     "levy_half_cdf",
     "rayleigh_cdf",
@@ -83,37 +80,3 @@ def h_bm(x) -> float:
         raise ParameterError("the renewal limit is defined on x >= 0")
     out = math.sqrt(2.0) * arr
     return float(out) if np.ndim(x) == 0 else out
-
-
-_EVALUATORS = {
-    "kappa_bm": lambda point: kappa_bm(*point),
-    "levy_half_cdf": levy_half_cdf,
-    "rayleigh_cdf": rayleigh_cdf,
-    "half_stable_tau_tail": lambda point=1.0: half_stable_tau_tail(point),
-    "h_bm": h_bm,
-}
-
-
-@dataclass(frozen=True)
-class ReferenceLaw:
-    """Named closed-form evaluator over its stated domain."""
-
-    law_id: str
-
-    def __post_init__(self):
-        if self.law_id not in _EVALUATORS:
-            raise ParameterError(f"unknown reference law {self.law_id!r}")
-
-    def __call__(self, point):
-        return _EVALUATORS[self.law_id](point)
-
-
-def reference(law_id: str, point=None):
-    """Evaluate a named reference law at a point (or pair for kappa_bm)."""
-    if law_id not in _EVALUATORS:
-        raise ParameterError(f"unknown reference law {law_id!r}")
-    if law_id == "half_stable_tau_tail":
-        return half_stable_tau_tail(1.0 if point is None else point)
-    if point is None:
-        raise ParameterError(f"{law_id} requires an evaluation point")
-    return _EVALUATORS[law_id](point)

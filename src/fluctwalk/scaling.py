@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (InsufficientDataError, ParameterError, UnboundedTailError,
                      UnsupportedModeError)
-from .increments import IncrementLaw, derive_seed, sample_rows
+from .increments import IncrementLaw, derive_seed, iter_rows
 from .oracle import lattice_sweep
 
 __all__ = [
@@ -178,9 +178,7 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
     rng_seed = derive_seed(seed, 0)
     trials = max(100, budget // max(K, 1))
     counts = np.zeros(K, dtype=np.int64)
-    chunk = max(1, min(trials, 4_000_000 // max(K, 1)))
-    for first in range(0, trials, chunk):
-        rows = sample_rows(law, K, rng_seed, first, min(chunk, trials - first))
+    for rows in iter_rows(law, K, rng_seed, trials):
         counts += (np.cumsum(rows, axis=1) > 0).sum(axis=0)
     p = counts / trials
     se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / trials)
@@ -253,6 +251,7 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
         raise UnboundedTailError("alpha must be strictly positive to bound the tails")
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
+    # imported here: mpmath adds start-up time that only this function needs
     from mpmath import mp, mpf, exp as mexp
 
     unit, table, _ = first_ladder_pair_table(law, K)

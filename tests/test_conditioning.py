@@ -12,7 +12,7 @@ from fluctwalk.conditioning import (RenewalFunction, conditioned_walk,
                                     survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
-from fluctwalk.increments import IncrementLaw
+from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
 
@@ -52,6 +52,49 @@ def test_renewal_montecarlo_gaussian():
     se = V.standard_error(2.5)
     # drift-free limit: V grows like sqrt(2) x for x away from 0
     assert abs(v2 - (1 + h_bm(2.5))) < 6 * se + 0.8
+
+
+def per_element_renewal_heights(law, budget, seed, x_max, step_cap):
+    """Descending ladder heights per trial, as the per-element record loop found them."""
+    heights = []
+    for t in range(budget):
+        rng = _rng(derive_seed(seed, t))
+        s, mn, recs, steps_done = 0.0, 0.0, [], 0
+        while mn >= -x_max and steps_done < step_cap:
+            b = min(1024, step_cap - steps_done)
+            c = s + np.cumsum(law.mean + law.stddev * rng.standard_normal(b))
+            for v in c:
+                if v < mn:
+                    mn = v
+                    recs.append(-v)
+                    if mn < -x_max:
+                        break
+            s = c[-1] if mn >= -x_max else mn
+            steps_done += b
+        heights.append(np.array(recs))
+    return heights
+
+
+@pytest.mark.parametrize("law,x_max,step_cap", [
+    (IncrementLaw.gaussian(), 3.0, 200_000),
+    (IncrementLaw.gaussian(-0.05, 0.7), 2.0, 2_500),   # partial last block
+    (IncrementLaw.gaussian(0.4, 1.0), 1.5, 3_000),     # drifts up: censored walks
+])
+def test_renewal_montecarlo_matches_per_element_loop(law, x_max, step_cap):
+    budget, seed = 60, 4
+    V = renewal_function(law, mode="montecarlo", budget=budget, seed=seed,
+                         x_max=x_max, step_cap=step_cap)
+    heights = per_element_renewal_heights(law, budget, seed, x_max, step_cap)
+    for x in np.linspace(0.0, x_max, 13):
+        counts = np.array([1 + int((h <= x).sum()) for h in heights], dtype=np.float64)
+        assert V(x) == float(counts.mean())
+        assert V.standard_error(x) == float(counts.std(ddof=1) / math.sqrt(budget))
+
+
+def test_renewal_montecarlo_rejects_non_gaussian_before_sampling():
+    for law in (FAIR, IncrementLaw.heavy_tail(1.0)):
+        with pytest.raises(UnsupportedModeError):
+            renewal_function(law, mode="montecarlo", budget=0)
 
 
 def test_kernel_rows_fair_walk():

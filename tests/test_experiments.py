@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fluctwalk.errors import ConfigError, HypothesisViolationError
+from fluctwalk.errors import BudgetError, ConfigError, HypothesisViolationError
 from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
                                    first_passage_heights, gaussian_norming,
                                    pm1_conditioned_endpoints,
@@ -12,7 +12,7 @@ from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
                                    run_lemma1, run_localtime_stability,
                                    run_meander, run_theorem1,
                                    sample_ladder_times, universal_t1_tail)
-from fluctwalk.increments import IncrementLaw, _rng
+from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import levy_half_cdf
 from fluctwalk.scaling import norming_constant, positivity_rule
 from fluctwalk.stats import Sample, ks_statistic
@@ -187,6 +187,24 @@ def test_pm1_rejection_acceptance_rate_matches_survival():
     # acceptance frequency is pinned by the survival probability elsewhere;
     # here check endpoints take only even values within range
     assert set(np.unique(xe % 2)) == {0}
+
+
+def test_pm1_rejection_budget_error_rate_counts_rows_drawn():
+    n, count, seed = 200, 1000, 5
+    with pytest.raises(BudgetError) as exc:
+        pm1_meander_endpoints_rejection(n, count, seed, budget_factor=2)
+    got = drawn = 0
+    for stream in range(2):
+        batch = max(1024, (count - got) * 8)
+        rng = _rng(derive_seed(seed, stream))
+        S = np.cumsum(np.where(rng.random((batch, n)) < 0.5, 1, -1), axis=1)
+        got += int((S.min(axis=1) >= 0).sum())
+        drawn += batch
+    rate = exc.value.acceptance_rate
+    assert got < count and rate == got / drawn
+    # P(C_n) = C(n, n/2) 2^-n for the fair walk
+    p = math.comb(n, n // 2) / 2 ** n
+    assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / drawn)
 
 
 def test_run_meander_small():

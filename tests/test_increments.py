@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctwalk import certify, conditioning
+from fluctwalk import certify, conditioning, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, DimensionError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
-                                  _pcg64_states, _rng, derive_seed, sample_rows,
-                                  sample_steps, sample_walk, skeleton)
+                                  _pcg64_states, _rng, derive_seed, iter_rows,
+                                  sample_rows, sample_steps, sample_walk, skeleton)
 from fluctwalk.scaling import positivity_probabilities
 
 
@@ -235,7 +235,7 @@ def test_positivity_montecarlo_matches_per_row_loop():
 def test_windowed_ladder_pairs_match_per_row_loop():
     law, n, block, count, seed = IncrementLaw.uniform3(), 8, 4, 60, 17
     width = 2 * n
-    Ts, Hs, got, failed, attempted = [], [], 0, 0, 0
+    Ts, Hs, oks, got, attempted = [], [], [], 0, 0
     while got < count:
         b = int((count - got) * 1.2) + 8
         S = np.cumsum(oracle_rows(law, width, seed, attempted, b), axis=1)
@@ -244,16 +244,20 @@ def test_windowed_ladder_pairs_match_per_row_loop():
         cnt = np.cumsum(np.concatenate([S[:, :1] > 0, S[:, 1:] > M[:, :-1]], axis=1),
                         axis=1)
         ok = cnt[:, -1] >= block
-        failed += int((~ok).sum())
+        oks.append(ok)
         idx = np.argmax(cnt[ok] >= block, axis=1)
         take = min(int(ok.sum()), count - got)
         Ts.append(idx[:take] + 1)
         Hs.append(S[ok][np.arange(take), idx[:take]])
         got += take
+    # the fraction counts failures among the rows up to the count-th success
+    ok = np.concatenate(oks)
+    used = int(np.flatnonzero(ok)[count - 1]) + 1
+    failed = used - int(ok[:used].sum())
     T, H, frac = windowed_ladder_pairs(law, n, block, count, seed, window_mult=2)
     assert np.array_equal(T, np.concatenate(Ts))
     assert np.array_equal(H, np.concatenate(Hs))
-    assert failed > 0 and frac == failed / attempted
+    assert failed > 0 and frac == failed / used
 
 
 @pytest.mark.parametrize("law,k", [(IncrementLaw.fair_pm1(), 2),
@@ -300,3 +304,49 @@ def test_idloc_checks_the_per_row_paths(monkeypatch):
     law = IncrementLaw.gaussian(0.0, 1.0)
     assert seen == [oracle_walk(law, 30, oracle_seed(8, t)).values for t in range(40)]
     assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
+
+
+# ---------------------------------------------------------------------------
+# the row-batch cap of iter_rows changes no result
+
+
+@pytest.mark.parametrize("cap", [1, 100, 1 << 20])
+def test_iter_rows_batches_are_capped_slices_of_sample_rows(monkeypatch, cap):
+    monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
+    law, length, master, first, count = IncrementLaw.uniform3(), 30, 9, 5, 23
+    batches = list(iter_rows(law, length, master, count, first))
+    assert all(1 <= len(b) and (len(b) == 1 or b.size <= cap) for b in batches)
+    assert np.array_equal(np.concatenate(batches),
+                          sample_rows(law, length, master, first, count))
+    assert list(iter_rows(law, length, master, 0)) == []
+
+
+def _batch_dependent_outputs():
+    seen = []
+    ladder_epochs = certify.ladder_epochs
+
+    def recording_epochs(vals):
+        if len(vals) == 31:
+            seen.append(tuple(vals))
+        return ladder_epochs(vals)
+
+    T, H, frac = windowed_ladder_pairs(IncrementLaw.uniform3(), 8, 4, 60, 17,
+                                       window_mult=2)
+    surv = survival_probability(IncrementLaw.fair_pm1(), 12, "montecarlo",
+                                budget=3000, seed=5)
+    pos = positivity_probabilities(IncrementLaw.uniform3(), 10, "montecarlo",
+                                   budget=20_000, seed=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "ladder_epochs", recording_epochs)
+        certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
+                              seed=8)
+    return (T.tolist(), H.tolist(), frac, surv, pos.probabilities,
+            pos.standard_errors, seen)
+
+
+def test_outputs_do_not_depend_on_the_batch_cap(monkeypatch):
+    default = _batch_dependent_outputs()
+    assert len(default[-1]) == 40 and default[2] > 0
+    for cap in (1, 1 << 40):
+        monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
+        assert _batch_dependent_outputs() == default

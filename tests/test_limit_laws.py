@@ -6,9 +6,8 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from fluctwalk.errors import ParameterError
-from fluctwalk.limit_laws import (BROWNIAN_DRIFT, ReferenceLaw, h_bm,
-                                  half_stable_tau_tail, kappa_bm,
-                                  levy_half_cdf, rayleigh_cdf, reference)
+from fluctwalk.limit_laws import (BROWNIAN_DRIFT, h_bm, half_stable_tau_tail, kappa_bm,
+                                  levy_half_cdf, rayleigh_cdf)
 
 
 def test_kappa_normalization():
@@ -62,15 +61,6 @@ def test_renewal_limit_is_linear():
 
 
 def test_reference_dispatch_and_domains():
-    assert reference("kappa_bm", (1.0, 0.0)) == 1.0
-    assert reference("levy_half_cdf", 1.0) == pytest.approx(erfc(0.5))
-    assert reference("rayleigh_cdf", 0.0) == 0.0
-    assert reference("half_stable_tau_tail") == pytest.approx(1 / math.sqrt(math.pi))
-    assert reference("h_bm", 2.0) == pytest.approx(2 * math.sqrt(2))
-    law = ReferenceLaw("rayleigh_cdf")
-    assert law(1.0) == pytest.approx(1 - math.exp(-0.5))
-    with pytest.raises(ParameterError):
-        reference("nope", 1.0)
     with pytest.raises(ParameterError):
         rayleigh_cdf(-1.0)
     with pytest.raises(ParameterError):
