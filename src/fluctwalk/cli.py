@@ -32,7 +32,7 @@ from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeErr
 from .experiments import (Criterion, ExperimentConfig, ExperimentReport,
                           run_lemma1, run_localtime_stability, run_meander,
                           run_theorem1)
-from .increments import IncrementLaw, derive_seed, path_from_steps, sample_rows
+from .increments import IncrementLaw, derive_seed, iter_rows, path_from_steps
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -241,7 +241,7 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     kind = overrides.get("kind", args.kind)
     if kind == "walk":
         paths = [(path_from_steps(steps), 1.0)
-                 for steps in sample_rows(law, length, seed, 0, n_paths)]
+                 for rows in iter_rows(law, length, seed, n_paths) for steps in rows]
     elif kind == "conditioned":
         try:
             V = renewal_function(law, mode="exact")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
 from .increments import (IncrementLaw, WalkPath, derive_seed, draw_steps, iter_rows,
-                         path_from_steps, sample_rows, sample_walk, _batch_rows, _rng)
+                         path_from_steps, sample_walk, _rng)
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
@@ -360,17 +360,11 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
     if k < 1:
         raise ParameterError("length must be >= 1")
     if method == "rejection":
-        # attempt t is trial t of ``seed``; blocks grow so that a rare meander
-        # costs few calls and a common one few wasted rows, up to one batch
-        attempted, block = 0, 16
-        while attempted < budget:
-            b = min(block, budget - attempted, _batch_rows(k))
-            rows = sample_rows(law, k, seed, attempted, b)
+        # attempt t is trial t of ``seed``
+        for rows in iter_rows(law, k, seed, budget):
             ok = np.cumsum(rows, axis=1).min(axis=1) >= 0
             if ok.any():
                 return path_from_steps(rows[int(np.argmax(ok))]), 1.0
-            attempted += b
-            block *= 2
         raise BudgetError(
             f"no meander accepted in {budget} attempts",
             acceptance_rate=0.0)

@@ -476,22 +476,22 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
 _BATCH_STEPS = 1 << 20
 
 
-def _batch_rows(length: int) -> int:
-    """Rows of ``length`` steps in one batch."""
-    return max(1, _BATCH_STEPS // max(length, 1))
+def iter_rows(law: IncrementLaw, length: int, master_seed: int,
+              count: int) -> Iterator[np.ndarray]:
+    """Trials 0 .. count - 1 of ``master_seed`` as consecutive row batches.
 
-
-def iter_rows(law: IncrementLaw, length: int, master_seed: int, count: int,
-              first: int = 0) -> Iterator[np.ndarray]:
-    """Trials first .. first + count - 1 of ``master_seed`` as consecutive row batches.
-
-    Each batch is a :func:`sample_rows` array of at most ``_BATCH_STEPS``
-    steps and at least one row; batches are drawn only when asked for, so a
-    loop that stops early draws no further trials.
+    Each batch is a :func:`sample_rows` array.  Batches are drawn only when
+    asked for and grow from 16 rows by doubling up to ``_BATCH_STEPS`` steps
+    (at least one row), so a loop that stops early draws few spare trials
+    and a long one makes few calls.
     """
-    step = _batch_rows(length)
-    for lo in range(first, first + count, step):
-        yield sample_rows(law, length, master_seed, lo, min(step, first + count - lo))
+    cap = max(1, _BATCH_STEPS // max(length, 1))
+    lo, rows = 0, 16
+    while lo < count:
+        step = min(rows, cap, count - lo)
+        yield sample_rows(law, length, master_seed, lo, step)
+        lo += step
+        rows *= 2
 
 
 def path_from_steps(steps: np.ndarray) -> WalkPath:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctwalk import certify, conditioning, increments
+from fluctwalk import certify, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, DimensionError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
@@ -282,7 +282,7 @@ def test_meander_rejection_budget_counts_attempts(monkeypatch):
         drawn.append((first, count))
         return sample_rows(law, length, master, first, count)
 
-    monkeypatch.setattr(conditioning, "sample_rows", counting_rows)
+    monkeypatch.setattr(increments, "sample_rows", counting_rows)
     with pytest.raises(BudgetError, match="no meander accepted in 50 attempts"):
         meander_sample(law, 20, 3, method="rejection", budget=50)
     firsts = [0] + list(np.cumsum([c for _, c in drawn]))
@@ -313,11 +313,12 @@ def test_idloc_checks_the_per_row_paths(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 100, 1 << 20])
 def test_iter_rows_batches_are_capped_slices_of_sample_rows(monkeypatch, cap):
     monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
-    law, length, master, first, count = IncrementLaw.uniform3(), 30, 9, 5, 23
-    batches = list(iter_rows(law, length, master, count, first))
+    law, length, master, count = IncrementLaw.uniform3(), 30, 9, 123
+    batches = list(iter_rows(law, length, master, count))
     assert all(1 <= len(b) and (len(b) == 1 or b.size <= cap) for b in batches)
+    assert len(batches[0]) == min(16, max(1, cap // length))
     assert np.array_equal(np.concatenate(batches),
-                          sample_rows(law, length, master, first, count))
+                          sample_rows(law, length, master, 0, count))
     assert list(iter_rows(law, length, master, 0)) == []
 
 
@@ -340,13 +341,14 @@ def _batch_dependent_outputs():
         mp.setattr(certify, "ladder_epochs", recording_epochs)
         certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                               seed=8)
+    meander, _ = meander_sample(IncrementLaw.fair_pm1(), 25, 6)
     return (T.tolist(), H.tolist(), frac, surv, pos.probabilities,
-            pos.standard_errors, seen)
+            pos.standard_errors, seen, meander.values)
 
 
 def test_outputs_do_not_depend_on_the_batch_cap(monkeypatch):
     default = _batch_dependent_outputs()
-    assert len(default[-1]) == 40 and default[2] > 0
+    assert len(default[6]) == 40 and default[2] > 0
     for cap in (1, 1 << 40):
         monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
         assert _batch_dependent_outputs() == default
