@@ -36,15 +36,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from .conditioning import (h_kernel_row, hchain_endpoint_distribution,
                            hchain_path_distribution, renewal_function, survival_sequence)
 from .experiments import pm1_conditioned_endpoints
-from .fluctuation import (ladder_epochs, last_max_index, local_time_strict,
-                          local_time_verbatim)
-from .increments import IncrementLaw, derive_seed, iter_rows, path_from_steps
+from .fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
+                          local_time_strict)
+from .increments import IncrementLaw, derive_seed, iter_rows
 from .oracle import ExactDistribution, distribution_equality, iter_paths
 from .scaling import fristedt_residual
-from .transforms import future_min_local_time, tanaka_transform
+from .transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
 
 __all__ = [
     "CheckResult",
@@ -178,37 +180,36 @@ def certify_reversal(laws: Sequence[IncrementLaw] = None,
 # local-time identity under the excursion rebuild
 
 
+def _idloc_violations(V: np.ndarray, variant: str) -> tuple:
+    """(rows with a ladder epoch, rows violating the local-time identity).
+
+    A row of V is a path S_0..S_m.  It violates the identity when its local
+    time at the maximum and the future-minimum local time of its rebuild
+    differ at some j < T_last, the last strict ladder epoch.
+    """
+    fut = future_min_local_time_np(tanaka_transform_np(V), variant)
+    differ = local_time_curve_np(V, variant) != fut
+    del fut
+    # the last strict ladder epoch is the first index at the overall maximum
+    t_last = np.argmax(V == V.max(axis=-1, keepdims=True), axis=-1)
+    first = np.where(differ.any(axis=-1), differ.argmax(axis=-1), V.shape[-1])
+    return int(np.count_nonzero(t_last)), int(np.count_nonzero(first < t_last))
+
+
 def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
                   gaussian_length: int = 1_000, seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
-    violations = 0
-    checked = 0
-    for _, vals, _ in iter_paths(law, enum_length):
-        T = ladder_epochs(vals)
-        if len(T) < 2:
-            continue
-        t_last = T[-1]
-        up = tanaka_transform(vals)
-        a = local_time_strict(vals).counts
-        b = future_min_local_time(up, variant="strict").counts
-        checked += 1
-        if any(a[j] != b[j] for j in range(t_last)):
-            violations += 1
+    paths = np.array([vals for _, vals, _ in iter_paths(law, enum_length)])
+    checked, violations = _idloc_violations(paths, "strict")
 
     g_viol = 0
     glaw = IncrementLaw.gaussian(0.0, 1.0)
-    for rows in iter_rows(glaw, gaussian_length, seed, gaussian_paths):
-        for steps in rows:
-            vals = path_from_steps(steps).values
-            T = ladder_epochs(vals)
-            if len(T) < 2:
-                continue
-            t_last = T[-1]
-            up = tanaka_transform(vals)
-            a = local_time_verbatim(vals).counts
-            b = future_min_local_time(up, variant="verbatim").counts
-            if any(a[j] != b[j] for j in range(t_last)):
-                g_viol += 1
+    for steps in iter_rows(glaw, gaussian_length, seed, gaussian_paths):
+        V = np.empty((len(steps), gaussian_length + 1))
+        V[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=V[:, 1:])
+        del steps
+        g_viol += _idloc_violations(V, "verbatim")[1]
 
     passed = violations == 0 and g_viol == 0
     detail = (f"{checked} enumerated lattice windows and {gaussian_paths} sampled "

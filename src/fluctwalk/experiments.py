@@ -208,50 +208,46 @@ _SPARE_WINDOWS = 32
 
 
 def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
-                          seed: int, window_mult: int = 64,
-                          resample: bool = True) -> tuple:
+                          seed: int, window_mult: int = 64) -> tuple:
     """(T_block, H_block) read off simulated windows of length window_mult * n.
 
-    Window t is trial t of ``seed``; windows are read in order, and a pair
-    comes from each window that realizes ``block`` ladder epochs.  With
-    ``resample`` the windows that do not are skipped, and reading stops at
-    the window that delivers the ``count``-th pair.  At most 8 * count + 32
-    windows are read, so window failure rates up to about 7/8 pass at any
-    count; the 32 spare windows keep a small count from failing on noise.
-    Without ``resample`` the first ``count`` windows must all realize the
-    epochs, so it only works when almost no window fails (at uniform3's 7%
-    failure rate and 500 pairs it succeeds with probability 0.93^500, about
-    1e-16).  A shortfall raises.  The third value, the resampled fraction,
-    is the share of failed windows among those read (the induced
-    conditioning).  This is the generic route for lattice laws without a
-    closed ladder-time law; it is windowed, so the heavy right tail of the
-    ladder time is truncated at window_mult in scaled units.
+    Window t is trial t of ``seed``; windows are read in order, a pair comes
+    from each window that realizes ``block`` ladder epochs, the windows that
+    do not are skipped, and reading stops at the window that delivers the
+    ``count``-th pair.  At most 8 * count + 32 windows are read, so window
+    failure rates up to about 7/8 pass at any count; the 32 spare windows
+    keep a small count from failing on noise.  A shortfall raises.  The
+    third value, the resampled fraction, is the share of failed windows
+    among those read (the induced conditioning).  This is the generic route
+    for lattice laws without a closed ladder-time law; it is windowed, so the
+    heavy right tail of the ladder time is truncated at window_mult in scaled
+    units.
     """
     width = window_mult * n
     Ts: List[np.ndarray] = []
     Hs: List[np.ndarray] = []
     got = 0
     read = 0
-    limit = _WINDOWS_PER_PAIR * count + _SPARE_WINDOWS if resample else count
-    for steps in iter_rows(law, width, seed, limit):
-        S = np.cumsum(steps, axis=1)
-        # running max including the start value 0
-        M = np.maximum(np.maximum.accumulate(S, axis=1), 0.0)
-        cnt = np.cumsum(np.concatenate([S[:, :1] > 0, S[:, 1:] > M[:, :-1]], axis=1),
-                        axis=1)
+    for steps in iter_rows(law, width, seed, _WINDOWS_PER_PAIR * count + _SPARE_WINDOWS):
+        rows = len(steps)
+        S = np.empty((rows, width + 1))
+        S[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=S[:, 1:])
+        del steps
+        cnt = local_time_curve_np(S, "strict")
         ok = np.flatnonzero(cnt[:, -1] >= block)[: count - got]
         idx = np.argmax(cnt[ok] >= block, axis=1)
-        Ts.append((idx + 1).astype(np.int64))
+        Ts.append(idx)
         Hs.append(S[ok, idx])
         got += ok.size
         if got == count:
             read += int(ok[-1]) + 1
             break
-        read += len(steps)
+        read += rows
     if got < count:
         raise InsufficientLadderError(
             f"only {got}/{count} windows realized {block} ladder epochs "
-            f"(window {window_mult}n, resample={resample})")
+            f"(window {window_mult}n, {read} windows read)")
     return np.concatenate(Ts), np.concatenate(Hs), (read - count) / read
 
 
@@ -322,9 +318,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     constants come from Monte Carlo positivity, and the notes record
     ``resampled_fraction_n{n}``: the share of windows without [a_n] ladder
     epochs among those read, in trial order, up to the window that delivered
-    the last pair (see :func:`windowed_ladder_pairs`).  ``params["resample"]``
-    set to false makes every window count, which fails unless almost no
-    window misses the epochs.
+    the last pair (see :func:`windowed_ladder_pairs`).
     """
     config.validate()
     law = config.law
@@ -336,7 +330,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
 
     # three sampling routes: closed ladder-time laws for the fair +-1 walk
     # and for symmetric diffuse laws; windowed simulation for other
-    # symmetric lattices (resample-or-fail semantics, truncation recorded)
+    # symmetric lattices (failed windows skipped, truncation recorded)
     route = None
     unit = None
     if law.kind == "lattice":
@@ -365,7 +359,6 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
 
     cap = int(config.params.get("height_cap", 100_000))
     window_mult = int(config.params.get("window_mult", 64))
-    resample = bool(config.params.get("resample", True))
     tol_ks = config.tolerances.get("ks", 0.02)
     tol_mean = config.tolerances.get("height_mean", 0.02)
     tol_sd = config.tolerances.get("height_sd", 0.05)
@@ -398,7 +391,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         if route == "windowed":
             T_raw, H_raw, resampled = windowed_ladder_pairs(
                 law, n, blk, config.trials, derive_seed(config.seed, 100 + i),
-                window_mult=window_mult, resample=resample)
+                window_mult=window_mult)
             T = T_raw / n
             H = H_raw * c_n
             h_mean = float(H.mean())

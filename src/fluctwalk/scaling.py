@@ -209,6 +209,18 @@ class FristedtReport:
         }, sort_keys=True)
 
 
+def _split_at_zero(law: IncrementLaw, K: int, keep: int):
+    """:func:`~fluctwalk.oracle.lattice_sweep` steps split at level 0.
+
+    Yields (t, D**t, x0, above, below): ``above`` holds the integer weights
+    of the levels > 0, the first at level x0, and ``below`` those of the
+    levels <= 0; each weight is over D**t.
+    """
+    for t, lo, w, D in lattice_sweep(law, K, keep=keep):
+        cut = max(0, 1 - lo)
+        yield t, D ** t, lo + cut, w[cut:], w[:cut]
+
+
 def first_ladder_pair_table(law: IncrementLaw, K: int):
     """Exact joint law of (T_1, H_1) restricted to T_1 <= K.
 
@@ -223,13 +235,11 @@ def first_ladder_pair_table(law: IncrementLaw, K: int):
     table: Dict[tuple, Fraction] = {}
     survivor = Fraction(1)
     # levels <= 0 carry the mass of walks with S_i <= 0 so far; the rest ascend
-    for t, lo, w, D in lattice_sweep(law, K, keep=-1):
-        Dt = D ** t
-        cut = max(0, 1 - lo)
-        for j in range(cut, len(w)):
-            if w[j]:
-                table[(t, lo + j)] = Fraction(w[j], Dt)
-        survivor = Fraction(int(w[:cut].sum()), Dt)
+    for t, Dt, x0, above, below in _split_at_zero(law, K, keep=-1):
+        for j, c in enumerate(above):
+            if c:
+                table[(t, x0 + j)] = Fraction(c, Dt)
+        survivor = Fraction(int(below.sum()), Dt)
     return unit, table, survivor
 
 
@@ -244,42 +254,49 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
 
     The truncation tails sit far below double precision already for moderate
     alpha * K, so both sides are evaluated in ``dps``-digit arithmetic on
-    top of the exact rational tables; the residual is then a genuine
-    truncation gap, not rounding noise.
+    top of the exact integer sweeps of :func:`first_ladder_pair_table` and
+    :func:`step_distributions`: at each t the integer weights times
+    e^{-beta x} are summed and divided once by D^t.  The residual is then a
+    genuine truncation gap, not rounding noise.
     """
     if not (alpha > 0):
         raise UnboundedTailError("alpha must be strictly positive to bound the tails")
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
+    if law.kind != "lattice":
+        raise UnsupportedModeError("exact ladder-pair table requires a lattice law")
     # imported here: mpmath adds start-up time that only this function needs
     from mpmath import mp, mpf, exp as mexp
 
-    unit, table, _ = first_ladder_pair_table(law, K)
-    _, dists = step_distributions(law, K)
+    unit = law.lattice_integer_form()[0]
     with mp.workdps(dps):
         u = mpf(unit.numerator) / mpf(unit.denominator)
         al = mpf(repr(float(alpha)))
         be = mpf(repr(float(beta)))
         ea = mexp(-al)
 
-        def frac(q: Fraction):
-            return mpf(q.numerator) / mpf(q.denominator)
-
         # cache e^{-beta x u} over the lattice positions that occur
         exp_h: Dict[int, object] = {}
 
-        def ebh(x: int):
-            if x not in exp_h:
-                exp_h[x] = mexp(-be * x * u)
-            return exp_h[x]
+        def weighted(x0: int, above) -> object:
+            """sum_j above[j] e^{-beta (x0 + j) u}, still over D^t."""
+            total = mpf(0)
+            for j, c in enumerate(above):
+                if c:
+                    x = x0 + j
+                    if x not in exp_h:
+                        exp_h[x] = mexp(-be * x * u)
+                    total += c * exp_h[x]
+            return total
 
-        lhs = 1 - sum(frac(p) * (ea ** t) * ebh(h) for (t, h), p in table.items())
+        # first ascents at t (walks at or below 0 before t)
+        lhs = 1 - sum((ea ** t) * weighted(x0, above) / Dt
+                      for t, Dt, x0, above, _ in _split_at_zero(law, K, keep=-1))
         lhs_tail = ea ** K
 
-        s = mpf(0)
-        for k, d in enumerate(dists, start=1):
-            ek = sum(frac(p) * ebh(x) for x, p in d.items() if x > 0)
-            s += (ea ** k) / k * ek
+        # E(e^{-beta S_k}; S_k > 0) at each k
+        s = sum((ea ** k) / k * (weighted(x0, above) / Dk)
+                for k, Dk, x0, above, _ in _split_at_zero(law, K, keep=0))
         rhs = mexp(-s)
         # sum_{k>K} e^{-alpha k}/k <= e^{-alpha(K+1)} / ((K+1)(1 - e^{-alpha}))
         rhs_tail = (ea ** (K + 1)) / ((K + 1) * (1 - ea))

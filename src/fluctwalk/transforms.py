@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import InsufficientLadderError, ParameterError
 from .fluctuation import LocalTimeCurve, ladder_epochs, last_max_index, last_min_index
 from .increments import WalkPath, path_values
@@ -35,7 +37,9 @@ __all__ = [
     "ExcursionDecomposition",
     "decompose_excursions",
     "tanaka_transform",
+    "tanaka_transform_np",
     "future_min_local_time",
+    "future_min_local_time_np",
     "reverse_at_ladder",
     "reverse_at_last_max",
     "post_min_process",
@@ -107,6 +111,41 @@ def tanaka_transform(path):
     return _wrap_like(path, out)
 
 
+def tanaka_transform_np(values: np.ndarray) -> np.ndarray:
+    """:func:`tanaka_transform` along the last axis (one path per row).
+
+    Index i reads a, the last strict ladder epoch at or before i, and b, the
+    first one after i, and gets S_a + (S_b - S_{a+b-i}); past the last epoch
+    it gets S_a + (S_a - S_i).  That is the scalar loop's association, so
+    rows equal the scalar output exactly.
+    """
+    v = np.asarray(values)
+    n = v.shape[-1]
+    # int32 indices halve the index memory; rows are far shorter than 2^30
+    idx = np.arange(n, dtype=np.int32)
+    rec = np.empty(v.shape, dtype=bool)
+    rec[..., 0] = True
+    np.greater(v[..., 1:], np.maximum.accumulate(v, axis=-1)[..., :-1], out=rec[..., 1:])
+    a = np.where(rec, idx, 0)
+    np.maximum.accumulate(a, axis=-1, out=a)
+    b = np.where(rec, idx, n)
+    del rec
+    np.minimum.accumulate(b[..., ::-1], axis=-1, out=b[..., ::-1])
+    b[..., :-1] = b[..., 1:]  # first epoch at or after i + 1
+    b[..., -1] = n
+    tail = b == n
+    np.copyto(b, a, where=tail)
+    j = a + b
+    j -= idx
+    np.copyto(j, idx, where=tail)
+    del tail
+    out = np.take_along_axis(v, j, axis=-1)
+    del j
+    np.subtract(np.take_along_axis(v, b, axis=-1), out, out=out)
+    out += np.take_along_axis(v, a, axis=-1)
+    return out
+
+
 def future_min_local_time(path, variant: str = "verbatim") -> LocalTimeCurve:
     """Count times the path sits at its future minimum and then steps up.
 
@@ -138,6 +177,29 @@ def future_min_local_time(path, variant: str = "verbatim") -> LocalTimeCurve:
                 c += 1
         counts.append(c)
     return LocalTimeCurve(counts=tuple(counts), variant=variant)
+
+
+def future_min_local_time_np(values: np.ndarray, variant: str = "verbatim") -> np.ndarray:
+    """:func:`future_min_local_time` counts along the last axis (one path per row).
+
+    The future minima come from one reversed ``minimum.accumulate``.
+    """
+    v = np.asarray(values)
+    suf = np.minimum.accumulate(v[..., ::-1], axis=-1)[..., ::-1]
+    cur = v[..., 1:-1]
+    if variant == "verbatim":
+        rec = cur == suf[..., 1:-1]
+    elif variant == "strict":
+        rec = cur < suf[..., 2:]
+    else:
+        raise ParameterError(f"unknown local time variant {variant!r}")
+    del suf
+    rec &= cur < v[..., 2:]
+    out = np.zeros(v.shape, dtype=np.int64)
+    np.cumsum(rec, axis=-1, out=out[..., 1:-1])
+    if v.shape[-1] > 1:
+        out[..., -1] = out[..., -2]
+    return out
 
 
 def reverse_at_ladder(path, k: int):

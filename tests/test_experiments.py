@@ -117,12 +117,16 @@ def test_run_theorem1_windowed_route_for_general_lattice():
     assert rep.notes["norming_source"] == "montecarlo positivity"
 
 
-def test_run_theorem1_windowed_route_fail_mode():
+def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
+    # a block of 65 ladder epochs fits in no window of 64 steps, so every
+    # window fails and the route gives up after 8 * 200 + 32 windows
+    from fluctwalk import experiments
     from fluctwalk.errors import InsufficientLadderError
+    monkeypatch.setattr(experiments, "norming_constant", lambda *args: 65.0)
     law = IncrementLaw.uniform3()
-    c = cfg("theorem1", law, [64], trials=200,
-            params={"window_mult": 1, "resample": False})
-    with pytest.raises(InsufficientLadderError):
+    c = cfg("theorem1", law, [64], trials=200, params={"window_mult": 1})
+    with pytest.raises(InsufficientLadderError,
+                       match=r"only 0/200 windows .* 1632 windows read"):
         run_theorem1(c)
 
 

@@ -1,15 +1,34 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluctwalk.fluctuation import (ladder_sequence, last_max_index,
                                    last_min_index, local_time_curve_np,
                                    local_time_strict, local_time_verbatim,
                                    records_ratio, running_max)
-from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
+from fluctwalk.increments import IncrementLaw, iter_rows, sample_walk
+from fluctwalk.oracle import iter_paths
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=40)
+
+# every path of these laws up to the given length is checked against the
+# scalar functionals, one stacked array per length
+ENUMERATED = [(IncrementLaw.fair_pm1(), 12),
+              (IncrementLaw.biased_pm1(Fraction(3, 4)), 10),
+              (IncrementLaw.uniform3(), 8)]
+ENUMERATED_IDS = ["fair_pm1", "biased_pm1", "uniform3"]
+
+# stacks of equal-length float rows: integer values make ties, infinities
+# stand for overflowed heavy-tailed walks
+float_values = st.one_of(st.integers(-3, 3).map(float),
+                         st.floats(-100.0, 100.0, allow_nan=False),
+                         st.sampled_from([math.inf, -math.inf]))
+float_rows = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(float_values, min_size=n, max_size=n), min_size=1, max_size=5))
 
 
 def path_from(steps):
@@ -111,15 +130,43 @@ def test_descending_ladder_is_ascending_of_negated_path(steps):
 
 def test_variant_agreement_on_diffuse_paths():
     # ties have probability zero for Gaussian steps, so the two counts agree
-    # pathwise; checked over 10^4 sampled paths
+    # pathwise; checked over 10^4 sampled paths, trial t being
+    # sample_walk(law, 64, derive_seed(314159, t))
     law = IncrementLaw.gaussian()
-    rng_master = 314159
-    for t in range(10_000):
-        w = sample_walk(law, 64, derive_seed(rng_master, t))
-        v = np.asarray(w.values)
-        a = local_time_curve_np(v, "verbatim")
-        b = local_time_curve_np(v, "strict")
-        assert (a == b).all()
+    for steps in iter_rows(law, 64, 314159, 10_000):
+        V = np.zeros((len(steps), 65))
+        np.cumsum(steps, axis=1, out=V[:, 1:])
+        assert (local_time_curve_np(V, "verbatim") == local_time_curve_np(V, "strict")).all()
+
+
+@pytest.mark.parametrize("law, max_length", ENUMERATED, ids=ENUMERATED_IDS)
+def test_batched_counts_match_scalar_on_every_lattice_path(law, max_length):
+    for m in range(max_length + 1):
+        paths = [vals for _, vals, _ in iter_paths(law, m)]
+        V = np.array(paths)
+        for variant, scalar in (("strict", local_time_strict),
+                                ("verbatim", local_time_verbatim)):
+            assert local_time_curve_np(V, variant).tolist() == [
+                list(scalar(p).counts) for p in paths]
+
+
+@given(float_rows)
+@settings(max_examples=300, deadline=None)
+@example([[0.0]])
+@example([[0.0, -1.0, -1.0, -3.0], [0.0, 0.0, -2.0, 0.0]])
+def test_batched_counts_match_scalar_on_float_rows(rows):
+    # integer-valued floats give ties, and rows without ladder epochs or of
+    # length one are drawn too
+    V = np.array(rows)
+    for variant, scalar in (("strict", local_time_strict),
+                            ("verbatim", local_time_verbatim)):
+        with np.errstate(invalid="ignore"):  # inf - inf in the step signs
+            got = local_time_curve_np(V, variant)
+            alone = [local_time_curve_np(np.array(r), variant).tolist() for r in rows]
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(scalar(r).counts) for r in rows]
+        # one row alone is the same curve as in the stack
+        assert alone == got.tolist()
 
 
 @given(st.integers(0, 2**32))

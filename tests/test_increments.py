@@ -10,10 +10,13 @@ from fluctwalk import certify, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, DimensionError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
+from fluctwalk.fluctuation import ladder_epochs, local_time_strict
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
                                   sample_rows, sample_steps, sample_walk, skeleton)
+from fluctwalk.oracle import iter_paths
 from fluctwalk.scaling import positivity_probabilities
+from fluctwalk.transforms import future_min_local_time, tanaka_transform
 
 
 def test_point_mass_walk_is_deterministic_ramp():
@@ -289,21 +292,46 @@ def test_meander_rejection_budget_counts_attempts(monkeypatch):
     assert [f for f, _ in drawn] == firsts[:-1] and firsts[-1] == 50
 
 
+def _recording_rebuild(seen):
+    """certify's batched rebuild, recording the Gaussian rows (length 31) it gets."""
+    rebuild = certify.tanaka_transform_np
+
+    def recording(V):
+        if V.shape[-1] == 31:
+            seen.extend(map(tuple, V.tolist()))
+        return rebuild(V)
+
+    return recording
+
+
 def test_idloc_checks_the_per_row_paths(monkeypatch):
     seen = []
-    ladder_epochs = certify.ladder_epochs
-
-    def recording_epochs(vals):
-        if len(vals) == 31:
-            seen.append(tuple(vals))
-        return ladder_epochs(vals)
-
-    monkeypatch.setattr(certify, "ladder_epochs", recording_epochs)
+    monkeypatch.setattr(certify, "tanaka_transform_np", _recording_rebuild(seen))
     res = certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                                 seed=8)
     law = IncrementLaw.gaussian(0.0, 1.0)
     assert seen == [oracle_walk(law, 30, oracle_seed(8, t)).values for t in range(40)]
     assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
+
+
+def test_idloc_fails_with_weak_future_minima_on_the_lattice(monkeypatch):
+    # counted against the strict local time at the maximum, the verbatim
+    # future-minimum count breaks the identity on lattice ties: the
+    # certificate must report exactly the paths the scalar loop finds
+    future_min = certify.future_min_local_time_np
+    monkeypatch.setattr(certify, "future_min_local_time_np",
+                        lambda U, variant: future_min(U, "verbatim"))
+    res = certify.certify_idloc(enum_length=6, gaussian_paths=20, gaussian_length=30,
+                                seed=8)
+    expected = 0
+    for _, vals, _ in iter_paths(IncrementLaw.fair_pm1(), 6):
+        a = local_time_strict(vals).counts
+        b = future_min_local_time(tanaka_transform(vals), variant="verbatim").counts
+        expected += any(a[j] != b[j] for j in range(ladder_epochs(vals)[-1]))
+    assert expected > 0
+    assert res.rows[1:] == [["lattice_enumeration_strict", expected],
+                            ["gaussian_sampled_verbatim", 0]]
+    assert res.passed is False
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +352,6 @@ def test_iter_rows_batches_are_capped_slices_of_sample_rows(monkeypatch, cap):
 
 def _batch_dependent_outputs():
     seen = []
-    ladder_epochs = certify.ladder_epochs
-
-    def recording_epochs(vals):
-        if len(vals) == 31:
-            seen.append(tuple(vals))
-        return ladder_epochs(vals)
-
     T, H, frac = windowed_ladder_pairs(IncrementLaw.uniform3(), 8, 4, 60, 17,
                                        window_mult=2)
     surv = survival_probability(IncrementLaw.fair_pm1(), 12, "montecarlo",
@@ -338,7 +359,7 @@ def _batch_dependent_outputs():
     pos = positivity_probabilities(IncrementLaw.uniform3(), 10, "montecarlo",
                                    budget=20_000, seed=3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "ladder_epochs", recording_epochs)
+        mp.setattr(certify, "tanaka_transform_np", _recording_rebuild(seen))
         certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                               seed=8)
     meander, _ = meander_sample(IncrementLaw.fair_pm1(), 25, 6)

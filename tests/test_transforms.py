@@ -1,17 +1,38 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.errors import InsufficientLadderError
+from fluctwalk.errors import InsufficientLadderError, ParameterError
 from fluctwalk.fluctuation import (ladder_epochs, ladder_sequence,
                                    local_time_strict, local_time_verbatim)
 from fluctwalk.increments import IncrementLaw, WalkPath, derive_seed, sample_walk
-from fluctwalk.oracle import distribution_equality, exact_functional_distribution
+from fluctwalk.oracle import distribution_equality, exact_functional_distribution, iter_paths
 from fluctwalk.transforms import (decompose_excursions, future_min_local_time,
-                                  post_min_process, reverse_at_ladder,
-                                  reverse_at_last_max, tanaka_transform)
+                                  future_min_local_time_np, post_min_process,
+                                  reverse_at_ladder, reverse_at_last_max,
+                                  tanaka_transform, tanaka_transform_np)
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=30)
+
+# every path of these laws up to the given length is checked against the
+# scalar functionals, one stacked array per length
+ENUMERATED = [(IncrementLaw.fair_pm1(), 12),
+              (IncrementLaw.biased_pm1(Fraction(3, 4)), 10),
+              (IncrementLaw.uniform3(), 8)]
+ENUMERATED_IDS = ["fair_pm1", "biased_pm1", "uniform3"]
+
+# stacks of equal-length float rows: integer values make ties; an infinite
+# record (an overflowed heavy-tailed walk) makes the rebuild's choice of
+# epochs visible at the epochs themselves
+float_values = st.one_of(st.integers(-3, 3).map(float),
+                         st.floats(-100.0, 100.0, allow_nan=False),
+                         st.sampled_from([math.inf, -math.inf]))
+float_rows = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(float_values, min_size=n, max_size=n), min_size=1, max_size=5))
 
 
 def path_from(steps):
@@ -37,6 +58,55 @@ def test_future_min_local_time_examples():
     assert future_min_local_time([0, 1, 3, 2]).counts == (0, 1, 1, 1)
     assert future_min_local_time([0, 1, 2, 3]).counts == (0, 1, 2, 2)
     assert future_min_local_time([0]).counts == (0,)
+
+
+def _assert_batched_forms_match_scalar(rows):
+    V = np.array(rows)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in the scalar loop
+        rebuilt = tanaka_transform_np(V)
+    assert rebuilt.shape == V.shape and rebuilt.dtype == V.dtype
+    expected = np.array([tanaka_transform(r) for r in rows], dtype=V.dtype)
+    # nan only where the scalar rebuild also subtracts two infinities
+    assert np.array_equal(rebuilt, expected, equal_nan=V.dtype.kind == "f")
+    for variant in ("verbatim", "strict"):
+        counts = future_min_local_time_np(V, variant)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [list(future_min_local_time(r, variant).counts)
+                                   for r in rows]
+    # a 1-D path is one row
+    for r, u in zip(rows, rebuilt):
+        with np.errstate(invalid="ignore"):
+            one = tanaka_transform_np(np.array(r))
+        assert np.array_equal(one, u, equal_nan=V.dtype.kind == "f")
+        assert future_min_local_time_np(np.array(r), "strict").tolist() == list(
+            future_min_local_time(r, "strict").counts)
+
+
+@pytest.mark.parametrize("law, max_length", ENUMERATED, ids=ENUMERATED_IDS)
+def test_batched_rebuild_and_future_min_match_scalar_on_every_lattice_path(
+        law, max_length):
+    for m in range(max_length + 1):
+        _assert_batched_forms_match_scalar([vals for _, vals, _ in iter_paths(law, m)])
+
+
+@given(float_rows)
+@settings(max_examples=300, deadline=None)
+@example([[0.0]])
+@example([[0.0, -1.0, -1.0, -3.0], [0.0, 0.0, -2.0, 0.0]])
+@example([[0.0, 1.0, math.inf], [0.0, 0.5, 0.25]])
+def test_batched_rebuild_and_future_min_match_scalar_on_float_rows(rows):
+    _assert_batched_forms_match_scalar(rows)
+
+
+def test_batched_rebuild_of_gaussian_rows_is_bit_identical():
+    law = IncrementLaw.gaussian()
+    rows = [sample_walk(law, 200, derive_seed(4242, t)).values for t in range(400)]
+    _assert_batched_forms_match_scalar(rows)
+
+
+def test_batched_future_min_rejects_unknown_variant():
+    with pytest.raises(ParameterError):
+        future_min_local_time_np(np.zeros((2, 3)), "weak")
 
 
 def test_reverse_at_ladder_examples():
