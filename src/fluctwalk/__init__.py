@@ -16,8 +16,8 @@ from .transforms import (ExcursionDecomposition, decompose_excursions,
                          reverse_at_ladder, reverse_at_last_max, tanaka_transform)
 from .scaling import (FristedtReport, PositivitySequence, fristedt_residual,
                       norming_constant, positivity_probabilities)
-from .conditioning import (RenewalFunction, SurvivalEstimate, conditioned_walk,
-                           h_kernel_step, harmonic_limits, meander_sample,
+from .conditioning import (RenewalFunction, SurvivalEstimate, conditioned_states,
+                           conditioned_walk, harmonic_limits, meander_sample,
                            renewal_function, survival_probability)
 from .oracle import (ExactDistribution, distribution_equality, enumerate_paths,
                      exact_functional_distribution, functional_distribution)

@@ -38,9 +38,9 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .conditioning import (h_kernel_row, hchain_endpoint_distribution,
-                           hchain_path_distribution, renewal_function, survival_sequence)
-from .experiments import pm1_conditioned_endpoints
+from .conditioning import (conditioned_states, h_kernel_row,
+                           hchain_endpoint_distribution, hchain_path_distribution,
+                           renewal_function, survival_sequence)
 from .fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
                           local_time_strict)
 from .increments import IncrementLaw, derive_seed, iter_rows
@@ -228,7 +228,7 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
                        weight_trials: int = 100_000,
                        seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
-    V = renewal_function(law, mode="exact")
+    V = renewal_function(law)
     surv = survival_sequence(law, range(1, max_length + 1))
     rows = [["length", "paths_checked", "mismatches"]]
     ok = True
@@ -256,7 +256,8 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
         rows.append([m, total, mism])
 
     # weight normalization: mean of 1/(P(C_n) V(endpoint)) over chain samples
-    x = pm1_conditioned_endpoints(weight_n, weight_trials, derive_seed(seed, 7))
+    for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7), V):
+        pass
     pc = float(surv[weight_n]) if weight_n in surv else float(
         survival_sequence(law, [weight_n])[weight_n])
     w = 1.0 / (pc * (x + 1.0))
@@ -277,7 +278,7 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
 
 def certify_h_kernel(max_length: int = 10) -> CheckResult:
     law = IncrementLaw.fair_pm1()
-    V = renewal_function(law, mode="exact")
+    V = renewal_function(law)
     rows = [["check", "value", "pass"]]
     ok = True
 

@@ -244,7 +244,7 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
                  for rows in iter_rows(law, length, seed, n_paths) for steps in rows]
     elif kind == "conditioned":
         try:
-            V = renewal_function(law, mode="exact")
+            V = renewal_function(law)
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "
                         f"function, such as fair-pm1: {exc}")

@@ -15,6 +15,12 @@ boundary atom is preserved throughout, matching the weak inequalities in
 the meander event C_k = {S_1 >= 0, ..., S_k >= 0}); the kernel is therefore
 defined at every x >= 0 with V(x) > 0.
 
+V is exact and rational: skip-free-downward lattice laws (descents by one
+lattice unit) have closed forms for it.  :func:`conditioned_states` is the
+one sampler of the conditioned chain: it runs many chains at once by table
+lookup in the float-rounded cumulative kernel rows, and the single walk of
+:func:`conditioned_walk` is its one-trial case.
+
 Two meander samplers are provided.  Rejection sampling is the ground truth
 at small horizons; above that the conditioned walk is reweighted by
 1 / (P(C_k) V(endpoint)), whose weighted empirical law is exactly the
@@ -26,14 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import (IncrementLaw, WalkPath, derive_seed, draw_steps, iter_rows,
-                         path_from_steps, sample_walk, _rng)
+from .increments import (IncrementLaw, WalkPath, iter_rows, path_from_steps,
+                         sample_walk, _rng)
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
@@ -43,7 +50,7 @@ __all__ = [
     "RenewalFunction",
     "renewal_function",
     "h_kernel_row",
-    "h_kernel_step",
+    "conditioned_states",
     "conditioned_walk",
     "meander_sample",
     "SurvivalEstimate",
@@ -63,19 +70,10 @@ __all__ = [
 
 @dataclass
 class RenewalFunction:
-    """Evaluator for V(x) = sum_k P(Hdown_k <= x).
-
-    ``mode`` is "exact" (closed form for recognized structures) or
-    "estimated" (Monte Carlo over descending ladder chains, with a standard
-    error evaluator and a recorded step cap).
-    """
+    """Evaluator for V(x) = sum_k P(Hdown_k <= x), exact and rational."""
 
     evaluator: Callable
-    mode: str
     law: IncrementLaw
-    standard_error: Optional[Callable] = None
-    x_max: Optional[float] = None
-    step_cap: Optional[int] = None
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -106,85 +104,38 @@ def _descent_probability(law: IncrementLaw) -> Fraction:
         "no exact descent probability for this drifting skip-free law")
 
 
-def renewal_function(law: IncrementLaw, mode: str = "exact",
-                     budget: int = 20_000, seed: int = 0,
-                     x_max: float = 16.0, step_cap: int = 1 << 20) -> RenewalFunction:
-    """Renewal function of the descending ladder heights.
+def renewal_function(law: IncrementLaw) -> RenewalFunction:
+    """Exact renewal function of the descending ladder heights.
 
-    Exact mode covers skip-free-downward lattice laws, where descending
-    ladder heights are one lattice unit each and V is a truncated geometric
-    series (V(x) = floor(x/unit) + 1 in the recurrent case).  Estimated mode
-    simulates descending ladder chains directly and counts renewals below
-    each level; the step cap and per-point standard errors are recorded.
+    Covers skip-free-downward lattice laws, where descending ladder heights
+    are one lattice unit each and V is a truncated geometric series
+    (V(x) = floor(x/unit) + 1 in the recurrent case), and lattice laws that
+    never step down (V = 1).
     """
-    if mode == "exact":
-        if law.kind == "lattice" and not law.has_negative_steps():
-            # no descents ever happen: only the zeroth renewal contributes
-            def evaluator(x):
-                if x < 0:
-                    raise ParameterError("renewal function is defined on x >= 0")
-                return Fraction(1)
-
-            return RenewalFunction(evaluator=evaluator, mode="exact", law=law)
-        unit = _skip_free_down_unit(law)
-        if unit is None:
-            raise UnsupportedModeError(
-                "exact renewal function requires a skip-free-downward lattice law")
-        r = _descent_probability(law)
-
+    if law.kind == "lattice" and not law.has_negative_steps():
+        # no descents ever happen: only the zeroth renewal contributes
         def evaluator(x):
             if x < 0:
                 raise ParameterError("renewal function is defined on x >= 0")
-            xf = Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
-            kmax = int(xf / unit)
-            if r == 1:
-                return Fraction(kmax + 1)
-            return (1 - r ** (kmax + 1)) / (1 - r)
+            return Fraction(1)
 
-        return RenewalFunction(evaluator=evaluator, mode="exact", law=law)
-
-    if mode != "montecarlo":
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    if law.kind != "gaussian":
-        raise UnsupportedModeError("estimated renewal function implemented for gaussian laws")
-    # Simulate walks until the running minimum drops below -x_max (or the cap
-    # hits); strict new minima are the descending ladder points.
-    heights: List[np.ndarray] = []
-    block = 1024
-    for t in range(budget):
-        rng = _rng(derive_seed(seed, t))
-        s = 0.0
-        mn = 0.0
-        recs = []
-        steps_done = 0
-        while mn >= -x_max and steps_done < step_cap:
-            b = min(block, step_cap - steps_done)
-            c = s + np.cumsum(draw_steps(law, rng, np.empty(b)))
-            # strict new minima, up to and including the first one below -x_max
-            low = c[c < np.minimum.accumulate(np.concatenate([[mn], c[:-1]]))]
-            deep = np.flatnonzero(low < -x_max)
-            if deep.size:
-                low = low[: deep[0] + 1]
-            if low.size:
-                mn = low[-1]
-                recs.append(-low)
-            s = c[-1]
-            steps_done += b
-        heights.append(np.concatenate(recs) if recs else np.array([]))
+        return RenewalFunction(evaluator=evaluator, law=law)
+    unit = _skip_free_down_unit(law)
+    if unit is None:
+        raise UnsupportedModeError(
+            "exact renewal function requires a skip-free-downward lattice law")
+    r = _descent_probability(law)
 
     def evaluator(x):
-        if not (0 <= x <= x_max):
-            raise ParameterError(f"estimated evaluator only covers [0, {x_max}]")
-        counts = np.array([1 + int((h <= x).sum()) for h in heights], dtype=np.float64)
-        return float(counts.mean())
+        if x < 0:
+            raise ParameterError("renewal function is defined on x >= 0")
+        xf = Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
+        kmax = int(xf / unit)
+        if r == 1:
+            return Fraction(kmax + 1)
+        return (1 - r ** (kmax + 1)) / (1 - r)
 
-    def std_error(x):
-        counts = np.array([1 + int((h <= x).sum()) for h in heights], dtype=np.float64)
-        return float(counts.std(ddof=1) / math.sqrt(len(counts)))
-
-    return RenewalFunction(evaluator=evaluator, mode="estimated", law=law,
-                           standard_error=std_error, x_max=x_max, step_cap=step_cap)
+    return RenewalFunction(evaluator=evaluator, law=law)
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +168,59 @@ def h_kernel_row(x, law: IncrementLaw, V: RenewalFunction) -> List[Tuple[Fractio
     return row
 
 
-def h_kernel_step(x, law: IncrementLaw, V: RenewalFunction, seed: int):
-    """One kernel step from x; returns (next state, row or None).
+def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
+                       V: Optional[RenewalFunction] = None) -> Iterator[np.ndarray]:
+    """Run ``trials`` kernel chains from 0 at once; yield their levels per step.
 
-    Lattice laws sample from the exact row and return it.  Gaussian laws
-    sample the reweighted density V(y) f(y - x) on y > 0 by inverse CDF on a
-    fine grid (resolution is a numeric approximation, recorded here; exact
-    work always goes through lattice rows).
+    For lattice laws with an exact V (skip-free downward).  Each step draws
+    one ``rng.random(trials)`` from ``_rng(seed)`` and moves trial i by the
+    first step, up-step first, whose cumulative kernel probability exceeds
+    its uniform; so on fair +-1 a chain at level x steps up when
+    u < (x + 2) / (2 (x + 1)).  The cumulative entries are float() of the
+    exact partial sums of ``h_kernel_row``; the last one is 1 and is not
+    stored; a row that does not sum to one raises.  The table covers the
+    levels reached so far and doubles when a chain climbs past it.  Yields
+    the integer level array (lattice units) after steps 1..length, a fresh
+    array each step.
     """
+    if length < 1 or trials < 1:
+        raise ParameterError("length and trials must be >= 1")
+    if law.kind != "lattice":
+        raise UnsupportedModeError("the conditioned chain requires a lattice law")
+    if V is None:
+        V = renewal_function(law)
+    unit, steps, probs = law.lattice_integer_form()
+    steps = sorted((s for s, p in zip(steps, probs) if p > 0), reverse=True)
+
+    def cumulative(levels):
+        rows = []
+        for x in levels:
+            row = {int(y / unit) - x: p for y, p in h_kernel_row(x * unit, law, V)}
+            if sum(row.values()) != 1:
+                raise DegenerateStateError(f"kernel row at level {x} does not sum to 1")
+            rows.append([float(c) for c in accumulate(row.get(s, 0) for s in steps[:-1])])
+        return np.array(rows).T.reshape(len(steps) - 1, len(levels))
+
+    moves = np.array(steps, dtype=np.int64)
+    rise = max(steps[0], 0)
     rng = _rng(seed)
-    if law.kind == "lattice":
-        row = h_kernel_row(x, law, V)
-        u = rng.random()
-        acc = 0.0
-        for y, p in row:
-            acc += float(p)
-            if u < acc:
-                return y, row
-        return row[-1][0], row
-    if law.kind == "gaussian":
-        vx = float(V(float(x)))
-        if vx == 0:
-            raise DegenerateStateError(f"V({x}) = 0")
-        hi = float(x) + law.mean + 10 * law.stddev
-        grid = np.linspace(1e-12, max(hi, 10 * law.stddev), 4096)
-        dens = np.array([float(V(min(g, V.x_max))) if V.x_max else float(V(g))
-                         for g in grid])
-        dens *= np.exp(-0.5 * ((grid - float(x) - law.mean) / law.stddev) ** 2)
-        cum = np.cumsum(dens)
-        if cum[-1] == 0:
-            raise DegenerateStateError("degenerate conditioned step density")
-        cum /= cum[-1]
-        y = float(np.interp(rng.random(), cum, grid))
-        return y, None
-    raise UnsupportedModeError("conditioned kernel not implemented for heavy-tailed laws")
+    x = np.zeros(trials, dtype=np.int64)
+    cum = np.empty((len(steps) - 1, 0))
+    top = 0  # no chain is above this level
+    for _ in range(length):
+        if top >= cum.shape[1]:
+            top = int(x.max())
+            size = max(cum.shape[1], 1)
+            while size <= top:
+                size *= 2
+            cum = np.hstack([cum, cumulative(range(cum.shape[1], size))])
+        u = rng.random(trials)
+        j = np.zeros(trials, dtype=np.intp)
+        for col in cum:
+            j += u >= col[x]
+        x = x + moves[j]
+        top += rise
+        yield x
 
 
 def conditioned_walk(law: IncrementLaw, length: int, seed: int,
@@ -258,12 +228,12 @@ def conditioned_walk(law: IncrementLaw, length: int, seed: int,
                      V: Optional[RenewalFunction] = None) -> WalkPath:
     """A walk conditioned to stay positive, by kernel chain or by transform.
 
-    ``h_chain`` iterates the conditioned kernel and realizes the conditioned
-    law exactly (lattice laws, exact rows).  ``tanaka_transform`` transforms an
-    unconditioned sample pathwise; the two constructions share scaling limit
-    and endpoint law, but on lattice windows their path laws differ at the
-    zero boundary (quantified in tests), so law-sensitive estimators use the
-    kernel chain.
+    ``h_chain`` is the one-trial case of :func:`conditioned_states` and
+    realizes the conditioned law exactly (lattice laws, exact rows).
+    ``tanaka_transform`` transforms an unconditioned sample pathwise; the
+    two constructions share scaling limit and endpoint law, but on lattice
+    windows their path laws differ at the zero boundary (quantified in
+    tests), so law-sensitive estimators use the kernel chain.
     """
     if length < 1:
         raise ParameterError("length must be >= 1")
@@ -271,14 +241,9 @@ def conditioned_walk(law: IncrementLaw, length: int, seed: int,
         return tanaka_transform(sample_walk(law, length, seed))
     if method != "h_chain":
         raise ParameterError(f"unknown method {method!r}")
-    if V is None:
-        V = renewal_function(law, mode="exact")
-    x = Fraction(0) if law.kind == "lattice" else 0.0
-    vals = [0.0]
-    for i in range(length):
-        x, _ = h_kernel_step(x, law, V, derive_seed(seed, i))
-        vals.append(float(x))
-    return WalkPath(values=tuple(vals))
+    levels = [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed, V)]
+    unit, _, _ = law.lattice_integer_form()
+    return WalkPath(values=tuple(float(k * unit) for k in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +336,12 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
     if method != "reweight":
         raise ParameterError(f"unknown method {method!r}")
     if V is None:
-        V = renewal_function(law, mode="exact")
+        V = renewal_function(law)
     if survival is None:
         survival = survival_probability(law, k, mode="exact")
     path = conditioned_walk(law, k, seed, method="h_chain", V=V)
-    end = path.values[-1]
-    weight = 1.0 / (float(survival.probability) * float(V(Fraction(end).limit_denominator(10**9)
-                                                         if law.kind == "lattice" else end)))
-    return path, weight
+    end = Fraction(path.values[-1]).limit_denominator(10**9)
+    return path, 1.0 / (float(survival.probability) * float(V(end)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +354,7 @@ def hchain_path_distribution(law: IncrementLaw, length: int,
     if law.kind != "lattice":
         raise UnsupportedModeError("exact chain law requires a lattice law")
     if V is None:
-        V = renewal_function(law, mode="exact")
+        V = renewal_function(law)
     unit, _, _ = law.lattice_integer_form()
     atoms: Dict[tuple, Fraction] = {}
 
@@ -415,7 +378,7 @@ def hchain_endpoint_distribution(law: IncrementLaw, length: int,
     if law.kind != "lattice":
         raise UnsupportedModeError("exact chain law requires a lattice law")
     if V is None:
-        V = renewal_function(law, mode="exact")
+        V = renewal_function(law)
     unit, _, _ = law.lattice_integer_form()
     cur = {0: Fraction(1)}
     for _ in range(length):
@@ -500,7 +463,7 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     p_surv = [float(surv[n]) for n in n_grid]
     product = [a * p for a, p in zip(a_hat, p_surv)]
 
-    V = renewal_function(law, mode="exact")
+    V = renewal_function(law)
     v_at_x: Dict[float, List[float]] = {}
     for x in x_grid:
         col = []

@@ -32,7 +32,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .conditioning import survival_sequence
+from .conditioning import conditioned_states, survival_sequence
 from .errors import (BudgetError, ConfigError, HypothesisViolationError,
                      InsufficientLadderError, ParameterError)
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
@@ -72,7 +72,16 @@ class ExperimentConfig:
     tolerances: Dict[str, float] = field(default_factory=dict)
     params: Dict[str, object] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, tolerances=(), params=()) -> None:
+        """Check the grid and the trial count; reject tolerance and param
+        keys outside ``tolerances`` and ``params``, the keys the experiment
+        reads."""
+        for kind, given, known in (("tolerances", self.tolerances, tolerances),
+                                   ("params", self.params, params)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ConfigError(f"{self.experiment}: unknown {kind} key(s) "
+                                  + ", ".join(map(repr, unknown)))
         if not self.n_grid:
             raise ConfigError("empty n grid")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -320,7 +329,8 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     epochs among those read, in trial order, up to the window that delivered
     the last pair (see :func:`windowed_ladder_pairs`).
     """
-    config.validate()
+    config.validate(tolerances=("ks", "height_mean", "height_sd"),
+                    params=("tail_table", "height_cap", "window_mult"))
     law = config.law
     check_bilateral(law)
     if law.kind == "heavy_tail":
@@ -435,7 +445,8 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
     normalized local-time curves are compared in sup norm on the shared
     window.  The median discrepancy per comparison must trend down.
     """
-    config.validate()
+    config.validate(tolerances=("violations", "ratio"),
+                    params=("base_resolution", "paths", "variant"))
     law = config.law
     check_bilateral(law)
     if law.kind != "gaussian" or law.mean != 0.0:
@@ -492,7 +503,9 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
-    config.validate()
+    config.validate(tolerances=("ratio_rel", "drift_rel", "interval_mass"),
+                    params=("interval1", "interval2", "interval", "height_cap",
+                            "height_samples", "time_tail_cutoff"))
     law = config.law
     check_bilateral(law)
     notes: Dict[str, object] = {}
@@ -582,16 +595,6 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
 # run_meander: endpoint law and cross-method agreement
 
 
-def pm1_conditioned_endpoints(n: int, trials: int, seed: int) -> np.ndarray:
-    """Endpoints of the conditioned fair +-1 walk (kernel chain), vectorized."""
-    rng = _rng(seed)
-    x = np.zeros(trials, dtype=np.int64)
-    for _ in range(n):
-        p_up = (x + 2) / (2.0 * (x + 1))
-        x = np.where(rng.random(trials) < p_up, x + 1, x - 1)
-    return x
-
-
 def pm1_meander_endpoints_rejection(n: int, count: int, seed: int,
                                     budget_factor: int = 64) -> np.ndarray:
     """Endpoints of exact-law meanders by vectorized rejection."""
@@ -622,7 +625,8 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     the grid (weights 1 / (P(C_n) V(endpoint)), exact survival recursion);
     rejection sampling is the ground truth at the small cross-check horizon.
     """
-    config.validate()
+    config.validate(tolerances=("endpoint_ks", "cross_method_ks"),
+                    params=("cross_check_n", "cross_check_trials"))
     law = config.law
     check_bilateral(law)
     if law.kind != "lattice":
@@ -644,8 +648,9 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     stability = [["n_prev", "n", "two_sample_ks"]]
     ks_final = None
     for i, n in enumerate(config.n_grid):
-        x = pm1_conditioned_endpoints(n, config.trials,
-                                      derive_seed(config.seed, 200 + i))
+        for x in conditioned_states(law, n, config.trials,
+                                    derive_seed(config.seed, 200 + i)):
+            pass
         w = 1.0 / (float(surv[n]) * (x + 1.0))
         s = Sample(x * float(unit) / math.sqrt(n) / float(unit), weights=w)
         ks = ks_statistic(s, rayleigh_cdf).statistic
@@ -659,8 +664,9 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     # cross-method check at the small horizon
     xr = pm1_meander_endpoints_rejection(n_small, small_trials,
                                          derive_seed(config.seed, 300))
-    xc = pm1_conditioned_endpoints(n_small, small_trials,
-                                   derive_seed(config.seed, 301))
+    for xc in conditioned_states(law, n_small, small_trials,
+                                 derive_seed(config.seed, 301)):
+        pass
     wc = 1.0 / (float(surv[n_small]) * (xc + 1.0))
     cross = ks_statistic(Sample(xr.astype(np.float64)),
                          Sample(xc.astype(np.float64), weights=wc)).statistic

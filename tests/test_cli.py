@@ -1,9 +1,14 @@
 import json
 import os
+import runpy
+import sys
 
 import pytest
 
+from fluctwalk import experiments
 from fluctwalk.cli import main
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
 def run(args):
@@ -147,6 +152,39 @@ def test_simulate_conditioned_rejects_law_without_exact_renewal(tmp_path, capsys
     assert exc.value.code == 2
     assert "--law" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+class Validated(Exception):
+    """Raised in place of the run once a config has passed validation."""
+
+
+def _stop_after_validation(monkeypatch):
+    # every run_* calls check_bilateral right after config.validate
+    def stop(law):
+        raise Validated
+    monkeypatch.setattr(experiments, "check_bilateral", stop)
+
+
+EXPERIMENTS = ["theorem1", "localtime", "lemma1", "meander"]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_converge_defaults_pass_config_validation(tmp_path, monkeypatch, name):
+    _stop_after_validation(monkeypatch)
+    with pytest.raises(Validated):
+        run(["--out", str(tmp_path), "converge", name])
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_convergence_suite_configs_pass_validation(tmp_path, monkeypatch, full):
+    monkeypatch.setattr(sys, "argv", ["run_convergence_suite.py"] + ["--full"] * full)
+    configs = runpy.run_path(os.path.join(SCRIPTS, "run_convergence_suite.py"))["CONFIGS"]
+    _stop_after_validation(monkeypatch)
+    for name in EXPERIMENTS:
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps(configs[name]))
+        with pytest.raises(Validated):
+            run(["--config", str(cfgfile), "--out", str(tmp_path), "converge", name])
 
 
 def test_tables(tmp_path):

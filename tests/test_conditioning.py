@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluctwalk.conditioning import (RenewalFunction, conditioned_walk,
-                                    h_kernel_row, h_kernel_step,
+from fluctwalk.conditioning import (RenewalFunction, conditioned_states,
+                                    conditioned_walk, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_sample,
                                     renewal_function, survival_probability,
@@ -15,6 +15,7 @@ from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
+from fluctwalk.stats import dkw_epsilon
 
 F = Fraction
 FAIR = IncrementLaw.fair_pm1()
@@ -43,60 +44,6 @@ def test_renewal_rejects_non_skip_free_exact():
         renewal_function(law)
 
 
-def test_renewal_montecarlo_gaussian():
-    V = renewal_function(IncrementLaw.gaussian(), mode="montecarlo",
-                         budget=300, seed=11, x_max=3.0, step_cap=200_000)
-    assert V(0.0) == 1.0  # only the zeroth renewal sits at height zero
-    v1, v2 = V(1.0), V(2.5)
-    assert v1 < v2
-    se = V.standard_error(2.5)
-    # drift-free limit: V grows like sqrt(2) x for x away from 0
-    assert abs(v2 - (1 + h_bm(2.5))) < 6 * se + 0.8
-
-
-def per_element_renewal_heights(law, budget, seed, x_max, step_cap):
-    """Descending ladder heights per trial, as the per-element record loop found them."""
-    heights = []
-    for t in range(budget):
-        rng = _rng(derive_seed(seed, t))
-        s, mn, recs, steps_done = 0.0, 0.0, [], 0
-        while mn >= -x_max and steps_done < step_cap:
-            b = min(1024, step_cap - steps_done)
-            c = s + np.cumsum(law.mean + law.stddev * rng.standard_normal(b))
-            for v in c:
-                if v < mn:
-                    mn = v
-                    recs.append(-v)
-                    if mn < -x_max:
-                        break
-            s = c[-1] if mn >= -x_max else mn
-            steps_done += b
-        heights.append(np.array(recs))
-    return heights
-
-
-@pytest.mark.parametrize("law,x_max,step_cap", [
-    (IncrementLaw.gaussian(), 3.0, 200_000),
-    (IncrementLaw.gaussian(-0.05, 0.7), 2.0, 2_500),   # partial last block
-    (IncrementLaw.gaussian(0.4, 1.0), 1.5, 3_000),     # drifts up: censored walks
-])
-def test_renewal_montecarlo_matches_per_element_loop(law, x_max, step_cap):
-    budget, seed = 60, 4
-    V = renewal_function(law, mode="montecarlo", budget=budget, seed=seed,
-                         x_max=x_max, step_cap=step_cap)
-    heights = per_element_renewal_heights(law, budget, seed, x_max, step_cap)
-    for x in np.linspace(0.0, x_max, 13):
-        counts = np.array([1 + int((h <= x).sum()) for h in heights], dtype=np.float64)
-        assert V(x) == float(counts.mean())
-        assert V.standard_error(x) == float(counts.std(ddof=1) / math.sqrt(budget))
-
-
-def test_renewal_montecarlo_rejects_non_gaussian_before_sampling():
-    for law in (FAIR, IncrementLaw.heavy_tail(1.0)):
-        with pytest.raises(UnsupportedModeError):
-            renewal_function(law, mode="montecarlo", budget=0)
-
-
 def test_kernel_rows_fair_walk():
     V = renewal_function(FAIR)
     assert h_kernel_row(0, FAIR, V) == [(F(1), F(1))]
@@ -114,17 +61,66 @@ def test_kernel_harmonic_for_skip_free_laws():
 
 
 def test_kernel_degenerate_state():
-    V = RenewalFunction(evaluator=lambda x: F(0), mode="exact", law=FAIR)
+    V = RenewalFunction(evaluator=lambda x: F(0), law=FAIR)
     with pytest.raises(DegenerateStateError):
         h_kernel_row(1, FAIR, V)
+    # a walk that only steps down has no chain conditioned to stay >= 0
+    with pytest.raises(DegenerateStateError):
+        next(conditioned_states(IncrementLaw.lattice([-1], [1]), 3, 10, seed=0))
 
 
 def test_kernel_step_samples_from_row():
-    V = renewal_function(FAIR)
-    y, row = h_kernel_step(0, FAIR, V, seed=5)
-    assert y == 1 and row == [(F(1), F(1))]
-    ys = {h_kernel_step(1, FAIR, V, seed=s)[0] for s in range(40)}
-    assert ys == {F(0), F(2)}
+    # a +-1 chain steps up from 0; every chain moves only to the states of
+    # its kernel row and never goes negative
+    for law in (FAIR, IncrementLaw.biased_pm1(F(3, 4))):
+        assert (next(conditioned_states(law, 1, 2000, 5)) == 1).all()
+    for law in (FAIR, IncrementLaw.biased_pm1(F(3, 4)), IncrementLaw.uniform3()):
+        V = renewal_function(law)
+        prev = np.zeros(2000, dtype=np.int64)
+        for x in conditioned_states(law, 12, 2000, 5, V):
+            assert x.min() >= 0
+            for a in np.unique(prev):
+                row = {int(y) for y, _ in h_kernel_row(int(a), law, V)}
+                assert set(np.unique(x[prev == a]).tolist()) <= row
+            prev = x
+    ys = {int(x[0]) for s in range(40) for x in conditioned_states(FAIR, 2, 1, s)}
+    assert ys == {0, 1, 2}
+
+
+def reference_pm1_endpoints(n, trials, seed):
+    """Fair +-1 chain endpoints by the closed-form up-probability."""
+    rng = _rng(seed)
+    x = np.zeros(trials, dtype=np.int64)
+    for _ in range(n):
+        p_up = (x + 2) / (2.0 * (x + 1))
+        x = np.where(rng.random(trials) < p_up, x + 1, x - 1)
+    return x
+
+
+@pytest.mark.parametrize("n,trials,seed", [
+    (32, 100_000, derive_seed(20240808, 7)),   # verify meander-ac weights
+    (4096, 10_000, derive_seed(23, 200)),      # converge meander, A9
+    (1024, 4000, 5),
+    (256, 4000, 5),
+], ids=["meander-ac", "a9", "n1024", "n256"])
+def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, seed):
+    for x in conditioned_states(FAIR, n, trials, seed):
+        pass
+    assert np.array_equal(x, reference_pm1_endpoints(n, trials, seed))
+
+
+@pytest.mark.parametrize("law", [FAIR, IncrementLaw.biased_pm1(F(3, 4)),
+                                 IncrementLaw.uniform3()],
+                         ids=["fair", "biased", "uniform3"])
+def test_conditioned_states_endpoint_law_in_dkw_band(law):
+    trials = 20_000
+    eps = dkw_epsilon(trials, confidence=0.999)
+    for k, x in enumerate(conditioned_states(law, 8, trials, 31), start=1):
+        exact = hchain_endpoint_distribution(law, k).atoms
+        cum = np.cumsum([float(exact[y]) for y in sorted(exact)])
+        emp = np.array([np.count_nonzero(x <= y) for y in sorted(exact)]) / trials
+        assert np.abs(emp - cum).max() <= eps, (law.description, k)
+        assert set(np.unique(x).tolist()) <= set(exact)
 
 
 def test_conditioned_walk_first_step_up():

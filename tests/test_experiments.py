@@ -7,7 +7,6 @@ import pytest
 from fluctwalk.errors import BudgetError, ConfigError, HypothesisViolationError
 from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
                                    first_passage_heights, gaussian_norming,
-                                   pm1_conditioned_endpoints,
                                    pm1_meander_endpoints_rejection, pm1_t1_tail,
                                    run_lemma1, run_localtime_stability,
                                    run_meander, run_theorem1,
@@ -35,6 +34,19 @@ def test_config_validation():
         cfg("x", GAUSS, []).validate()
     with pytest.raises(ConfigError):
         cfg("x", GAUSS, [8], trials=10).validate()
+
+
+@pytest.mark.parametrize("run,kind,key", [
+    (run_theorem1, "params", "windw_mult"),
+    (run_theorem1, "params", "resample"),
+    (run_meander, "tolerances", "resample"),
+    (run_lemma1, "params", "windw_mult"),
+    (run_localtime_stability, "tolerances", "resample"),
+])
+def test_unknown_config_keys_rejected(run, kind, key):
+    c = cfg("x", FAIR, [64, 128], **{kind: {key: 1}})
+    with pytest.raises(ConfigError, match=repr(key)):
+        run(c)
 
 
 def test_monotone_laws_rejected_everywhere():
@@ -173,15 +185,6 @@ def test_run_lemma1_cauchy_ratio_small():
             params={"height_samples": 60_000, "height_cap": 4_000})
     rep = run_lemma1(c)
     assert rep.passed
-
-
-def test_pm1_conditioned_endpoints_distribution():
-    # exact endpoint law at short horizon vs the vectorized chain
-    from fluctwalk.conditioning import hchain_endpoint_distribution
-    dist = hchain_endpoint_distribution(FAIR, 4)
-    x = pm1_conditioned_endpoints(4, 40_000, seed=13)
-    for v, p in dist.atoms.items():
-        assert abs(float((x == v).mean()) - float(p)) < 0.01
 
 
 def test_pm1_rejection_acceptance_rate_matches_survival():

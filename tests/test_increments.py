@@ -10,7 +10,7 @@ from fluctwalk import certify, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, DimensionError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
-from fluctwalk.fluctuation import ladder_epochs, local_time_strict
+from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
                                   sample_rows, sample_steps, sample_walk, skeleton)
@@ -314,22 +314,47 @@ def test_idloc_checks_the_per_row_paths(monkeypatch):
     assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
 
 
+def _idloc_with_weak(monkeypatch, weak):
+    """certify_idloc at length 6 with the batched functional ``weak`` (the
+    local time or the future minimum) forced to its verbatim variant on the
+    lattice; also the scalar loop's first-difference offsets from T_last of
+    the violating paths.  The Gaussian part runs verbatim either way.
+    """
+    batched = getattr(certify, weak)
+    monkeypatch.setattr(certify, weak, lambda V, variant: batched(V, "verbatim"))
+    local = local_time_verbatim if weak == "local_time_curve_np" else local_time_strict
+    future = "verbatim" if weak == "future_min_local_time_np" else "strict"
+    res = certify.certify_idloc(enum_length=6, gaussian_paths=20, gaussian_length=30,
+                                seed=8)
+    offsets = []
+    for _, vals, _ in iter_paths(IncrementLaw.fair_pm1(), 6):
+        a = local(vals).counts
+        b = future_min_local_time(tanaka_transform(vals), variant=future).counts
+        t_last = ladder_epochs(vals)[-1]
+        bad = [j for j in range(t_last) if a[j] != b[j]]
+        if bad:
+            offsets.append(t_last - bad[0])
+    return res, offsets
+
+
 def test_idloc_fails_with_weak_future_minima_on_the_lattice(monkeypatch):
     # counted against the strict local time at the maximum, the verbatim
     # future-minimum count breaks the identity on lattice ties: the
     # certificate must report exactly the paths the scalar loop finds
-    future_min = certify.future_min_local_time_np
-    monkeypatch.setattr(certify, "future_min_local_time_np",
-                        lambda U, variant: future_min(U, "verbatim"))
-    res = certify.certify_idloc(enum_length=6, gaussian_paths=20, gaussian_length=30,
-                                seed=8)
-    expected = 0
-    for _, vals, _ in iter_paths(IncrementLaw.fair_pm1(), 6):
-        a = local_time_strict(vals).counts
-        b = future_min_local_time(tanaka_transform(vals), variant="verbatim").counts
-        expected += any(a[j] != b[j] for j in range(ladder_epochs(vals)[-1]))
-    assert expected > 0
-    assert res.rows[1:] == [["lattice_enumeration_strict", expected],
+    res, offsets = _idloc_with_weak(monkeypatch, "future_min_local_time_np")
+    assert offsets
+    assert res.rows[1:] == [["lattice_enumeration_strict", len(offsets)],
+                            ["gaussian_sampled_verbatim", 0]]
+    assert res.passed is False
+
+
+def test_idloc_fails_with_weak_local_time_on_the_lattice(monkeypatch):
+    # the other mismatched pairing, verbatim local time against the strict
+    # future minimum: 21 violating paths, 9 of which first differ at
+    # T_last - 1, so the certificate's comparison must reach that index
+    res, offsets = _idloc_with_weak(monkeypatch, "local_time_curve_np")
+    assert len(offsets) == 21 and offsets.count(1) == 9
+    assert res.rows[1:] == [["lattice_enumeration_strict", 21],
                             ["gaussian_sampled_verbatim", 0]]
     assert res.passed is False
 
