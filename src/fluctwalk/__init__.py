@@ -23,7 +23,7 @@ from .oracle import (ExactDistribution, distribution_equality, enumerate_paths,
                      exact_functional_distribution, functional_distribution)
 from .stats import Sample, ks_statistic, trend_test, wasserstein1
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf
-from .experiments import (ExperimentConfig, ExperimentReport, run_lemma1,
+from .experiments import (ExperimentConfig, ExperimentReport, run_harmonic, run_lemma1,
                           run_localtime_stability, run_meander, run_theorem1)
 
 __version__ = "0.1.0"

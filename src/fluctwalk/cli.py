@@ -17,7 +17,6 @@ ones).  Each command writes ``report.json`` plus plot-ready CSV tables.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,12 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .conditioning import (conditioned_walk, harmonic_limits, meander_sample,
-                           renewal_function)
+from .conditioning import conditioned_walk, meander_sample, renewal_function
 from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
-from .experiments import (Criterion, ExperimentConfig, ExperimentReport,
-                          run_lemma1, run_localtime_stability, run_meander,
-                          run_theorem1)
+from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
+                          reject_unknown, write_rows)
 from .increments import IncrementLaw, derive_seed, iter_rows, path_from_steps
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
@@ -43,6 +40,24 @@ LAW_SHORTCUTS = {
     "gaussian": lambda: IncrementLaw.gaussian(0.0, 1.0),
     "cauchy": lambda: IncrementLaw.heavy_tail(1.0),
 }
+
+
+# the config-file keys each command reads besides "seed" and "out"
+CONFIG_KEYS = {
+    "verify fristedt": ("truncation",),
+    "verify reversal": ("max_length",),
+    "verify idloc": ("max_length", "enum_length", "gaussian_paths", "gaussian_length"),
+    "verify meander-ac": ("max_length", "weight_n", "weight_trials"),
+    "verify h-kernel": ("max_length",),
+    "converge": ("law", "n_grid", "trials", "tolerances", "params"),
+    "simulate": ("law", "length", "paths", "kind"),
+    "tables": (),
+}
+
+
+def integers(text):
+    """``--n-grid``: comma-separated integers; anything else is a usage error."""
+    return [int(x) for x in text.split(",")]
 
 
 def _parse_law(text):
@@ -61,26 +76,12 @@ def _load_config_file(path):
         return json.load(fh)
 
 
-def _write_rows(out_dir, name, rows):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _finish(report: ExperimentReport, out_dir: str) -> int:
     report.write(out_dir)
     for c in report.criteria:
         status = "pass" if c.passed else "FAIL"
-        print(f"[{status}] {c.cid}: {c.value:.6g} {c.comparator} {c.threshold:.6g}")
+        print(f"[{status}] {c.cid}: {c.value:.6g} <= {c.threshold:.6g}")
     return report.exit_code()
-
-
-def _verify_to_report(results, out_dir, config_echo) -> int:
-    criteria = [Criterion(r.name, 0.0 if r.passed else 1.0, 0.0) for r in results]
-    tables = {r.name: r.rows for r in results if r.rows}
-    rep = ExperimentReport(config=config_echo, criteria=criteria, tables=tables,
-                           notes={r.name: r.detail for r in results})
-    return _finish(rep, out_dir)
 
 
 def main(argv=None) -> int:
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20240808)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--n-grid", default=None,
+    parser.add_argument("--n-grid", type=integers, default=None,
                         help="comma-separated strictly increasing integers")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,8 +103,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--max-length", type=int, default=8)
 
     p_conv = sub.add_parser("converge", help="Monte Carlo scaling experiments")
-    p_conv.add_argument("experiment", choices=["theorem1", "localtime", "lemma1",
-                                               "meander", "harmonic"])
+    p_conv.add_argument("experiment", choices=list(RUNS))
     p_conv.add_argument("--law", default=None)
 
     p_sim = sub.add_parser("simulate", help="stream sampled paths to CSV")
@@ -121,7 +121,9 @@ def main(argv=None) -> int:
     out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
     seed = overrides.get("seed", args.seed)
 
+    command = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
+        reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))
         if args.command == "verify":
             return _cmd_verify(args, overrides, out_dir, seed)
         if args.command == "converge":
@@ -161,77 +163,20 @@ def _cmd_verify(args, overrides, out_dir, seed) -> int:
         res = [certify.certify_h_kernel(max_length=m)]
     echo = {"command": "verify", "suite": args.suite, "seed": seed,
             "max_length": m, "overrides": overrides}
-    return _verify_to_report(res, out_dir, echo)
-
-
-def _default_config(args, overrides, seed, experiment, law, n_grid, trials,
-                    tolerances, params) -> ExperimentConfig:
-    if args.n_grid:
-        n_grid = [int(x) for x in args.n_grid.split(",")]
-    n_grid = overrides.get("n_grid", n_grid)
-    if args.trials:
-        trials = args.trials
-    trials = overrides.get("trials", trials)
-    tolerances = {**tolerances, **overrides.get("tolerances", {})}
-    params = {**params, **overrides.get("params", {})}
-    return ExperimentConfig(experiment=experiment, law=law, n_grid=list(n_grid),
-                            trials=int(trials), seed=seed, tolerances=tolerances,
-                            params=params)
+    criteria = [Criterion(r.name, 0.0 if r.passed else 1.0, 0.0) for r in res]
+    return _finish(ExperimentReport(config=echo, criteria=criteria,
+                                    tables={r.name: r.rows for r in res if r.rows},
+                                    notes={r.name: r.detail for r in res}), out_dir)
 
 
 def _cmd_converge(args, overrides, out_dir, seed) -> int:
     law_text = args.law or overrides.get("law")
-    if args.experiment == "theorem1":
-        law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
-        cfg = _default_config(args, overrides, seed, "theorem1", law,
-                              [256, 1024], 2000,
-                              {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
-                              {"height_cap": 20_000})
-        return _finish(run_theorem1(cfg), out_dir)
-    if args.experiment == "localtime":
-        law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
-        cfg = _default_config(args, overrides, seed, "localtime", law,
-                              [2**q for q in range(6, 11)], 100,
-                              {"violations": 1, "ratio": 0.6},
-                              {"base_resolution": 2**13, "paths": 100})
-        return _finish(run_localtime_stability(cfg), out_dir)
-    if args.experiment == "lemma1":
-        law = _parse_law(law_text) if law_text else IncrementLaw.gaussian()
-        cfg = _default_config(args, overrides, seed, "lemma1", law,
-                              [512, 2048], 1000,
-                              {"drift_rel": 0.05, "interval_mass": 0.03,
-                               "ratio_rel": 0.15},
-                              {"height_samples": 50_000, "height_cap": 20_000})
-        return _finish(run_lemma1(cfg), out_dir)
-    if args.experiment == "meander":
-        law = _parse_law(law_text) if law_text else IncrementLaw.fair_pm1()
-        cfg = _default_config(args, overrides, seed, "meander", law,
-                              [256, 1024], 4000,
-                              {"endpoint_ks": 0.04, "cross_method_ks": 0.02},
-                              {"cross_check_n": 32, "cross_check_trials": 20_000})
-        return _finish(run_meander(cfg), out_dir)
-    # harmonic
-    law = _parse_law(law_text) if law_text else IncrementLaw.fair_pm1()
-    n_grid = overrides.get("n_grid", [2**q for q in range(8, 12)])
-    if args.n_grid:
-        n_grid = [int(x) for x in args.n_grid.split(",")]
-    x_grid = overrides.get("params", {}).get("x_grid", [1.0, 3.0])
-    tol = {"product_rel": 0.05, "doubling_rel": 0.02,
-           **overrides.get("tolerances", {})}
-    rep = harmonic_limits(law, x_grid, n_grid)
-    target = half_stable_tau_tail(1.0)
-    criteria = [
-        Criterion("harmonic_product_rel_error",
-                  abs(rep.product[-1] / target - 1.0), tol["product_rel"]),
-        Criterion("harmonic_last_doubling_change",
-                  rep.relative_changes[-1], tol["doubling_rel"]),
-    ]
-    echo = {"command": "converge", "experiment": "harmonic",
-            "law": law.describe(), "n_grid": n_grid, "x_grid": x_grid,
-            "seed": seed, "tolerances": tol}
-    report = ExperimentReport(config=echo, criteria=criteria,
-                              tables={"harmonic": rep.to_csv_rows()})
-    return _finish(report, out_dir)
+    cfg = ExperimentConfig(
+        experiment=args.experiment, law=_parse_law(law_text) if law_text else None,
+        n_grid=overrides.get("n_grid", args.n_grid),
+        trials=overrides.get("trials", args.trials), seed=seed,
+        tolerances=overrides.get("tolerances", {}), params=overrides.get("params", {}))
+    return _finish(RUNS[args.experiment](cfg), out_dir)
 
 
 def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
@@ -257,7 +202,7 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     for t, (path, weight) in enumerate(paths):
         for i, v in enumerate(path.values):
             rows.append([t, i, v, weight])
-    _write_rows(out_dir, f"{kind}_paths", rows)
+    write_rows(out_dir, f"{kind}_paths", rows)
     print(f"wrote {n_paths} {kind} paths of length {length} to {out_dir}")
     return 0
 
@@ -265,20 +210,20 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
 def _cmd_tables(args, out_dir) -> int:
     pts = args.points
     s = np.linspace(0.01, 25.0, pts)
-    _write_rows(out_dir, "ladder_time_cdf",
-                [["s", "cdf"]] + [[float(x), float(levy_half_cdf(x))] for x in s])
+    write_rows(out_dir, "ladder_time_cdf",
+               [["s", "cdf"]] + [[float(x), float(levy_half_cdf(x))] for x in s])
     x = np.linspace(0.0, 4.0, pts)
-    _write_rows(out_dir, "meander_endpoint_cdf",
-                [["x", "cdf"]] + [[float(v), float(rayleigh_cdf(v))] for v in x])
+    write_rows(out_dir, "meander_endpoint_cdf",
+               [["x", "cdf"]] + [[float(v), float(rayleigh_cdf(v))] for v in x])
     grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-    _write_rows(out_dir, "ladder_exponent",
-                [["alpha", "beta", "kappa"]] +
-                [[a, b, kappa_bm(a, b)] for a in grid for b in grid])
-    _write_rows(out_dir, "renewal_limit",
-                [["x", "h"]] + [[float(v), float(h_bm(v))] for v in x])
-    _write_rows(out_dir, "constants",
-                [["name", "value"],
-                 ["ladder_time_tail_beyond_1", half_stable_tau_tail(1.0)]])
+    write_rows(out_dir, "ladder_exponent",
+               [["alpha", "beta", "kappa"]] +
+               [[a, b, kappa_bm(a, b)] for a in grid for b in grid])
+    write_rows(out_dir, "renewal_limit",
+               [["x", "h"]] + [[float(v), float(h_bm(v))] for v in x])
+    write_rows(out_dir, "constants",
+               [["name", "value"],
+                ["ladder_time_tail_beyond_1", half_stable_tau_tail(1.0)]])
     print(f"wrote reference tables to {out_dir}")
     return 0
 

@@ -28,11 +28,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .conditioning import conditioned_states, survival_sequence
+from .conditioning import conditioned_states, harmonic_limits, survival_sequence
 from .errors import (BudgetError, ConfigError, HypothesisViolationError,
                      InsufficientLadderError, ParameterError)
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
@@ -44,6 +44,7 @@ from .scaling import (norming_constant, positivity_probabilities, positivity_rul
 from .stats import Sample, ks_statistic, trend_test
 
 __all__ = [
+    "DECLARED",
     "ExperimentConfig",
     "Criterion",
     "ExperimentReport",
@@ -53,6 +54,7 @@ __all__ = [
     "run_localtime_stability",
     "run_lemma1",
     "run_meander",
+    "run_harmonic",
 ]
 
 
@@ -60,37 +62,55 @@ __all__ = [
 # configs and reports
 
 
+def reject_unknown(owner: str, kind: str, given, known) -> None:
+    """Raise a ConfigError naming every key of ``given`` outside ``known``."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigError(f"{owner}: unknown {kind} key(s) "
+                          + ", ".join(map(repr, unknown)))
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything an experiment needs, echoed verbatim into its report."""
+    """Everything an experiment needs, echoed verbatim into its report.
+
+    ``law``, ``n_grid`` and ``trials`` left at None, and the tolerance and
+    param keys left out, take their values in ``DECLARED`` (where ``seed``
+    is None) when :meth:`validate` runs.
+    """
 
     experiment: str
-    law: IncrementLaw
-    n_grid: List[int]
-    trials: int = 1000
-    seed: int = 20240801
+    law: Optional[IncrementLaw]
+    n_grid: Optional[List[int]]
+    trials: Optional[int]
+    seed: Optional[int]
     tolerances: Dict[str, float] = field(default_factory=dict)
     params: Dict[str, object] = field(default_factory=dict)
 
-    def validate(self, tolerances=(), params=()) -> None:
-        """Check the grid and the trial count; reject tolerance and param
-        keys outside ``tolerances`` and ``params``, the keys the experiment
-        reads."""
-        for kind, given, known in (("tolerances", self.tolerances, tolerances),
-                                   ("params", self.params, params)):
-            unknown = sorted(set(given) - set(known))
-            if unknown:
-                raise ConfigError(f"{self.experiment}: unknown {kind} key(s) "
-                                  + ", ".join(map(repr, unknown)))
+    def validate(self, name: str) -> None:
+        """Fill what is unset from ``DECLARED[name]``, reject keys it does not
+        declare, check the grid and the trials, and that the law rises and falls."""
+        declared = DECLARED[name]
+        reject_unknown(self.experiment, "tolerances", self.tolerances,
+                       declared.tolerances)
+        reject_unknown(self.experiment, "params", self.params, declared.params)
+        if declared.trials is None and self.trials is not None:
+            reject_unknown(self.experiment, "config", ["trials"], ())
+        self.law = declared.law if self.law is None else self.law
+        self.n_grid = list(declared.n_grid if self.n_grid is None else self.n_grid)
+        self.trials = declared.trials if self.trials is None else self.trials
+        self.tolerances = {**declared.tolerances, **self.tolerances}
+        self.params = {**declared.params, **self.params}
         if not self.n_grid:
             raise ConfigError("empty n grid")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n grid must be strictly increasing")
-        if self.trials < 100:
+        if self.trials is not None and self.trials < 100:
             raise ConfigError("at least 100 trials per n are required")
+        check_bilateral(self.law)
 
     def echo(self) -> dict:
-        return {
+        echo = {
             "experiment": self.experiment,
             "law": self.law.describe(),
             "n_grid": list(self.n_grid),
@@ -99,26 +119,47 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "params": {k: repr(v) for k, v in sorted(self.params.items())},
         }
+        return {k: v for k, v in echo.items() if v is not None}  # harmonic: no trials
+
+
+# the one place each experiment's defaults are written: the config that
+# `fluctwalk converge <name>` runs as it stands, less the seed
+DECLARED = {c.experiment: c for c in (
+    ExperimentConfig("theorem1", IncrementLaw.gaussian(), [256, 1024], 2000, None,
+                     {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
+                     {"tail_table": 1_000_000, "height_cap": 20_000, "window_mult": 64}),
+    ExperimentConfig("localtime", IncrementLaw.gaussian(), [2 ** q for q in range(6, 11)],
+                     100, None, {"violations": 1, "ratio": 0.6},
+                     {"base_resolution": 2 ** 13, "paths": 100, "variant": "verbatim"}),
+    ExperimentConfig("lemma1", IncrementLaw.gaussian(), [512, 2048], 1000, None,
+                     {"drift_rel": 0.05, "interval_mass": 0.03, "ratio_rel": 0.15},
+                     {"height_samples": 50_000, "height_cap": 20_000,
+                      "interval": (0.5, 1.0), "interval1": (0.5, 1.0),
+                      "interval2": (1.0, 2.0), "time_tail_cutoff": 1.0}),
+    ExperimentConfig("meander", IncrementLaw.fair_pm1(), [256, 1024], 4000, None,
+                     {"endpoint_ks": 0.04, "cross_method_ks": 0.02},
+                     {"cross_check_n": 32, "cross_check_trials": 20_000}),
+    ExperimentConfig("harmonic", IncrementLaw.fair_pm1(), [2 ** q for q in range(8, 12)],
+                     None, None, {"product_rel": 0.05, "doubling_rel": 0.02},
+                     {"x_grid": (1.0, 3.0)}),
+)}
 
 
 @dataclass
 class Criterion:
+    """Passes when ``value <= threshold``."""
+
     cid: str
     value: float
     threshold: float
-    comparator: str = "<="  # value <= threshold passes
 
     @property
     def passed(self) -> bool:
-        if self.comparator == "<=":
-            return self.value <= self.threshold
-        if self.comparator == ">=":
-            return self.value >= self.threshold
-        raise ParameterError(f"unknown comparator {self.comparator!r}")
+        return self.value <= self.threshold
 
     def to_json(self) -> dict:
         return {"id": self.cid, "value": self.value, "threshold": self.threshold,
-                "comparator": self.comparator, "pass": self.passed}
+                "comparator": "<=", "pass": self.passed}
 
 
 @dataclass
@@ -150,8 +191,13 @@ class ExperimentReport:
             fh.write(self.to_json())
             fh.write("\n")
         for name, rows in self.tables.items():
-            with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+            write_rows(out_dir, name, rows)
+
+
+def write_rows(out_dir: str, name: str, rows: List[list]) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def check_bilateral(law: IncrementLaw) -> None:
@@ -329,10 +375,8 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     epochs among those read, in trial order, up to the window that delivered
     the last pair (see :func:`windowed_ladder_pairs`).
     """
-    config.validate(tolerances=("ks", "height_mean", "height_sd"),
-                    params=("tail_table", "height_cap", "window_mult"))
+    config.validate("theorem1")
     law = config.law
-    check_bilateral(law)
     if law.kind == "heavy_tail":
         raise ConfigError("ladder-pair scaling targets are calibrated for the "
                           "finite-variance families; use run_lemma1 for "
@@ -351,7 +395,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
             route = "pm1"
             sigma = float(unit)
             rule = positivity_rule(law)
-            tail = pm1_t1_tail(config.params.get("tail_table", 1_000_000))
+            tail = pm1_t1_tail(config.params["tail_table"])
             tail_kind = "pm1"
         else:
             route = "windowed"
@@ -364,14 +408,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         route = "diffuse"
         sigma = law.stddev
         rule = positivity_rule(law)
-        tail = universal_t1_tail(config.params.get("tail_table", 1_000_000))
+        tail = universal_t1_tail(config.params["tail_table"])
         tail_kind = "universal"
 
-    cap = int(config.params.get("height_cap", 100_000))
-    window_mult = int(config.params.get("window_mult", 64))
-    tol_ks = config.tolerances.get("ks", 0.02)
-    tol_mean = config.tolerances.get("height_mean", 0.02)
-    tol_sd = config.tolerances.get("height_sd", 0.05)
+    cap = int(config.params["height_cap"])
+    window_mult = int(config.params["window_mult"])
 
     notes: Dict[str, object] = {}
     if route == "windowed":
@@ -422,10 +463,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         rows.append([n, a_ns[i], ks, h_mean, h_sd])
         ks_series.append((n, ks))
 
+    tol = config.tolerances
     criteria = [
-        Criterion("ladder_time_ks", rows[-1][2], tol_ks),
-        Criterion("height_mean_error", abs(rows[-1][3] - BROWNIAN_DRIFT), tol_mean),
-        Criterion("height_sd", rows[-1][4], tol_sd),
+        Criterion("ladder_time_ks", rows[-1][2], tol["ks"]),
+        Criterion("height_mean_error", abs(rows[-1][3] - BROWNIAN_DRIFT), tol["height_mean"]),
+        Criterion("height_sd", rows[-1][4], tol["height_sd"]),
     ]
     if len(ks_series) >= 3:
         tr = trend_test(ks_series)
@@ -445,15 +487,13 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
     normalized local-time curves are compared in sup norm on the shared
     window.  The median discrepancy per comparison must trend down.
     """
-    config.validate(tolerances=("violations", "ratio"),
-                    params=("base_resolution", "paths", "variant"))
+    config.validate("localtime")
     law = config.law
-    check_bilateral(law)
     if law.kind != "gaussian" or law.mean != 0.0:
         raise ConfigError("skeleton stability uses a centred Gaussian base walk")
-    N = int(config.params.get("base_resolution", 1 << 16))
-    paths = int(config.params.get("paths", 200))
-    variant = config.params.get("variant", "verbatim")
+    N = int(config.params["base_resolution"])
+    paths = int(config.params["paths"])
+    variant = config.params["variant"]
     if N & (N - 1):
         raise ConfigError("base resolution must be a power of two")
     for n in config.n_grid:
@@ -489,9 +529,8 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
     tr = trend_test(series)
     criteria = [
         Criterion("median_trend_violations", tr.violations,
-                  config.tolerances.get("violations", 1)),
-        Criterion("median_final_over_initial", tr.ratio,
-                  config.tolerances.get("ratio", 0.5)),
+                  config.tolerances["violations"]),
+        Criterion("median_final_over_initial", tr.ratio, config.tolerances["ratio"]),
     ]
     return ExperimentReport(config=config.echo(), criteria=criteria,
                             tables={"localtime_stability": rows},
@@ -503,20 +542,17 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
-    config.validate(tolerances=("ratio_rel", "drift_rel", "interval_mass"),
-                    params=("interval1", "interval2", "interval", "height_cap",
-                            "height_samples", "time_tail_cutoff"))
+    config.validate("lemma1")
     law = config.law
-    check_bilateral(law)
     notes: Dict[str, object] = {}
+    cap = int(config.params["height_cap"])
+    count = int(config.params["height_samples"])
 
     if law.kind == "heavy_tail":
         # normalization-free interval ratios of the ladder-height tail
-        a, b = config.params.get("interval1", (0.5, 1.0))
-        a2, b2 = config.params.get("interval2", (1.0, 2.0))
-        cap = int(config.params.get("height_cap", 20_000))
+        a, b = config.params["interval1"]
+        a2, b2 = config.params["interval2"]
         n = config.n_grid[-1]
-        count = int(config.params.get("height_samples", 400_000))
         H, cens = first_passage_heights(law, count, cap, derive_seed(config.seed, 3))
         if law.alpha != 1.0:
             raise ConfigError("ratio targets are calibrated for tail index 1")
@@ -531,7 +567,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
         rows = [["n", "interval1_mass", "interval2_mass", "ratio", "target"],
                 [n, p1, p2, ratio, target]]
         criteria = [Criterion("height_tail_ratio_error", abs(ratio / target - 1.0),
-                              config.tolerances.get("ratio_rel", 0.10))]
+                              config.tolerances["ratio_rel"])]
         notes["height_censored_fraction"] = cens
         return ExperimentReport(config=config.echo(), criteria=criteria,
                                 tables={"lemma1_ratios": rows}, notes=notes)
@@ -551,10 +587,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
         tail = universal_t1_tail(1_000_000)
         tail_kind = "universal"
     rule = positivity_rule(law)
-    a_interval = config.params.get("interval", (0.5, 1.0))
-    cap = int(config.params.get("height_cap", 100_000))
-    count = int(config.params.get("height_samples", 100_000))
-    c_tail = float(config.params.get("time_tail_cutoff", 1.0))
+    c_tail = float(config.params["time_tail_cutoff"])
 
     rows = [["n", "a_n", "an_mean_height", "an_interval_mass", "an_time_tail",
              "time_tail_target"]]
@@ -569,7 +602,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
             H, cens = first_passage_heights(law, count, cap,
                                             derive_seed(config.seed, 10 + i))
             mh = a_n * float(H.mean()) * c_n
-            lo, hi = a_interval
+            lo, hi = config.params["interval"]
             mass = a_n * float(np.mean((H * c_n > lo) & (H * c_n <= hi)))
             notes["height_censored_fraction"] = cens
         kc = int(math.ceil(c_tail * n))
@@ -582,9 +615,8 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
     last = rows[-1]
     criteria = [
         Criterion("drift_rel_error", abs(last[2] / BROWNIAN_DRIFT - 1.0),
-                  config.tolerances.get("drift_rel", 0.03)),
-        Criterion("height_interval_mass", last[3],
-                  config.tolerances.get("interval_mass", 0.02)),
+                  config.tolerances["drift_rel"]),
+        Criterion("height_interval_mass", last[3], config.tolerances["interval_mass"]),
     ]
     notes["time_tail_rel_error"] = abs(last[4] / last[5] - 1.0)
     return ExperimentReport(config=config.echo(), criteria=criteria,
@@ -625,10 +657,8 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     the grid (weights 1 / (P(C_n) V(endpoint)), exact survival recursion);
     rejection sampling is the ground truth at the small cross-check horizon.
     """
-    config.validate(tolerances=("endpoint_ks", "cross_method_ks"),
-                    params=("cross_check_n", "cross_check_trials"))
+    config.validate("meander")
     law = config.law
-    check_bilateral(law)
     if law.kind != "lattice":
         raise ConfigError("the exact-reweight meander route requires the "
                           "fair +-1 lattice walk")
@@ -636,10 +666,8 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     if set(steps) != {-1, 1} or not law.is_symmetric():
         raise ConfigError("meander experiment implemented for the fair +-1 walk")
 
-    n_small = int(config.params.get("cross_check_n", 32))
-    small_trials = int(config.params.get("cross_check_trials", 100_000))
-    tol_ks = config.tolerances.get("endpoint_ks", 0.02)
-    tol_cross = config.tolerances.get("cross_method_ks", 0.01)
+    n_small = int(config.params["cross_check_n"])
+    small_trials = int(config.params["cross_check_trials"])
 
     surv = survival_sequence(law, list(config.n_grid) + [n_small])
 
@@ -672,10 +700,36 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
                          Sample(xc.astype(np.float64), weights=wc)).statistic
 
     criteria = [
-        Criterion("weighted_endpoint_ks", ks_final, tol_ks),
-        Criterion("cross_method_ks", cross, tol_cross),
+        Criterion("weighted_endpoint_ks", ks_final, config.tolerances["endpoint_ks"]),
+        Criterion("cross_method_ks", cross, config.tolerances["cross_method_ks"]),
     ]
     return ExperimentReport(
         config=config.echo(), criteria=criteria,
         tables={"meander": rows, "meander_stability": stability},
         notes={"cross_check_n": n_small, "cross_check_trials": small_trials})
+
+
+# ---------------------------------------------------------------------------
+# run_harmonic: survival-renewal products
+
+
+def run_harmonic(config: ExperimentConfig) -> ExperimentReport:
+    """Exact harmonic products a_hat_n P(C_n) (:func:`harmonic_limits`) at
+    the largest n against the 1/2-stable tail P(tau > 1), and their change
+    over the last doubling of n.  No trials are drawn."""
+    config.validate("harmonic")
+    rep = harmonic_limits(config.law, config.params["x_grid"], config.n_grid)
+    criteria = [
+        Criterion("harmonic_product_rel_error",
+                  abs(rep.product[-1] / half_stable_tau_tail(1.0) - 1.0),
+                  config.tolerances["product_rel"]),
+        Criterion("harmonic_last_doubling_change", rep.relative_changes[-1],
+                  config.tolerances["doubling_rel"]),
+    ]
+    return ExperimentReport(config=config.echo(), criteria=criteria,
+                            tables={"harmonic": rep.to_csv_rows()})
+
+
+# `fluctwalk converge <name>` runs RUNS[name], which validates against DECLARED[name]
+RUNS = {"theorem1": run_theorem1, "localtime": run_localtime_stability,
+        "lemma1": run_lemma1, "meander": run_meander, "harmonic": run_harmonic}

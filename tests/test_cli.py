@@ -7,6 +7,7 @@ import pytest
 
 from fluctwalk import experiments
 from fluctwalk.cli import main
+from fluctwalk.increments import IncrementLaw
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -165,7 +166,7 @@ def _stop_after_validation(monkeypatch):
     monkeypatch.setattr(experiments, "check_bilateral", stop)
 
 
-EXPERIMENTS = ["theorem1", "localtime", "lemma1", "meander"]
+EXPERIMENTS = ["theorem1", "localtime", "lemma1", "meander", "harmonic"]
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -185,6 +186,59 @@ def test_convergence_suite_configs_pass_validation(tmp_path, monkeypatch, full):
         cfgfile.write_text(json.dumps(configs[name]))
         with pytest.raises(Validated):
             run(["--config", str(cfgfile), "--out", str(tmp_path), "converge", name])
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_converge_precedence(tmp_path, monkeypatch, name):
+    # config n_grid / trials > --n-grid / --trials > declaration; --law > config law
+    validate = experiments.ExperimentConfig.validate
+
+    def capture(config, experiment):
+        validate(config, experiment)
+        raise Validated(config)
+    monkeypatch.setattr(experiments.ExperimentConfig, "validate", capture)
+
+    def resolved(overrides, flags=(), law_flag=()):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(overrides))
+        with pytest.raises(Validated) as exc:
+            run(["--config", str(cfgfile), "--out", str(tmp_path), *flags,
+                 "converge", name, *law_flag])
+        return exc.value.args[0]
+
+    declared = experiments.DECLARED[name]
+    draws = declared.trials is not None
+    flags = ["--n-grid", "64,128,256"] + ["--trials", "300"] * draws
+    config = {"n_grid": [32, 64, 128], **({"trials": 200} if draws else {})}
+    c = resolved({})
+    assert (c.n_grid, c.trials, c.law) == (declared.n_grid, declared.trials, declared.law)
+    c = resolved({}, flags)
+    assert (c.n_grid, c.trials) == ([64, 128, 256], 300 if draws else None)
+    c = resolved(config, flags)
+    assert (c.n_grid, c.trials) == ([32, 64, 128], 200 if draws else None)
+    assert resolved({"law": "uniform3"}).law == IncrementLaw.uniform3()
+    c = resolved({"law": "uniform3"}, law_flag=["--law", "fair-pm1"])
+    assert c.law == IncrementLaw.fair_pm1()
+
+
+def test_malformed_n_grid_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", str(tmp_path), "--n-grid", "64,x", "converge", "theorem1"])
+    assert exc.value.code == 2
+    assert "--n-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "idloc"], "gausian_paths"),
+    (["converge", "theorem1"], "n_gird"),
+    (["converge", "harmonic"], "trials"),
+])
+def test_unread_config_keys_rejected(tmp_path, capsys, argv, key):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({key: 5, "seed": 1, "out": str(tmp_path / "o")}))
+    assert run(["--config", str(cfgfile)] + argv) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_tables(tmp_path):

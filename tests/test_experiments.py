@@ -8,8 +8,9 @@ from fluctwalk.errors import BudgetError, ConfigError, HypothesisViolationError
 from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
                                    first_passage_heights, gaussian_norming,
                                    pm1_meander_endpoints_rejection, pm1_t1_tail,
-                                   run_lemma1, run_localtime_stability,
-                                   run_meander, run_theorem1,
+                                   run_harmonic, run_lemma1,
+                                   run_localtime_stability, run_meander,
+                                   run_theorem1,
                                    sample_ladder_times, universal_t1_tail)
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import levy_half_cdf
@@ -29,11 +30,11 @@ def cfg(experiment, law, n_grid, trials=200, tolerances=None, params=None, seed=
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        cfg("x", GAUSS, [8, 4]).validate()
+        cfg("x", GAUSS, [8, 4]).validate("theorem1")
     with pytest.raises(ConfigError):
-        cfg("x", GAUSS, []).validate()
+        cfg("x", GAUSS, []).validate("theorem1")
     with pytest.raises(ConfigError):
-        cfg("x", GAUSS, [8], trials=10).validate()
+        cfg("x", GAUSS, [8], trials=10).validate("theorem1")
 
 
 @pytest.mark.parametrize("run,kind,key", [
@@ -42,6 +43,7 @@ def test_config_validation():
     (run_meander, "tolerances", "resample"),
     (run_lemma1, "params", "windw_mult"),
     (run_localtime_stability, "tolerances", "resample"),
+    (run_harmonic, "tolerances", "product_rell"),
 ])
 def test_unknown_config_keys_rejected(run, kind, key):
     c = cfg("x", FAIR, [64, 128], **{kind: {key: 1}})
