@@ -19,8 +19,7 @@ from .scaling import (FristedtReport, PositivitySequence, fristedt_residual,
 from .conditioning import (RenewalFunction, SurvivalEstimate, conditioned_states,
                            conditioned_walk, harmonic_limits, meander_sample,
                            renewal_function, survival_probability)
-from .oracle import (ExactDistribution, distribution_equality, enumerate_paths,
-                     exact_functional_distribution, functional_distribution)
+from .oracle import ExactDistribution, distribution_equality, exact_functional_distribution
 from .stats import Sample, ks_statistic, trend_test, wasserstein1
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf
 from .experiments import (ExperimentConfig, ExperimentReport, run_harmonic, run_lemma1,

@@ -44,7 +44,8 @@ from .conditioning import (conditioned_states, h_kernel_row,
 from .fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
                           local_time_strict)
 from .increments import IncrementLaw, derive_seed, iter_rows
-from .oracle import ExactDistribution, distribution_equality, iter_paths
+from .oracle import (distribution_equality, exact_functional_distribution,
+                     integer_law, iter_paths)
 from .scaling import fristedt_residual
 from .transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
 
@@ -115,20 +116,21 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
     maximum contact off the ladder epochs form the common atom "boundary" (on
     diffuse laws it is null).  Half the total absolute mass of an entry is
     the total-variation distance between its two laws; atoms of zero
-    difference are not stored.
+    difference are not stored.  Differences are integer weights over D**m
+    (:func:`~fluctwalk.oracle.iter_paths`).
     """
     diffs: List[Dict] = [{} for _ in range(m + 1)]
 
-    def add(k, rev_key, fwd_key, prob):
+    def add(k, rev_key, fwd_key, c):
         # atoms whose difference returns to zero are dropped, which keeps
         # the m + 1 live maps small
         d = diffs[k]
-        for key, p in ((rev_key, prob), (fwd_key, -prob)):
+        for key, p in ((rev_key, c), (fwd_key, -c)):
             v = d.pop(key, 0) + p
             if v:
                 d[key] = v
 
-    for _, vals, prob in iter_paths(law, m):
+    for _, vals, c in iter_paths(law, m):
         T = ladder_epochs(vals)
         lam = local_time_strict(vals).counts
         up = tanaka_transform(vals)
@@ -136,39 +138,41 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
         marks = [bisect_left(T, i) for i in range(T[-1] + 1)]
         for k in range(1, m + 1):
             if len(T) - 1 < k:
-                add(k, "unrealized", "unrealized", prob)
+                add(k, "unrealized", "unrealized", c)
                 continue
             t = T[k]
             add(k, (tuple(vals[t] - vals[t - i] for i in range(t + 1)),
                     tuple(k - lam[t - i] for i in range(t + 1))),
-                (tuple(up[: t + 1]), tuple(marks[: t + 1])), prob)
+                (tuple(up[: t + 1]), tuple(marks[: t + 1])), c)
         g = last_max_index(vals, m)
         if g != T[-1]:
-            add(0, "boundary", "boundary", prob)
+            add(0, "boundary", "boundary", c)
             continue
         add(0, (tuple(vals[g] - vals[g - i] for i in range(g + 1)),
                 tuple(lam[g] - lam[g - i] for i in range(g + 1))),
-            (tuple(up[: g + 1]), tuple(marks[: g + 1])), prob)
+            (tuple(up[: g + 1]), tuple(marks[: g + 1])), c)
     return diffs
 
 
-def _total_variation(diff: Dict) -> Fraction:
-    return sum(map(abs, diff.values()), Fraction(0)) / 2
+def _total_variation(diff: Dict, Dm: int) -> Fraction:
+    """Total variation of a signed difference of integer weights over Dm."""
+    return Fraction(sum(map(abs, diff.values())), 2 * Dm)
 
 
 def certify_reversal(laws: Sequence[IncrementLaw] = None,
-                     max_length: int = 10) -> CheckResult:
+                     max_length: int = 8) -> CheckResult:
     laws = DEFAULT_LAWS() if laws is None else laws
     rows = [["law", "length", "check", "k", "tv"]]
     ok = True
     for law in laws:
+        D = integer_law(law)[2]
         for m in range(1, max_length + 1):
             diffs = _reversal_differences(law, m)
             for k in range(1, m + 1):
-                tv = _total_variation(diffs[k])
+                tv = _total_variation(diffs[k], D ** m)
                 rows.append([law.description, m, "ladder_segment", k, str(tv)])
                 ok = ok and tv == 0
-            tv = _total_variation(diffs[0])
+            tv = _total_variation(diffs[0], D ** m)
             rows.append([law.description, m, "last_maximum", "", str(tv)])
             ok = ok and tv == 0
     return CheckResult("reversal", ok,
@@ -196,8 +200,8 @@ def _idloc_violations(V: np.ndarray, variant: str) -> tuple:
     return int(np.count_nonzero(t_last)), int(np.count_nonzero(first < t_last))
 
 
-def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
-                  gaussian_length: int = 1_000, seed: int = 20240808) -> CheckResult:
+def certify_idloc(enum_length: int = 8, gaussian_paths: int = 2000,
+                  gaussian_length: int = 500, seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
     paths = np.array([vals for _, vals, _ in iter_paths(law, enum_length)])
     checked, violations = _idloc_violations(paths, "strict")
@@ -224,10 +228,11 @@ def certify_idloc(enum_length: int = 12, gaussian_paths: int = 10_000,
 # meander absolute continuity and weight normalization
 
 
-def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
-                       weight_trials: int = 100_000,
+def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
+                       weight_trials: int = 20_000,
                        seed: int = 20240808) -> CheckResult:
     law = IncrementLaw.fair_pm1()
+    D = integer_law(law)[2]
     V = renewal_function(law)
     surv = survival_sequence(law, range(1, max_length + 1))
     rows = [["length", "paths_checked", "mismatches"]]
@@ -237,14 +242,14 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
         mism = 0
         total = 0
         seen = set()
-        for _, vals, prob in iter_paths(law, m):
+        for _, vals, c in iter_paths(law, m):
             if min(vals[1:]) < 0:
                 continue
             total += 1
             seen.add(vals)
             # meander mass of this path times P(C_m) V(endpoint) must equal
             # the conditioned-chain mass, path by path
-            lhs = prob * V(Fraction(vals[-1]))
+            lhs = Fraction(c, D ** m) * V(Fraction(vals[-1]))
             rhs = chain.atoms.get(tuple(vals), Fraction(0))
             if lhs != rhs:
                 mism += 1
@@ -276,7 +281,7 @@ def certify_meander_ac(max_length: int = 10, weight_n: int = 32,
 # conditioned kernel rows and endpoint equivalence
 
 
-def certify_h_kernel(max_length: int = 10) -> CheckResult:
+def certify_h_kernel(max_length: int = 8) -> CheckResult:
     law = IncrementLaw.fair_pm1()
     V = renewal_function(law)
     rows = [["check", "value", "pass"]]
@@ -303,12 +308,9 @@ def certify_h_kernel(max_length: int = 10) -> CheckResult:
     endpoint_ok = True
     worst = Fraction(0)
     for m in range(1, max_length + 1):
-        td_end: Dict = {}
-        for _, vals, prob in iter_paths(law, m):
-            e = tanaka_transform(vals)[-1]
-            td_end[e] = td_end.get(e, Fraction(0)) + prob
+        td_end = exact_functional_distribution(law, m, lambda v: tanaka_transform(v)[-1])
         chain_end = hchain_endpoint_distribution(law, m, V)
-        tv = distribution_equality(ExactDistribution(td_end), chain_end)
+        tv = distribution_equality(td_end, chain_end)
         worst = max(worst, tv)
         endpoint_ok = endpoint_ok and tv == 0
     rows.append([f"endpoint_equivalence_to_{max_length}", str(worst), endpoint_ok])

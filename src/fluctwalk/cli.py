@@ -17,6 +17,7 @@ ones).  Each command writes ``report.json`` plus plot-ready CSV tables.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -42,13 +43,23 @@ LAW_SHORTCUTS = {
 }
 
 
+# each verify suite: its certificate in ``certify`` and the config keys it
+# reads, mapped to the certificate's parameters (a later key beats an earlier
+# one).  The certificate's keyword defaults are the suite's only defaults.
+VERIFY = {
+    "fristedt": ("certify_fristedt", {"truncation": "K"}),
+    "reversal": ("certify_reversal", {"max_length": "max_length"}),
+    "idloc": ("certify_idloc", {"max_length": "enum_length", "enum_length": "enum_length",
+                                "gaussian_paths": "gaussian_paths",
+                                "gaussian_length": "gaussian_length"}),
+    "meander-ac": ("certify_meander_ac", {"max_length": "max_length", "weight_n": "weight_n",
+                                          "weight_trials": "weight_trials"}),
+    "h-kernel": ("certify_h_kernel", {"max_length": "max_length"}),
+}
+
 # the config-file keys each command reads besides "seed" and "out"
 CONFIG_KEYS = {
-    "verify fristedt": ("truncation",),
-    "verify reversal": ("max_length",),
-    "verify idloc": ("max_length", "enum_length", "gaussian_paths", "gaussian_length"),
-    "verify meander-ac": ("max_length", "weight_n", "weight_trials"),
-    "verify h-kernel": ("max_length",),
+    **{f"verify {suite}": tuple(keys) for suite, (_, keys) in VERIFY.items()},
     "converge": ("law", "n_grid", "trials", "tolerances", "params"),
     "simulate": ("law", "length", "paths", "kind"),
     "tables": (),
@@ -98,16 +109,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="exact certification suites")
-    p_verify.add_argument("suite", choices=["fristedt", "reversal", "idloc",
-                                            "meander-ac", "h-kernel"])
-    p_verify.add_argument("--max-length", type=int, default=8)
+    p_verify.add_argument("suite", choices=list(VERIFY))
+    p_verify.add_argument("--max-length", type=int, default=None)
 
     p_conv = sub.add_parser("converge", help="Monte Carlo scaling experiments")
     p_conv.add_argument("experiment", choices=list(RUNS))
     p_conv.add_argument("--law", default=None)
 
     p_sim = sub.add_parser("simulate", help="stream sampled paths to CSV")
-    p_sim.add_argument("--law", default="gaussian")
+    p_sim.add_argument("--law", default=None, help="default: gaussian")
     p_sim.add_argument("--length", type=int, default=256)
     p_sim.add_argument("--paths", type=int, default=8)
     p_sim.add_argument("--kind", choices=["walk", "conditioned", "meander"],
@@ -142,31 +152,24 @@ def main(argv=None) -> int:
 
 
 def _cmd_verify(args, overrides, out_dir, seed) -> int:
-    m = overrides.get("max_length", args.max_length)
-    if args.suite == "fristedt":
-        res = [certify.certify_fristedt(K=overrides.get("truncation", 60))]
-    elif args.suite == "reversal":
-        res = [certify.certify_reversal(max_length=m)]
-    elif args.suite == "idloc":
-        res = [certify.certify_idloc(
-            enum_length=overrides.get("enum_length", m),
-            gaussian_paths=overrides.get("gaussian_paths", 2000),
-            gaussian_length=overrides.get("gaussian_length", 500),
-            seed=seed)]
-    elif args.suite == "meander-ac":
-        res = [certify.certify_meander_ac(
-            max_length=m,
-            weight_n=overrides.get("weight_n", 32),
-            weight_trials=overrides.get("weight_trials", 20_000),
-            seed=seed)]
-    else:
-        res = [certify.certify_h_kernel(max_length=m)]
+    name, keys = VERIFY[args.suite]
+    certificate = getattr(certify, name)
+    given = dict(overrides)
+    if args.max_length is not None:
+        given["max_length"] = args.max_length
+    kwargs = {param: given[key] for key, param in keys.items() if key in given}
+    signature = inspect.signature(certificate)
+    if "seed" in signature.parameters:
+        kwargs["seed"] = seed
+    resolved = signature.bind(**kwargs)
+    resolved.apply_defaults()
+    res = certificate(**kwargs)
     echo = {"command": "verify", "suite": args.suite, "seed": seed,
-            "max_length": m, "overrides": overrides}
-    criteria = [Criterion(r.name, 0.0 if r.passed else 1.0, 0.0) for r in res]
+            "params": resolved.arguments, "overrides": overrides}
+    criteria = [Criterion(res.name, 0.0 if res.passed else 1.0, 0.0)]
     return _finish(ExperimentReport(config=echo, criteria=criteria,
-                                    tables={r.name: r.rows for r in res if r.rows},
-                                    notes={r.name: r.detail for r in res}), out_dir)
+                                    tables={res.name: res.rows} if res.rows else {},
+                                    notes={res.name: res.detail}), out_dir)
 
 
 def _cmd_converge(args, overrides, out_dir, seed) -> int:
@@ -180,7 +183,7 @@ def _cmd_converge(args, overrides, out_dir, seed) -> int:
 
 
 def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
-    law = _parse_law(overrides.get("law", args.law))
+    law = _parse_law(args.law or overrides.get("law") or "gaussian")
     length = overrides.get("length", args.length)
     n_paths = overrides.get("paths", args.paths)
     kind = overrides.get("kind", args.kind)

@@ -1,15 +1,15 @@
 """Exact enumeration oracle for finite-support lattice walks.
 
-Enumerates all increment sequences of a lattice walk with exact rational
+Enumerates all increment sequences of a lattice walk with exact
 probabilities, and pushes any path functional forward to its exact
 distribution.  Floating point never enters: outcome keys are increment index
 sequences (not real values), path values are integers on the lattice spanned
-by the support, and all masses are :class:`fractions.Fraction`.
+by the support, and every returned mass is a :class:`fractions.Fraction`.
 
 Internally a lattice law's exact mass is an integer numerator over D**k
-(:func:`integer_law`); the path DFS and the level sweep
+(:func:`integer_law`); the path DFS (:func:`iter_paths`) and the level sweep
 (:func:`lattice_sweep`) behind every exact lattice recursion in the package
-work on those integers and build Fractions only in returned values.
+yield those integers, and Fractions are built only in returned values.
 
 This module is the certification substrate for the package's identity
 checks: a total-variation distance of exactly zero between two enumerated
@@ -20,9 +20,9 @@ coincidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "integer_law",
     "lattice_sweep",
     "iter_paths",
-    "enumerate_paths",
-    "functional_distribution",
     "exact_functional_distribution",
     "distribution_equality",
 ]
@@ -48,7 +46,6 @@ class ExactDistribution:
     """Finite map from outcome to exact rational probability."""
 
     atoms: Dict[Hashable, Fraction]
-    decode: Optional[Callable[[Hashable], Hashable]] = field(default=None, repr=False)
 
     def total(self) -> Fraction:
         return sum(self.atoms.values(), Fraction(0))
@@ -106,25 +103,25 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0):
 
 
 def iter_paths(law: IncrementLaw, length: int,
-               budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[tuple, tuple, Fraction]]:
-    """Yield (increment index key, integer path values, probability).
+               budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[tuple, tuple, int]]:
+    """Yield (increment index key, integer path values, integer weight).
 
+    A path has probability weight / D**length, with D from
+    :func:`integer_law` (the D that :func:`lattice_sweep` yields).
     Depth-first over increment choices in lexicographic order, so functionals
     can stream without all paths being materialized.  Prefixes are shared:
-    a choice change at depth j recomputes the values and integer weight
-    numerators from depth j on only.  Path values are on the integer lattice of the law's
-    support; multiply by the unit from ``lattice_integer_form`` to recover
-    rational values.
+    a choice change at depth j recomputes the values and weights from depth j
+    on only.  Path values are on the integer lattice of the law's support;
+    multiply by the unit from ``lattice_integer_form`` to recover rational
+    values.
     """
     if length < 0:
         raise ParameterError("length must be >= 0")
-    _, live, D = integer_law(law)
+    _, live, _ = integer_law(law)
     r = len(live)
     n_paths = r ** length
     if n_paths > budget:
         raise BudgetError(f"{n_paths} paths exceed the enumeration budget {budget}")
-    denom = D ** length
-    probs: Dict[int, Fraction] = {}  # paths of equal weight share one Fraction
     choice = [0] * length
     keys = [0] * length
     vals = [0] * (length + 1)
@@ -135,11 +132,7 @@ def iter_paths(law: IncrementLaw, length: int,
             keys[d], s, a = live[choice[d]]
             vals[d + 1] = vals[d] + s
             nums[d + 1] = nums[d] * a
-        c = nums[length]
-        prob = probs.get(c)
-        if prob is None:
-            prob = probs[c] = Fraction(c, denom)
-        yield tuple(keys), tuple(vals), prob
+        yield tuple(keys), tuple(vals), nums[length]
         j = length - 1
         while j >= 0 and choice[j] == r - 1:
             choice[j] = 0
@@ -149,44 +142,21 @@ def iter_paths(law: IncrementLaw, length: int,
         choice[j] += 1
 
 
-def enumerate_paths(law: IncrementLaw, length: int,
-                    budget: int = DEFAULT_BUDGET) -> ExactDistribution:
-    """Exact distribution over paths, keyed by increment index sequences."""
-    atoms = {}
-    values = {}
-    for key, vals, prob in iter_paths(law, length, budget):
-        atoms[key] = atoms.get(key, Fraction(0)) + prob
-        values[key] = vals
-    dist = ExactDistribution(atoms=atoms, decode=values.__getitem__)
-    dist.validate()
-    return dist
-
-
-def functional_distribution(dist: ExactDistribution, functional) -> ExactDistribution:
-    """Exact pushforward of a distribution under a total functional.
-
-    The functional receives decoded outcomes (integer path values when the
-    distribution came from :func:`enumerate_paths`) and must return hashable
-    results.
-    """
-    out: Dict[Hashable, Fraction] = {}
-    for key, prob in dist.atoms.items():
-        x = dist.decode(key) if dist.decode is not None else key
-        y = functional(x)
-        out[y] = out.get(y, Fraction(0)) + prob
-    result = ExactDistribution(atoms=out)
-    result.validate()
-    return result
-
-
 def exact_functional_distribution(law: IncrementLaw, length: int, functional,
                                   budget: int = DEFAULT_BUDGET) -> ExactDistribution:
-    """Streaming pushforward: enumerate and aggregate without storing paths."""
-    out: Dict[Hashable, Fraction] = {}
-    for _, vals, prob in iter_paths(law, length, budget):
+    """Exact pushforward of the law of the length-step path under ``functional``.
+
+    The functional receives the integer path values of each enumerated path
+    and must return a hashable result.  Paths stream without being stored;
+    their integer weights are summed per result and divided once by
+    D**length.
+    """
+    out: Dict[Hashable, int] = {}
+    for _, vals, c in iter_paths(law, length, budget):
         y = functional(vals)
-        out[y] = out.get(y, Fraction(0)) + prob
-    result = ExactDistribution(atoms=out)
+        out[y] = out.get(y, 0) + c
+    Dm = integer_law(law)[2] ** length
+    result = ExactDistribution({y: Fraction(c, Dm) for y, c in out.items()})
     result.validate()
     return result
 

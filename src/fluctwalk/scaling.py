@@ -41,7 +41,6 @@ __all__ = [
     "positivity_rule",
     "FristedtReport",
     "fristedt_residual",
-    "step_distributions",
 ]
 
 
@@ -49,7 +48,7 @@ __all__ = [
 class PositivitySequence:
     """Map k -> P(S_k > 0) for k = 1..K, exact or estimated.
 
-    Exact entries are Fractions from the enumeration/convolution oracle;
+    Exact entries are Fractions from the integer level sweep;
     estimated entries are floats with per-entry standard errors.
     """
 
@@ -145,22 +144,6 @@ def positivity_rule(law: IncrementLaw, sign: int = +1):
     return None
 
 
-def step_distributions(law: IncrementLaw, K: int):
-    """Exact laws of S_1..S_K on the integer lattice, by convolution.
-
-    Returns (unit, [dist_1..dist_K]) where dist_k maps integer position to
-    Fraction probability and positions scale by ``unit``.
-    """
-    if law.kind != "lattice":
-        raise UnsupportedModeError("exact convolution requires a lattice law")
-    unit = law.lattice_integer_form()[0]
-    dists = []
-    for k, lo, w, D in lattice_sweep(law, K):
-        Dk = D ** k
-        dists.append({lo + j: Fraction(c, Dk) for j, c in enumerate(w) if c})
-    return unit, dists
-
-
 def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
                              budget: int = 100_000, seed: int = 0) -> PositivitySequence:
     """P(S_k > 0) for k = 1..K, exact (lattice) or Monte Carlo with errors."""
@@ -169,9 +152,8 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
     if mode == "exact":
         if law.kind != "lattice":
             raise UnsupportedModeError("exact positivity requires a lattice law")
-        _, dists = step_distributions(law, K)
-        probs = {k + 1: sum((p for x, p in d.items() if x > 0), Fraction(0))
-                 for k, d in enumerate(dists)}
+        probs = {k: Fraction(int(above.sum()), Dk)
+                 for k, Dk, _, above, _ in _split_at_zero(law, K, keep=0)}
         return PositivitySequence(probabilities=probs, source="exact")
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
@@ -255,7 +237,7 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
     The truncation tails sit far below double precision already for moderate
     alpha * K, so both sides are evaluated in ``dps``-digit arithmetic on
     top of the exact integer sweeps of :func:`first_ladder_pair_table` and
-    :func:`step_distributions`: at each t the integer weights times
+    of the walk's step laws: at each t the integer weights times
     e^{-beta x} are summed and divided once by D^t.  The residual is then a
     genuine truncation gap, not rounding noise.
     """

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import os
 import runpy
@@ -5,8 +7,8 @@ import sys
 
 import pytest
 
-from fluctwalk import experiments
-from fluctwalk.cli import main
+from fluctwalk import certify, experiments
+from fluctwalk.cli import VERIFY, main
 from fluctwalk.increments import IncrementLaw
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -50,6 +52,51 @@ def test_verify_meander_ac_small(tmp_path):
                                    "max_length": 6}))
     out = str(tmp_path / "ac")
     assert run(["--config", str(cfgfile), "--out", out, "verify", "meander-ac"]) == 0
+
+
+def _recorded_verify(tmp_path, monkeypatch, suite, argv=(), config=None):
+    """Run ``verify suite`` on a stand-in certificate with the real signature;
+    return the keyword arguments it received and the echoed parameters."""
+    name = VERIFY[suite][0]
+    calls = []
+
+    @functools.wraps(getattr(certify, name))
+    def stand_in(**kwargs):
+        calls.append(kwargs)
+        return certify.CheckResult(suite, True, "stand-in")
+
+    monkeypatch.setattr(certify, name, stand_in)
+    cfgfile = tmp_path / f"{suite}.json"
+    cfgfile.write_text(json.dumps(config or {}))
+    out = str(tmp_path / suite)
+    assert run(["--config", str(cfgfile), "--out", out, "verify", suite, *argv]) == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    return calls, report["config"]["params"]
+
+
+@pytest.mark.parametrize("suite", list(VERIFY))
+def test_verify_runs_each_certificate_at_its_own_defaults(tmp_path, monkeypatch, suite):
+    # the certify_* keyword defaults are the only declared sizes: the command
+    # passes nothing but the master seed, and echoes the defaults it ran at
+    signature = inspect.signature(getattr(certify, VERIFY[suite][0]))
+    calls, params = _recorded_verify(tmp_path, monkeypatch, suite)
+    assert calls == [{"seed": 20240808} if "seed" in signature.parameters else {}]
+    assert params == json.loads(json.dumps(
+        {k: p.default for k, p in signature.parameters.items()}))
+
+
+@pytest.mark.parametrize("argv,config,given", [
+    ([], {"max_length": 4}, {"enum_length": 4}),
+    (["--max-length", "3"], {"max_length": 4}, {"enum_length": 3}),
+    (["--max-length", "3"], {"max_length": 4, "enum_length": 5}, {"enum_length": 5}),
+    ([], {"gaussian_paths": 7, "gaussian_length": 9},
+     {"gaussian_paths": 7, "gaussian_length": 9}),
+])
+def test_verify_idloc_reads_max_length_as_enum_length(tmp_path, monkeypatch,
+                                                       argv, config, given):
+    # --max-length beats a config max_length; a config enum_length beats both
+    calls, _ = _recorded_verify(tmp_path, monkeypatch, "idloc", argv, config)
+    assert calls == [{**given, "seed": 20240808}]
 
 
 def test_converge_harmonic_small(tmp_path):
@@ -129,6 +176,24 @@ def test_simulate_writes_paths(tmp_path):
     rows = open(os.path.join(out, "meander_paths.csv")).read().splitlines()
     assert rows[0] == "trial,index,value,weight"
     assert len(rows) == 1 + 3 * 17
+
+
+@pytest.mark.parametrize("flag,config,pm1", [
+    (["--law", "fair-pm1"], {"law": "gaussian"}, True),
+    ([], {"law": "fair-pm1"}, True),
+    ([], {}, False),
+])
+def test_simulate_law_flag_beats_config_law(tmp_path, flag, config, pm1):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = str(tmp_path / "sim")
+    assert run(["--config", str(cfgfile), "--out", out, "simulate", *flag,
+                "--length", "4", "--paths", "2"]) == 0
+    rows = [row.split(",") for row in
+            open(os.path.join(out, "walk_paths.csv")).read().splitlines()[1:]]
+    steps = {abs(float(b[2]) - float(a[2])) for a, b in zip(rows, rows[1:])
+             if a[0] == b[0]}
+    assert (steps == {1.0}) is pm1
 
 
 def test_simulate_conditioned(tmp_path):

@@ -217,9 +217,10 @@ def test_chain_and_meander_absolute_continuity_exact():
         chain = hchain_path_distribution(FAIR, m, V)
         total = F(0)
         from fluctwalk.oracle import iter_paths
-        for _, vals, prob in iter_paths(FAIR, m):
+        for _, vals, c in iter_paths(FAIR, m):
             if min(vals[1:]) < 0:
                 continue
+            prob = F(c, 2 ** m)
             assert prob * V(F(vals[-1])) == chain.atoms[tuple(vals)]
             total += prob
         assert total == survival_probability(FAIR, m).probability
@@ -227,15 +228,17 @@ def test_chain_and_meander_absolute_continuity_exact():
 
 def test_meander_endpoint_distribution_matches_enumeration():
     from fluctwalk.conditioning import meander_endpoint_distribution
-    from fluctwalk.oracle import iter_paths
+    from fluctwalk.oracle import integer_law, iter_paths
     for law in (FAIR, IncrementLaw.uniform3()):
+        D = integer_law(law)[2]
         for k in (2, 5):
             dp = meander_endpoint_distribution(law, k)
             direct = {}
             surv = F(0)
-            for _, vals, prob in iter_paths(law, k):
+            for _, vals, c in iter_paths(law, k):
                 if min(vals[1:]) < 0:
                     continue
+                prob = F(c, D ** k)
                 surv += prob
                 direct[vals[-1]] = direct.get(vals[-1], F(0)) + prob
             direct = {y: p / surv for y, p in direct.items()}

@@ -9,28 +9,28 @@ from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.fluctuation import local_time_strict, local_time_verbatim
 from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
 from fluctwalk.oracle import (ExactDistribution, distribution_equality,
-                              enumerate_paths, exact_functional_distribution,
-                              functional_distribution, iter_paths)
-from fluctwalk.scaling import first_ladder_pair_table, step_distributions
+                              exact_functional_distribution, integer_law, iter_paths,
+                              lattice_sweep)
+from fluctwalk.scaling import first_ladder_pair_table
 from fluctwalk.stats import dkw_epsilon
 
 F = Fraction
 
 
 def test_fair_walk_two_steps_enumerates_four_paths():
-    d = enumerate_paths(IncrementLaw.fair_pm1(), 2)
+    d = exact_functional_distribution(IncrementLaw.fair_pm1(), 2, tuple)
     assert len(d.atoms) == 4
     assert all(p == F(1, 4) for p in d.atoms.values())
 
 
 def test_point_mass_single_path():
-    d = enumerate_paths(IncrementLaw.lattice([2], [1]), 5)
+    d = exact_functional_distribution(IncrementLaw.lattice([2], [1]), 5, tuple)
     assert len(d.atoms) == 1
     assert d.total() == 1
 
 
 def test_biased_walk_product_probabilities():
-    d = enumerate_paths(IncrementLaw.biased_pm1(F(3, 4)), 2)
+    d = exact_functional_distribution(IncrementLaw.biased_pm1(F(3, 4)), 2, tuple)
     assert sorted(d.atoms.values()) == [F(1, 16), F(3, 16), F(3, 16), F(9, 16)]
 
 
@@ -44,13 +44,12 @@ def test_local_time_pushforwards():
 
 
 def test_constant_functional_collapses_to_one_atom():
-    d = enumerate_paths(IncrementLaw.uniform3(), 3)
-    c = functional_distribution(d, lambda vals: "x")
+    c = exact_functional_distribution(IncrementLaw.uniform3(), 3, lambda vals: "x")
     assert c.atoms == {"x": F(1)}
 
 
 def test_tv_of_distribution_with_itself_is_zero():
-    d = enumerate_paths(IncrementLaw.fair_pm1(), 4)
+    d = exact_functional_distribution(IncrementLaw.fair_pm1(), 4, tuple)
     assert distribution_equality(d, d) == 0
 
 
@@ -67,13 +66,6 @@ def test_enumeration_budget_guard():
         list(iter_paths(IncrementLaw.uniform3(), 30, budget=1000))
 
 
-def test_streaming_matches_materialized():
-    law = IncrementLaw.uniform3()
-    d1 = exact_functional_distribution(law, 4, lambda v: v[-1])
-    d2 = functional_distribution(enumerate_paths(law, 4), lambda v: v[-1])
-    assert distribution_equality(d1, d2) == 0
-
-
 def test_empirical_frequencies_within_dkw_band_of_oracle():
     # endpoint distribution of a 6-step fair walk vs 4000 sampled walks
     law = IncrementLaw.fair_pm1()
@@ -88,9 +80,32 @@ def test_empirical_frequencies_within_dkw_band_of_oracle():
 
 
 def test_json_export_uses_fraction_strings():
-    d = enumerate_paths(IncrementLaw.fair_pm1(), 1)
+    d = exact_functional_distribution(IncrementLaw.fair_pm1(), 1, tuple)
     js = d.to_json()
     assert set(js.values()) == {"1/2"}
+
+
+ZERO_ATOM = IncrementLaw.lattice([-1, 0, 2], [F(2, 5), 0, F(3, 5)],
+                                 description="zero-atom")
+
+
+@pytest.mark.parametrize("law", DEFAULT_LAWS() + [ZERO_ATOM],
+                         ids=lambda law: law.description)
+def test_iter_paths_weights_are_the_integer_sweep(law):
+    # a path's weight is an integer over D**m; summed by endpoint they are the
+    # integer level weights of lattice_sweep at step m (the zero-probability
+    # atom of ZERO_ATOM is never enumerated and leaves empty levels)
+    _, live, D = integer_law(law)
+    for m, lo, w, Ds in lattice_sweep(law, 6):
+        ends = {}
+        n = 0
+        for _, vals, c in iter_paths(law, m):
+            assert type(c) is int and c > 0
+            ends[vals[-1]] = ends.get(vals[-1], 0) + c
+            n += 1
+        assert n == len(live) ** m
+        assert Ds == D and sum(ends.values()) == D ** m
+        assert ends == {lo + j: c for j, c in enumerate(w) if c}
 
 
 @pytest.mark.parametrize("law", DEFAULT_LAWS(), ids=lambda law: law.description)
@@ -98,13 +113,13 @@ def test_level_sweeps_match_path_enumeration(law):
     # every exact quantity built on lattice_sweep equals the pushforward of
     # the enumerated paths, atom by atom (biased 3/4 has D = 4, the others 2, 3)
     K = 7
-    _, dists = step_distributions(law, K)
+    D = integer_law(law)[2]
     surv = survival_sequence(law, range(1, K + 1))
     for k in range(1, K + 1):
-        ends, table, meander = {}, {}, {}
+        table, meander = {}, {}
         survivor = alive = F(0)
-        for _, vals, prob in iter_paths(law, k):
-            ends[vals[-1]] = ends.get(vals[-1], F(0)) + prob
+        for _, vals, c in iter_paths(law, k):
+            prob = F(c, D ** k)
             t = next((j for j in range(1, k + 1) if vals[j] > 0), None)
             if t is None:
                 survivor += prob
@@ -113,7 +128,6 @@ def test_level_sweeps_match_path_enumeration(law):
             if min(vals[1:]) >= 0:
                 alive += prob
                 meander[vals[-1]] = meander.get(vals[-1], F(0)) + prob
-        assert dists[k - 1] == ends
         assert first_ladder_pair_table(law, k)[1:] == (table, survivor)
         assert surv[k] == alive
         assert meander_endpoint_distribution(law, k).atoms == {

@@ -242,3 +242,23 @@ def test_reversed_ladder_segment_law_equals_rebuilt_segment_law():
             d1 = exact_functional_distribution(law, m, rev)
             d2 = exact_functional_distribution(law, m, fwd)
             assert distribution_equality(d1, d2) == 0
+
+
+def test_reversal_certificate_reports_nonzero_tv_exactly(monkeypatch):
+    # marks counted at the segment start instead of strictly before it break
+    # the identity; the certificate must then fail and report each total
+    # variation exactly, with the right denominator and every atom
+    from bisect import bisect_right
+
+    from fluctwalk import certify
+    monkeypatch.setattr(certify, "bisect_left", bisect_right)
+    res = certify.certify_reversal(max_length=3)
+    assert res.passed is False
+    tv = {(law, m, check, k): value for law, m, check, k, value in res.rows[1:]}
+    fair, biased, uniform = (law.description for law in certify.DEFAULT_LAWS())
+    assert tv[(fair, 3, "ladder_segment", 1)] == "5/8"
+    assert tv[(fair, 3, "ladder_segment", 2)] == "1/4"
+    assert tv[(fair, 3, "ladder_segment", 3)] == "1/8"
+    assert tv[(fair, 3, "last_maximum", "")] == "3/4"
+    assert tv[(biased, 3, "ladder_segment", 1)] == "57/64"
+    assert tv[(uniform, 3, "ladder_segment", 1)] == "14/27"
