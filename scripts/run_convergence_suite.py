@@ -7,6 +7,7 @@ default settings finish in well under a minute.
 """
 
 import json
+import os
 import sys
 import tempfile
 
@@ -60,12 +61,13 @@ CONFIGS = {
 
 if __name__ == "__main__":
     worst = 0
-    for name, cfg in CONFIGS.items():
-        print(f"== converge {name}")
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(cfg, fh)
-            path = fh.name
-        code = main(["--config", path, "--out", f"out/converge/{name}",
-                     "converge", name])
-        worst = max(worst, code)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in CONFIGS.items():
+            print(f"== converge {name}")
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            code = main(["--config", path, "--out", f"out/converge/{name}",
+                         "converge", name])
+            worst = max(worst, code)
     sys.exit(worst)

@@ -16,8 +16,8 @@ from .transforms import (ExcursionDecomposition, decompose_excursions,
                          reverse_at_ladder, reverse_at_last_max, tanaka_transform)
 from .scaling import (FristedtReport, PositivitySequence, fristedt_residual,
                       norming_constant, positivity_probabilities)
-from .conditioning import (RenewalFunction, SurvivalEstimate, conditioned_states,
-                           conditioned_walk, harmonic_limits, meander_sample,
+from .conditioning import (SurvivalEstimate, conditioned_states, conditioned_walk,
+                           harmonic_limits, meander_sample, meander_weights,
                            renewal_function, survival_probability)
 from .oracle import ExactDistribution, distribution_equality, exact_functional_distribution
 from .stats import Sample, ks_statistic, trend_test, wasserstein1

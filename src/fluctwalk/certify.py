@@ -40,7 +40,7 @@ import numpy as np
 
 from .conditioning import (conditioned_states, h_kernel_row,
                            hchain_endpoint_distribution, hchain_path_distribution,
-                           renewal_function, survival_sequence)
+                           meander_weights, renewal_function)
 from .fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
                           local_time_strict)
 from .increments import IncrementLaw, derive_seed, iter_rows
@@ -206,14 +206,9 @@ def certify_idloc(enum_length: int = 8, gaussian_paths: int = 2000,
     paths = np.array([vals for _, vals, _ in iter_paths(law, enum_length)])
     checked, violations = _idloc_violations(paths, "strict")
 
-    g_viol = 0
     glaw = IncrementLaw.gaussian(0.0, 1.0)
-    for steps in iter_rows(glaw, gaussian_length, seed, gaussian_paths):
-        V = np.empty((len(steps), gaussian_length + 1))
-        V[:, 0] = 0.0
-        np.cumsum(steps, axis=1, out=V[:, 1:])
-        del steps
-        g_viol += _idloc_violations(V, "verbatim")[1]
+    g_viol = sum(_idloc_violations(V, "verbatim")[1]
+                 for V in iter_rows(glaw, gaussian_length, seed, gaussian_paths))
 
     passed = violations == 0 and g_viol == 0
     detail = (f"{checked} enumerated lattice windows and {gaussian_paths} sampled "
@@ -234,7 +229,6 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
     law = IncrementLaw.fair_pm1()
     D = integer_law(law)[2]
     V = renewal_function(law)
-    surv = survival_sequence(law, range(1, max_length + 1))
     rows = [["length", "paths_checked", "mismatches"]]
     ok = True
     for m in range(1, max_length + 1):
@@ -260,12 +254,10 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
         ok = ok and mism == 0
         rows.append([m, total, mism])
 
-    # weight normalization: mean of 1/(P(C_n) V(endpoint)) over chain samples
+    # weight normalization: mean of the meander weights over chain samples
     for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7), V):
         pass
-    pc = float(surv[weight_n]) if weight_n in surv else float(
-        survival_sequence(law, [weight_n])[weight_n])
-    w = 1.0 / (pc * (x + 1.0))
+    w = meander_weights(law, weight_n, x, V)
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(w.size))
     weight_ok = abs(mean - 1.0) <= 3 * se

@@ -30,7 +30,7 @@ from .conditioning import conditioned_walk, meander_sample, renewal_function
 from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
-from .increments import IncrementLaw, derive_seed, iter_rows, path_from_steps
+from .increments import IncrementLaw, WalkPath, derive_seed, iter_rows
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     try:
         reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))
         if args.command == "verify":
-            return _cmd_verify(args, overrides, out_dir, seed)
+            return _cmd_verify(args, overrides, out_dir, seed, p_verify.error)
         if args.command == "converge":
             return _cmd_converge(args, overrides, out_dir, seed)
         if args.command == "simulate":
@@ -151,11 +151,13 @@ def main(argv=None) -> int:
     return 0
 
 
-def _cmd_verify(args, overrides, out_dir, seed) -> int:
+def _cmd_verify(args, overrides, out_dir, seed, usage_error) -> int:
     name, keys = VERIFY[args.suite]
     certificate = getattr(certify, name)
     given = dict(overrides)
     if args.max_length is not None:
+        if "max_length" not in keys:
+            usage_error(f"--max-length: verify {args.suite} reads no length")
         given["max_length"] = args.max_length
     kwargs = {param: given[key] for key, param in keys.items() if key in given}
     signature = inspect.signature(certificate)
@@ -188,8 +190,8 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     n_paths = overrides.get("paths", args.paths)
     kind = overrides.get("kind", args.kind)
     if kind == "walk":
-        paths = [(path_from_steps(steps), 1.0)
-                 for rows in iter_rows(law, length, seed, n_paths) for steps in rows]
+        paths = [(WalkPath(values=tuple(row)), 1.0)
+                 for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
     elif kind == "conditioned":
         try:
             V = renewal_function(law)

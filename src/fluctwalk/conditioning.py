@@ -23,8 +23,9 @@ lookup in the float-rounded cumulative kernel rows, and the single walk of
 
 Two meander samplers are provided.  Rejection sampling is the ground truth
 at small horizons; above that the conditioned walk is reweighted by
-1 / (P(C_k) V(endpoint)), whose weighted empirical law is exactly the
-meander law, path by path on lattices.
+1 / (P(C_k) V(endpoint)) (:func:`meander_weights`, the one place that
+knows this weight), whose weighted empirical law is exactly the meander
+law, path by path on lattices.
 """
 
 from __future__ import annotations
@@ -39,20 +40,19 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import (IncrementLaw, WalkPath, iter_rows, path_from_steps,
-                         sample_walk, _rng)
+from .increments import IncrementLaw, WalkPath, iter_rows, sample_walk, _rng
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
 from .transforms import tanaka_transform
 
 __all__ = [
-    "RenewalFunction",
     "renewal_function",
     "h_kernel_row",
     "conditioned_states",
     "conditioned_walk",
     "meander_sample",
+    "meander_weights",
     "SurvivalEstimate",
     "survival_probability",
     "survival_sequence",
@@ -68,32 +68,19 @@ __all__ = [
 # renewal function
 
 
-@dataclass
-class RenewalFunction:
-    """Evaluator for V(x) = sum_k P(Hdown_k <= x), exact and rational."""
-
-    evaluator: Callable
-    law: IncrementLaw
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-
-def _skip_free_down_unit(law: IncrementLaw) -> Optional[Fraction]:
-    """Lattice unit if every descent is by exactly one lattice step."""
-    if law.kind != "lattice":
-        return None
-    unit, steps, probs = law.lattice_integer_form()
-    neg = [s for s, p in zip(steps, probs) if p > 0 and s < 0]
-    if neg == [-1]:
-        return unit
-    return None
+def _skip_free_down(law: IncrementLaw) -> bool:
+    """Whether a lattice law never descends by more than one lattice step."""
+    _, steps, probs = law.lattice_integer_form()
+    return all(s >= -1 for s, p in zip(steps, probs) if p > 0)
 
 
 def _descent_probability(law: IncrementLaw) -> Fraction:
-    """P(the walk ever makes a strict descent), for skip-free-down laws."""
+    """P(the walk ever makes a strict descent), for skip-free-down laws
+    and for laws that never step down (0)."""
     unit, steps, probs = law.lattice_integer_form()
     live = [(s, p) for s, p in zip(steps, probs) if p > 0]
+    if all(s >= 0 for s, _ in live):
+        return Fraction(0)
     drift = sum(s * p for s, p in live)
     if drift <= 0:
         return Fraction(1)
@@ -104,29 +91,22 @@ def _descent_probability(law: IncrementLaw) -> Fraction:
         "no exact descent probability for this drifting skip-free law")
 
 
-def renewal_function(law: IncrementLaw) -> RenewalFunction:
-    """Exact renewal function of the descending ladder heights.
+def renewal_function(law: IncrementLaw) -> Callable:
+    """Exact renewal function V(x) = sum_k P(Hdown_k <= x), as a callable.
 
     Covers skip-free-downward lattice laws, where descending ladder heights
-    are one lattice unit each and V is a truncated geometric series
-    (V(x) = floor(x/unit) + 1 in the recurrent case), and lattice laws that
-    never step down (V = 1).
+    are one lattice unit each and V is a truncated geometric series in the
+    descent probability r (V(x) = floor(x/unit) + 1 in the recurrent case
+    r = 1), and lattice laws that never step down (r = 0: only the zeroth
+    renewal contributes, V = 1).
     """
-    if law.kind == "lattice" and not law.has_negative_steps():
-        # no descents ever happen: only the zeroth renewal contributes
-        def evaluator(x):
-            if x < 0:
-                raise ParameterError("renewal function is defined on x >= 0")
-            return Fraction(1)
-
-        return RenewalFunction(evaluator=evaluator, law=law)
-    unit = _skip_free_down_unit(law)
-    if unit is None:
+    if law.kind != "lattice" or not _skip_free_down(law):
         raise UnsupportedModeError(
             "exact renewal function requires a skip-free-downward lattice law")
+    unit = law.lattice_integer_form()[0]
     r = _descent_probability(law)
 
-    def evaluator(x):
+    def V(x) -> Fraction:
         if x < 0:
             raise ParameterError("renewal function is defined on x >= 0")
         xf = Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
@@ -135,14 +115,14 @@ def renewal_function(law: IncrementLaw) -> RenewalFunction:
             return Fraction(kmax + 1)
         return (1 - r ** (kmax + 1)) / (1 - r)
 
-    return RenewalFunction(evaluator=evaluator, law=law)
+    return V
 
 
 # ---------------------------------------------------------------------------
 # conditioned kernel and walks
 
 
-def h_kernel_row(x, law: IncrementLaw, V: RenewalFunction) -> List[Tuple[Fraction, Fraction]]:
+def h_kernel_row(x, law: IncrementLaw, V: Callable) -> List[Tuple[Fraction, Fraction]]:
     """Exact transition row of the conditioned kernel at a lattice state.
 
     Entries (y, probability) with y >= 0; states y < 0 are killed.  For a
@@ -169,7 +149,7 @@ def h_kernel_row(x, law: IncrementLaw, V: RenewalFunction) -> List[Tuple[Fractio
 
 
 def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
-                       V: Optional[RenewalFunction] = None) -> Iterator[np.ndarray]:
+                       V: Optional[Callable] = None) -> Iterator[np.ndarray]:
     """Run ``trials`` kernel chains from 0 at once; yield their levels per step.
 
     For lattice laws with an exact V (skip-free downward).  Each step draws
@@ -225,7 +205,7 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
 
 def conditioned_walk(law: IncrementLaw, length: int, seed: int,
                      method: str = "h_chain",
-                     V: Optional[RenewalFunction] = None) -> WalkPath:
+                     V: Optional[Callable] = None) -> WalkPath:
     """A walk conditioned to stay positive, by kernel chain or by transform.
 
     ``h_chain`` is the one-trial case of :func:`conditioned_states` and
@@ -241,9 +221,15 @@ def conditioned_walk(law: IncrementLaw, length: int, seed: int,
         return tanaka_transform(sample_walk(law, length, seed))
     if method != "h_chain":
         raise ParameterError(f"unknown method {method!r}")
+    return _chain_walk(law, length, seed, V)[0]
+
+
+def _chain_walk(law: IncrementLaw, length: int, seed: int,
+                V: Optional[Callable]) -> Tuple[WalkPath, int]:
+    """One kernel chain from 0: its walk and its final integer level."""
     levels = [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed, V)]
     unit, _, _ = law.lattice_integer_form()
-    return WalkPath(values=tuple(float(k * unit) for k in levels))
+    return WalkPath(values=tuple(float(k * unit) for k in levels)), levels[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +281,7 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
     trials = max(100, budget)
-    hits = sum(int((np.cumsum(rows, axis=1).min(axis=1) >= 0).sum())
-               for rows in iter_rows(law, k, seed, trials))
+    hits = sum(int((S.min(axis=1) >= 0).sum()) for S in iter_rows(law, k, seed, trials))
     p = hits / trials
     se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
     return SurvivalEstimate(p, se, "montecarlo")
@@ -314,34 +299,50 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
 
 def meander_sample(law: IncrementLaw, k: int, seed: int,
                    method: str = "rejection", budget: int = 100_000,
-                   V: Optional[RenewalFunction] = None,
+                   V: Optional[Callable] = None,
                    survival: Optional[SurvivalEstimate] = None) -> Tuple[WalkPath, float]:
     """One meander path of length k, with its importance weight.
 
     Rejection returns exact-law paths with weight 1.  Reweight returns a
-    conditioned-walk path with weight 1 / (P(C_k) V(endpoint)); the weighted
-    empirical law over such samples is the meander law.
+    conditioned-walk path with its :func:`meander_weights` weight
+    1 / (P(C_k) V(endpoint)); the weighted empirical law over such samples is
+    the meander law.
     """
     if k < 1:
         raise ParameterError("length must be >= 1")
     if method == "rejection":
         # attempt t is trial t of ``seed``
-        for rows in iter_rows(law, k, seed, budget):
-            ok = np.cumsum(rows, axis=1).min(axis=1) >= 0
+        for S in iter_rows(law, k, seed, budget):
+            ok = S.min(axis=1) >= 0
             if ok.any():
-                return path_from_steps(rows[int(np.argmax(ok))]), 1.0
+                return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist())), 1.0
         raise BudgetError(
             f"no meander accepted in {budget} attempts",
             acceptance_rate=0.0)
     if method != "reweight":
         raise ParameterError(f"unknown method {method!r}")
+    path, level = _chain_walk(law, k, seed, V)
+    p = None if survival is None else survival.probability
+    return path, float(meander_weights(law, k, level, V, p))
+
+
+def meander_weights(law: IncrementLaw, n: int, levels, V: Optional[Callable] = None,
+                    survival=None) -> np.ndarray:
+    """Meander weights 1 / (P(C_n) V(x)) of kernel-chain levels after n steps.
+
+    ``levels`` are integer chain levels in lattice units (as
+    :func:`conditioned_states` yields them); ``survival`` is P(C_n), taken
+    from the exact recursion when not given.  Weighted by these, the n-step
+    paths of the conditioned chain have the n-step meander law.
+    """
     if V is None:
         V = renewal_function(law)
     if survival is None:
-        survival = survival_probability(law, k, mode="exact")
-    path = conditioned_walk(law, k, seed, method="h_chain", V=V)
-    end = Fraction(path.values[-1]).limit_denominator(10**9)
-    return path, 1.0 / (float(survival.probability) * float(V(end)))
+        survival = survival_sequence(law, [n])[n]
+    levels = np.asarray(levels)
+    unit = law.lattice_integer_form()[0]
+    v = np.array([float(V(j * unit)) for j in range(int(levels.max()) + 1)])
+    return 1.0 / (float(survival) * v[levels])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
 
 
 def hchain_path_distribution(law: IncrementLaw, length: int,
-                             V: Optional[RenewalFunction] = None) -> ExactDistribution:
+                             V: Optional[Callable] = None) -> ExactDistribution:
     """Exact law of the kernel chain over integer-lattice paths."""
     if law.kind != "lattice":
         raise UnsupportedModeError("exact chain law requires a lattice law")
@@ -373,7 +374,7 @@ def hchain_path_distribution(law: IncrementLaw, length: int,
 
 
 def hchain_endpoint_distribution(law: IncrementLaw, length: int,
-                                 V: Optional[RenewalFunction] = None) -> ExactDistribution:
+                                 V: Optional[Callable] = None) -> ExactDistribution:
     """Exact law of the kernel chain's endpoint, by forward recursion."""
     if law.kind != "lattice":
         raise UnsupportedModeError("exact chain law requires a lattice law")

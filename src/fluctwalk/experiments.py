@@ -32,7 +32,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .conditioning import conditioned_states, harmonic_limits, survival_sequence
+from .conditioning import (conditioned_states, harmonic_limits, meander_weights,
+                           survival_sequence)
 from .errors import (BudgetError, ConfigError, HypothesisViolationError,
                      InsufficientLadderError, ParameterError)
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
@@ -283,12 +284,7 @@ def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
     Hs: List[np.ndarray] = []
     got = 0
     read = 0
-    for steps in iter_rows(law, width, seed, _WINDOWS_PER_PAIR * count + _SPARE_WINDOWS):
-        rows = len(steps)
-        S = np.empty((rows, width + 1))
-        S[:, 0] = 0.0
-        np.cumsum(steps, axis=1, out=S[:, 1:])
-        del steps
+    for S in iter_rows(law, width, seed, _WINDOWS_PER_PAIR * count + _SPARE_WINDOWS):
         cnt = local_time_curve_np(S, "strict")
         ok = np.flatnonzero(cnt[:, -1] >= block)[: count - got]
         idx = np.argmax(cnt[ok] >= block, axis=1)
@@ -298,7 +294,7 @@ def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
         if got == count:
             read += int(ok[-1]) + 1
             break
-        read += rows
+        read += len(S)
     if got < count:
         raise InsufficientLadderError(
             f"only {got}/{count} windows realized {block} ladder epochs "
@@ -504,18 +500,15 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
 
     discrepancies = {n: [] for n in config.n_grid[:-1]}
     base_law = IncrementLaw.gaussian(0.0, 1.0 / math.sqrt(N))
-    for rows in iter_rows(base_law, N, config.seed, paths):
-        for steps in rows:
-            base = np.concatenate([[0.0], np.cumsum(steps)])
-            lam = {n: local_time_curve_np(base[:: N // n], variant)
-                   for n in config.n_grid}
-            for n in config.n_grid[:-1]:
-                if 2 * n not in lam:
-                    continue
-                j = np.arange(2 * n + 1)
-                c1 = lam[n][j // 2] / gaussian_norming(n)
-                c2 = lam[2 * n][j] / gaussian_norming(2 * n)
-                discrepancies[n].append(float(np.max(np.abs(c1 - c2))))
+    for S in iter_rows(base_law, N, config.seed, paths):
+        lam = {n: local_time_curve_np(S[:, :: N // n], variant) for n in config.n_grid}
+        for n in config.n_grid[:-1]:
+            if 2 * n not in lam:
+                continue
+            j = np.arange(2 * n + 1)
+            c1 = lam[n][:, j // 2] / gaussian_norming(n)
+            c2 = lam[2 * n] / gaussian_norming(2 * n)
+            discrepancies[n].extend(np.max(np.abs(c1 - c2), axis=1).tolist())
 
     rows = [["n", "n_next", "median_sup_discrepancy"]]
     series = []
@@ -679,7 +672,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
         for x in conditioned_states(law, n, config.trials,
                                     derive_seed(config.seed, 200 + i)):
             pass
-        w = 1.0 / (float(surv[n]) * (x + 1.0))
+        w = meander_weights(law, n, x, survival=surv[n])
         s = Sample(x * float(unit) / math.sqrt(n) / float(unit), weights=w)
         ks = ks_statistic(s, rayleigh_cdf).statistic
         rows.append([n, float(surv[n]), ks])
@@ -695,7 +688,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     for xc in conditioned_states(law, n_small, small_trials,
                                  derive_seed(config.seed, 301)):
         pass
-    wc = 1.0 / (float(surv[n_small]) * (xc + 1.0))
+    wc = meander_weights(law, n_small, xc, survival=surv[n_small])
     cross = ks_statistic(Sample(xr.astype(np.float64)),
                          Sample(xc.astype(np.float64), weights=wc)).statistic
 

@@ -15,13 +15,14 @@ bit-identical paths.  Per-trial streams derive from a master seed via
 :func:`derive_seed`, so embarrassingly parallel Monte Carlo stays
 reproducible regardless of scheduling.
 
-Monte Carlo loops draw their trials with :func:`iter_rows`, in batches of
-at most ``_BATCH_STEPS`` steps made by :func:`sample_rows`: the per-trial
-seeds and PCG64 states of a batch come from one vectorized pass of numpy's
-``SeedSequence`` hash, and row i of a batch is bit-identical to
-``sample_steps(law, length, derive_seed(master, first + i))``, so no result
-depends on the batch size.  :func:`draw_steps` is the one map from a law and
-a generator to steps.
+Monte Carlo loops draw their trials with :func:`iter_rows`, as batches of
+walks of at most ``_BATCH_STEPS`` steps made by :func:`sample_rows`: the
+per-trial seeds and PCG64 states of a batch come from one vectorized pass of
+numpy's ``SeedSequence`` hash, and row i of a batch, S_0 = 0, ..., S_m, is
+bit-identical to ``sample_walk(law, m, derive_seed(master, first + i)).values``,
+so no result depends on the batch size.  :func:`sample_rows` is the one map
+from a batch of trials to walks, and :func:`draw_steps` the one map from a
+law and a generator to steps.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "derive_seed",
     "draw_steps",
     "iter_rows",
-    "path_from_steps",
     "sample_rows",
     "sample_steps",
     "sample_walk",
@@ -451,25 +451,35 @@ def sample_steps(law: IncrementLaw, length: int, seed: int) -> np.ndarray:
 
 def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
                 count: int) -> np.ndarray:
-    """Steps of trials first .. first + count - 1 of ``master_seed``, one row each.
+    """Walks of trials first .. first + count - 1 of ``master_seed``, one row each.
 
-    Row i equals ``sample_steps(law, length, derive_seed(master_seed, first + i))``
+    Row i holds S_0 = 0, ..., S_length and equals
+    ``sample_walk(law, length, derive_seed(master_seed, first + i)).values``
     bit for bit.  The seeds and PCG64 states of the whole batch are derived
     at once; one generator is re-seeded per row through its state and draws
-    into the row, and the batch is mapped to steps in one pass.
+    the row's steps into columns 1.., the whole batch is mapped to steps in
+    one pass and summed along each row in place.
     """
     if length < 1 or count < 0:
         raise ParameterError("length must be >= 1 and count >= 0")
-    out = np.empty((count, length))
-    negative = np.empty(out.shape, dtype=bool) if _signed(law) else None
+    S = np.empty((count, length + 1))
+    negative = np.empty(S.shape, dtype=bool) if _signed(law) else None
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
     states = _pcg64_states(_derived_seeds(master_seed, first, count))
     for i, (state, inc) in enumerate(states):
         bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                          "has_uint32": 0, "uinteger": 0}
-        _draw_raw(law, rng, out[i], None if negative is None else negative[i])
-    return _to_steps(law, out, negative)
+        _draw_raw(law, rng, S[i, 1:], None if negative is None else negative[i, 1:])
+    # the step map works element by element and reshapes a flat array, so it
+    # runs on the whole contiguous batch (on the step view S[:, 1:] the
+    # reshape would copy and the steps be lost); column 0 holds a harmless
+    # variate until it is reset
+    S[:, 0] = 0.0
+    _to_steps(law, S, negative)
+    S[:, 0] = 0.0
+    np.cumsum(S[:, 1:], axis=1, out=S[:, 1:])
+    return S
 
 
 # most steps one batch of rows holds (a batch has at least one row)
@@ -478,12 +488,12 @@ _BATCH_STEPS = 1 << 20
 
 def iter_rows(law: IncrementLaw, length: int, master_seed: int,
               count: int) -> Iterator[np.ndarray]:
-    """Trials 0 .. count - 1 of ``master_seed`` as consecutive row batches.
+    """Walks of trials 0 .. count - 1 of ``master_seed`` as consecutive batches.
 
-    Each batch is a :func:`sample_rows` array.  Batches are drawn only when
-    asked for and grow from 16 rows by doubling up to ``_BATCH_STEPS`` steps
-    (at least one row), so a loop that stops early draws few spare trials
-    and a long one makes few calls.
+    Each batch is a :func:`sample_rows` array of shape (rows, length + 1).
+    Batches are drawn only when asked for and grow from 16 rows by doubling
+    up to ``_BATCH_STEPS`` steps (at least one row), so a loop that stops
+    early draws few spare trials and a long one makes few calls.
     """
     cap = max(1, _BATCH_STEPS // max(length, 1))
     lo, rows = 0, 16
@@ -494,17 +504,12 @@ def iter_rows(law: IncrementLaw, length: int, master_seed: int,
         rows *= 2
 
 
-def path_from_steps(steps: np.ndarray) -> WalkPath:
-    """The walk S_0 = 0, S_k = steps[0] + ... + steps[k-1]."""
-    vals = np.empty(len(steps) + 1)
-    vals[0] = 0.0
-    np.cumsum(steps, out=vals[1:])
-    return WalkPath(values=tuple(vals.tolist()))
-
-
 def sample_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
     """Sample a walk of the given length; pure in (law, length, seed)."""
-    return path_from_steps(sample_steps(law, length, seed))
+    steps = sample_steps(law, length, seed)
+    vals = np.zeros(length + 1)
+    np.cumsum(steps, out=vals[1:])
+    return WalkPath(values=tuple(vals.tolist()))
 
 
 def skeleton(path, stride: int):

@@ -160,8 +160,8 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
     rng_seed = derive_seed(seed, 0)
     trials = max(100, budget // max(K, 1))
     counts = np.zeros(K, dtype=np.int64)
-    for rows in iter_rows(law, K, rng_seed, trials):
-        counts += (np.cumsum(rows, axis=1) > 0).sum(axis=0)
+    for S in iter_rows(law, K, rng_seed, trials):
+        counts += (S[:, 1:] > 0).sum(axis=0)
     p = counts / trials
     se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / trials)
     return PositivitySequence(

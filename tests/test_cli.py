@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fluctwalk import certify, experiments
+from fluctwalk import certify, cli, experiments
 from fluctwalk.cli import VERIFY, main
 from fluctwalk.increments import IncrementLaw
 
@@ -31,6 +31,17 @@ def test_verify_fristedt_with_config_override(tmp_path):
     out = str(tmp_path / "fr")
     assert run(["--config", str(cfgfile), "--out", out, "verify", "fristedt"]) == 0
     assert os.path.exists(os.path.join(out, "fristedt.csv"))
+
+
+@pytest.mark.parametrize("suite", [s for s, (_, keys) in VERIFY.items()
+                                   if "max_length" not in keys])
+def test_max_length_on_a_suite_without_length_is_a_usage_error(tmp_path, capsys, suite):
+    out = str(tmp_path / "v")
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", out, "verify", suite, "--max-length", "3"])
+    assert exc.value.code == 2
+    assert "--max-length" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_verify_reversal_small(tmp_path):
@@ -251,6 +262,25 @@ def test_convergence_suite_configs_pass_validation(tmp_path, monkeypatch, full):
         cfgfile.write_text(json.dumps(configs[name]))
         with pytest.raises(Validated):
             run(["--config", str(cfgfile), "--out", str(tmp_path), "converge", name])
+
+
+def test_convergence_suite_leaves_no_config_files(monkeypatch):
+    # each experiment's config file is gone once the suite exits
+    seen = []
+
+    def fake_main(argv):
+        path = argv[argv.index("--config") + 1]
+        assert os.path.exists(path)
+        seen.append(path)
+        return 0
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(sys, "argv", ["run_convergence_suite.py"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(os.path.join(SCRIPTS, "run_convergence_suite.py"),
+                       run_name="__main__")
+    assert exc.value.code == 0
+    assert len(seen) == len(EXPERIMENTS)
+    assert not any(os.path.exists(p) for p in seen)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)

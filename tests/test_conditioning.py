@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluctwalk.conditioning import (RenewalFunction, conditioned_states,
-                                    conditioned_walk, h_kernel_row,
+from fluctwalk.conditioning import (conditioned_states, conditioned_walk, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_sample,
                                     renewal_function, survival_probability,
@@ -61,9 +60,8 @@ def test_kernel_harmonic_for_skip_free_laws():
 
 
 def test_kernel_degenerate_state():
-    V = RenewalFunction(evaluator=lambda x: F(0), law=FAIR)
     with pytest.raises(DegenerateStateError):
-        h_kernel_row(1, FAIR, V)
+        h_kernel_row(1, FAIR, lambda x: F(0))
     # a walk that only steps down has no chain conditioned to stay >= 0
     with pytest.raises(DegenerateStateError):
         next(conditioned_states(IncrementLaw.lattice([-1], [1]), 3, 10, seed=0))

@@ -13,7 +13,7 @@ from fluctwalk.experiments import windowed_ladder_pairs
 from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
-                                  sample_rows, sample_steps, sample_walk, skeleton)
+                                  sample_rows, sample_walk, skeleton)
 from fluctwalk.oracle import iter_paths
 from fluctwalk.scaling import positivity_probabilities
 from fluctwalk.transforms import future_min_local_time, tanaka_transform
@@ -193,13 +193,15 @@ def test_pcg64_states_match_numpy_seeding():
 @pytest.mark.parametrize("law", STREAM_LAWS, ids=lambda law: law.describe()["kind"])
 def test_sample_rows_equal_per_row_sampling(law):
     master, first, count, length = 0x5DEECE66D3A9F21B, 40, 25, 57
-    rows = sample_rows(law, length, master, first, count)
-    assert rows.shape == (count, length)
-    for i, row in enumerate(rows):
+    S = sample_rows(law, length, master, first, count)
+    assert S.shape == (count, length + 1)
+    assert (S[:, 0] == 0.0).all() and not np.signbit(S[:, 0]).any()
+    for i, row in enumerate(S):
         seed = derive_seed(master, first + i)
-        assert np.array_equal(row, sample_steps(law, length, seed))
-        assert np.array_equal(row, oracle_steps(law, length, seed))
-    assert sample_rows(law, length, master, first, 0).shape == (0, length)
+        assert tuple(row.tolist()) == sample_walk(law, length, seed).values
+        walk = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
+        assert np.array_equal(row, walk)
+    assert sample_rows(law, length, master, first, 0).shape == (0, length + 1)
 
 
 def test_lattice_map_matches_searchsorted_at_atom_boundaries():
@@ -368,7 +370,9 @@ def test_iter_rows_batches_are_capped_slices_of_sample_rows(monkeypatch, cap):
     monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
     law, length, master, count = IncrementLaw.uniform3(), 30, 9, 123
     batches = list(iter_rows(law, length, master, count))
-    assert all(1 <= len(b) and (len(b) == 1 or b.size <= cap) for b in batches)
+    assert all(b.shape[1] == length + 1 for b in batches)
+    # a batch holds at most ``cap`` steps, length per walk
+    assert all(1 <= len(b) and (len(b) == 1 or len(b) * length <= cap) for b in batches)
     assert len(batches[0]) == min(16, max(1, cap // length))
     assert np.array_equal(np.concatenate(batches),
                           sample_rows(law, length, master, 0, count))
