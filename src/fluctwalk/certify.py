@@ -257,7 +257,7 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
     # weight normalization: mean of the meander weights over chain samples
     for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7), V):
         pass
-    w = meander_weights(law, weight_n, x, V)
+    w = meander_weights(law, weight_n, x)
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(w.size))
     weight_ok = abs(mean - 1.0) <= 3 * se

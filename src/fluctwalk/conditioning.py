@@ -323,26 +323,26 @@ def meander_sample(law: IncrementLaw, k: int, seed: int,
         raise ParameterError(f"unknown method {method!r}")
     path, level = _chain_walk(law, k, seed, V)
     p = None if survival is None else survival.probability
-    return path, float(meander_weights(law, k, level, V, p))
+    return path, float(meander_weights(law, k, level, p))
 
 
-def meander_weights(law: IncrementLaw, n: int, levels, V: Optional[Callable] = None,
-                    survival=None) -> np.ndarray:
+def meander_weights(law: IncrementLaw, n: int, levels,
+                    p_survival=None) -> np.ndarray:
     """Meander weights 1 / (P(C_n) V(x)) of kernel-chain levels after n steps.
 
     ``levels`` are integer chain levels in lattice units (as
-    :func:`conditioned_states` yields them); ``survival`` is P(C_n), taken
-    from the exact recursion when not given.  Weighted by these, the n-step
-    paths of the conditioned chain have the n-step meander law.
+    :func:`conditioned_states` yields them); ``p_survival`` is the number
+    P(C_n), taken from the exact recursion when not given.  Weighted by
+    these, the n-step paths of the conditioned chain have the n-step meander
+    law.
     """
-    if V is None:
-        V = renewal_function(law)
-    if survival is None:
-        survival = survival_sequence(law, [n])[n]
+    V = renewal_function(law)
+    if p_survival is None:
+        p_survival = survival_sequence(law, [n])[n]
     levels = np.asarray(levels)
     unit = law.lattice_integer_form()[0]
     v = np.array([float(V(j * unit)) for j in range(int(levels.max()) + 1)])
-    return 1.0 / (float(survival) * v[levels])
+    return 1.0 / (float(p_survival) * v[levels])
 
 
 # ---------------------------------------------------------------------------

@@ -672,7 +672,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
         for x in conditioned_states(law, n, config.trials,
                                     derive_seed(config.seed, 200 + i)):
             pass
-        w = meander_weights(law, n, x, survival=surv[n])
+        w = meander_weights(law, n, x, p_survival=surv[n])
         s = Sample(x * float(unit) / math.sqrt(n) / float(unit), weights=w)
         ks = ks_statistic(s, rayleigh_cdf).statistic
         rows.append([n, float(surv[n]), ks])
@@ -688,7 +688,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     for xc in conditioned_states(law, n_small, small_trials,
                                  derive_seed(config.seed, 301)):
         pass
-    wc = meander_weights(law, n_small, xc, survival=surv[n_small])
+    wc = meander_weights(law, n_small, xc, p_survival=surv[n_small])
     cross = ks_statistic(Sample(xr.astype(np.float64)),
                          Sample(xc.astype(np.float64), weights=wc)).statistic
 

@@ -462,7 +462,7 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
     """
     if length < 1 or count < 0:
         raise ParameterError("length must be >= 1 and count >= 0")
-    S = np.empty((count, length + 1))
+    S = np.zeros((count, length + 1))
     negative = np.empty(S.shape, dtype=bool) if _signed(law) else None
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
@@ -471,11 +471,8 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
         bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                          "has_uint32": 0, "uinteger": 0}
         _draw_raw(law, rng, S[i, 1:], None if negative is None else negative[i, 1:])
-    # the step map works element by element and reshapes a flat array, so it
-    # runs on the whole contiguous batch (on the step view S[:, 1:] the
-    # reshape would copy and the steps be lost); column 0 holds a harmless
-    # variate until it is reset
-    S[:, 0] = 0.0
+    # the step map reshapes a flat array, which on the view S[:, 1:] would be
+    # a copy, so it runs on the whole contiguous batch
     _to_steps(law, S, negative)
     S[:, 0] = 0.0
     np.cumsum(S[:, 1:], axis=1, out=S[:, 1:])

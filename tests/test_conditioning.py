@@ -6,8 +6,8 @@ import pytest
 
 from fluctwalk.conditioning import (conditioned_states, conditioned_walk, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
-                                    hchain_path_distribution, meander_sample,
-                                    renewal_function, survival_probability,
+                                    hchain_path_distribution, meander_endpoint_distribution,
+                                    meander_sample, meander_weights, renewal_function, survival_probability,
                                     survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
@@ -206,6 +206,23 @@ def test_meander_reweight_weights_average_to_one():
     assert abs(w.mean() - 1.0) < 4 * w.std(ddof=1) / math.sqrt(w.size)
 
 
+@pytest.mark.parametrize("law", [FAIR, IncrementLaw.biased_pm1(F(3, 4)),
+                                 IncrementLaw.uniform3()],
+                         ids=["fair", "biased", "uniform3"])
+def test_meander_weights_carry_chain_endpoints_to_meander_endpoints(law):
+    # chain endpoint mass times its weight is the meander endpoint mass
+    for n in range(1, 7):
+        chain = hchain_endpoint_distribution(law, n).atoms
+        meander = meander_endpoint_distribution(law, n).atoms
+        assert set(chain) == set(meander)
+        levels = sorted(chain)
+        w = meander_weights(law, n, levels)
+        for x, wx in zip(levels, w):
+            assert float(chain[x]) * wx == pytest.approx(float(meander[x]), rel=1e-12)
+        p = survival_sequence(law, [n])[n]
+        assert np.array_equal(meander_weights(law, n, levels, p_survival=p), w)
+
+
 def test_chain_and_meander_absolute_continuity_exact():
     # P(walk path) * V(endpoint) equals the chain mass, path by path, for
     # every nonnegative path; equivalently the reweighted chain is the
@@ -225,7 +242,6 @@ def test_chain_and_meander_absolute_continuity_exact():
 
 
 def test_meander_endpoint_distribution_matches_enumeration():
-    from fluctwalk.conditioning import meander_endpoint_distribution
     from fluctwalk.oracle import integer_law, iter_paths
     for law in (FAIR, IncrementLaw.uniform3()):
         D = integer_law(law)[2]
@@ -248,7 +264,6 @@ def test_exact_meander_endpoint_approaches_limit_law():
     # sup-distance of the exact scaled endpoint staircase to its limit CDF
     # shrinks as the horizon doubles (the cross-check behind the Monte Carlo
     # endpoint criterion)
-    from fluctwalk.conditioning import meander_endpoint_distribution
     from fluctwalk.limit_laws import rayleigh_cdf
     dists = []
     for n in (4, 16, 64):
