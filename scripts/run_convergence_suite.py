@@ -27,7 +27,6 @@ CONFIGS = {
     "localtime": {
         "n_grid": [2 ** q for q in range(8, 14)] if FULL
         else [2 ** q for q in range(6, 11)],
-        "trials": 200,
         "tolerances": {"violations": 1, "ratio": 0.5 if FULL else 0.65},
         "params": {"base_resolution": 2 ** 16 if FULL else 2 ** 13,
                    "paths": 200 if FULL else 100},
@@ -35,7 +34,6 @@ CONFIGS = {
     },
     "lemma1": {
         "n_grid": [1024, 4096] if FULL else [512, 2048],
-        "trials": 200,
         "tolerances": {"drift_rel": 0.03 if FULL else 0.06,
                        "interval_mass": 0.02 if FULL else 0.04},
         "params": {"height_samples": 100_000 if FULL else 30_000,

@@ -7,20 +7,17 @@ scaling behavior is checked by Monte Carlo experiments against closed-form
 limit targets.
 """
 
-from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk, skeleton
-from .fluctuation import (LadderSequence, LocalTimeCurve, ladder_sequence,
-                          last_max_index, last_min_index, local_time_strict,
-                          local_time_verbatim, records_ratio, running_max)
-from .transforms import (ExcursionDecomposition, decompose_excursions,
-                         future_min_local_time, post_min_process,
-                         reverse_at_ladder, reverse_at_last_max, tanaka_transform)
+from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk
+from .fluctuation import (LocalTimeCurve, last_max_index, local_time_strict,
+                          local_time_verbatim)
+from .transforms import future_min_local_time, tanaka_transform
 from .scaling import (FristedtReport, PositivitySequence, fristedt_residual,
                       norming_constant, positivity_probabilities)
 from .conditioning import (SurvivalEstimate, conditioned_states, conditioned_walk,
                            harmonic_limits, meander_sample, meander_weights,
                            renewal_function, survival_probability)
 from .oracle import ExactDistribution, distribution_equality, exact_functional_distribution
-from .stats import Sample, ks_statistic, trend_test, wasserstein1
+from .stats import Sample, ks_statistic, trend_test
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf
 from .experiments import (ExperimentConfig, ExperimentReport, run_harmonic, run_lemma1,
                           run_localtime_stability, run_meander, run_theorem1)

@@ -9,7 +9,7 @@ than approximations:
 * Ladder-segment reversal (part 1).  The reversed pre-T_k path is compared
   with the excursion-rebuilt path truncated at T_k; both sides carry marks
   counting completed segment starts strictly before the current index, and
-  the event "k ladder epochs not observed" is kept as an explicit atom.
+  the event "k ladder epochs not observed" is one atom of both laws.
   The mark convention matters: counting *at* rather than *strictly before*
   segment boundaries shifts discrete marks by one step and breaks exact
   equality.
@@ -111,11 +111,12 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
 
     Entry k = 1..m is the exact law of the marked reversed pre-T_k path minus
     that of the marked rebuilt path truncated at T_k; windows with fewer than
-    k ladder epochs form the atom "unrealized" on both sides.  Entry 0 is the
+    k ladder epochs form one atom "unrealized" on both sides.  Entry 0 is the
     same difference for the last-maximum reversal, whose windows with a last
-    maximum contact off the ladder epochs form the common atom "boundary" (on
-    diffuse laws it is null).  Half the total absolute mass of an entry is
-    the total-variation distance between its two laws; atoms of zero
+    maximum contact off the ladder epochs form one atom "boundary" on both
+    sides (on diffuse laws it is null).  A common atom has zero difference,
+    so those windows add nothing.  Half the total absolute mass of an entry
+    is the total-variation distance between its two laws; atoms of zero
     difference are not stored.  Differences are integer weights over D**m
     (:func:`~fluctwalk.oracle.iter_paths`).
     """
@@ -136,21 +137,15 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
         up = tanaka_transform(vals)
         # segment starts strictly before i, for i = 0..T_last
         marks = [bisect_left(T, i) for i in range(T[-1] + 1)]
-        for k in range(1, m + 1):
-            if len(T) - 1 < k:
-                add(k, "unrealized", "unrealized", c)
-                continue
-            t = T[k]
-            add(k, (tuple(vals[t] - vals[t - i] for i in range(t + 1)),
-                    tuple(k - lam[t - i] for i in range(t + 1))),
-                (tuple(up[: t + 1]), tuple(marks[: t + 1])), c)
-        g = last_max_index(vals, m)
-        if g != T[-1]:
-            add(0, "boundary", "boundary", c)
-            continue
-        add(0, (tuple(vals[g] - vals[g - i] for i in range(g + 1)),
-                tuple(lam[g] - lam[g - i] for i in range(g + 1))),
-            (tuple(up[: g + 1]), tuple(marks[: g + 1])), c)
+        # per epoch t: the marked reversed pre-t path and the marked rebuilt
+        # path truncated at t (lam[t] = k at t = T_k)
+        keys = [((tuple(vals[t] - vals[t - i] for i in range(t + 1)),
+                  tuple(lam[t] - lam[t - i] for i in range(t + 1))),
+                 (tuple(up[: t + 1]), tuple(marks[: t + 1]))) for t in T]
+        for k in range(1, len(T)):
+            add(k, *keys[k], c)
+        if last_max_index(vals, m) == T[-1]:
+            add(0, *keys[-1], c)
     return diffs
 
 

@@ -9,10 +9,6 @@ class ParameterError(FluctwalkError):
     """Invalid distribution or operation parameters."""
 
 
-class DimensionError(FluctwalkError):
-    """Mismatched lengths, strides or grids."""
-
-
 class UnsupportedModeError(FluctwalkError):
     """Exact computation requested for a law that only supports estimation."""
 

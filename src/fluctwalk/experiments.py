@@ -120,7 +120,7 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "params": {k: repr(v) for k, v in sorted(self.params.items())},
         }
-        return {k: v for k, v in echo.items() if v is not None}  # harmonic: no trials
+        return {k: v for k, v in echo.items() if v is not None}  # no trials if none drawn
 
 
 # the one place each experiment's defaults are written: the config that
@@ -130,9 +130,9 @@ DECLARED = {c.experiment: c for c in (
                      {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
                      {"tail_table": 1_000_000, "height_cap": 20_000, "window_mult": 64}),
     ExperimentConfig("localtime", IncrementLaw.gaussian(), [2 ** q for q in range(6, 11)],
-                     100, None, {"violations": 1, "ratio": 0.6},
+                     None, None, {"violations": 1, "ratio": 0.6},
                      {"base_resolution": 2 ** 13, "paths": 100, "variant": "verbatim"}),
-    ExperimentConfig("lemma1", IncrementLaw.gaussian(), [512, 2048], 1000, None,
+    ExperimentConfig("lemma1", IncrementLaw.gaussian(), [512, 2048], None, None,
                      {"drift_rel": 0.05, "interval_mass": 0.03, "ratio_rel": 0.15},
                      {"height_samples": 50_000, "height_cap": 20_000,
                       "interval": (0.5, 1.0), "interval1": (0.5, 1.0),

@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "IncrementLaw",
@@ -46,7 +46,6 @@ __all__ = [
     "sample_rows",
     "sample_steps",
     "sample_walk",
-    "skeleton",
 ]
 
 
@@ -215,37 +214,13 @@ class IncrementLaw:
 
 @dataclass(frozen=True)
 class WalkPath:
-    """A finite walk S_0 = 0, ..., S_m, optionally with a kill index.
-
-    A kill index j marks the lifetime: entries at indices >= j are frozen at
-    values[j-1], so downstream functionals always act on full-length
-    sequences.
-    """
+    """A finite walk S_0 = 0, ..., S_m."""
 
     values: tuple
-    kill_index: Optional[int] = None
 
     def __post_init__(self):
         if len(self.values) == 0 or self.values[0] != 0:
             raise ParameterError("a walk path must start at 0")
-        if self.kill_index is not None:
-            j = self.kill_index
-            if not (0 < j <= self.length):
-                raise ParameterError("kill index must lie in 1..m")
-
-    @property
-    def length(self) -> int:
-        return len(self.values) - 1
-
-    def killed_at(self, j: int) -> "WalkPath":
-        """Freeze the path at its pre-death value from index j on."""
-        if not (0 < j <= self.length):
-            raise ParameterError("kill index must lie in 1..m")
-        vals = tuple(self.values[: j]) + (self.values[j - 1],) * (self.length - j + 1)
-        return WalkPath(values=vals, kill_index=j)
-
-    def to_csv_rows(self):
-        return [(i, v) for i, v in enumerate(self.values)]
 
 
 def path_values(path) -> Sequence:
@@ -507,26 +482,3 @@ def sample_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
     vals = np.zeros(length + 1)
     np.cumsum(steps, out=vals[1:])
     return WalkPath(values=tuple(vals.tolist()))
-
-
-def skeleton(path, stride: int):
-    """Subsample a path on a coarser grid: output[j] = input[stride * j].
-
-    The stride must divide the path length.  Skeletons nest: taking a stride-r
-    skeleton of a stride-m skeleton equals the stride-(m*r) skeleton of the
-    original path.
-    """
-    vals = path_values(path)
-    m = len(vals) - 1
-    if stride < 1:
-        raise ParameterError("stride must be a positive integer")
-    if m % stride != 0:
-        raise DimensionError(f"stride {stride} does not divide path length {m}")
-    sub = tuple(vals[i] for i in range(0, m + 1, stride))
-    if isinstance(path, WalkPath):
-        kill = path.kill_index
-        new_kill = None if kill is None else -(-kill // stride)
-        if new_kill is not None and new_kill > len(sub) - 1:
-            new_kill = len(sub) - 1
-        return WalkPath(values=sub, kill_index=new_kill)
-    return sub

@@ -1,8 +1,8 @@
 """Empirical-distribution statistics for the convergence experiments.
 
 Kolmogorov-Smirnov sup-distances (one- and two-sample, with optional
-importance weights), Wasserstein-1, distribution-free confidence envelopes,
-and a monotone-trend summary.  No p-value machinery: acceptance thresholds
+importance weights), distribution-free confidence envelopes, and a
+monotone-trend summary.  No p-value machinery: acceptance thresholds
 are explicit sup-distances plus the assumption-free envelope
 
     epsilon(N, delta) = sqrt(ln(2/delta) / (2 N)),
@@ -24,12 +24,10 @@ __all__ = [
     "Sample",
     "KSReport",
     "ks_statistic",
-    "wasserstein1",
     "TrendReport",
     "trend_test",
     "dkw_epsilon",
     "ecdf_points",
-    "ecdf_csv_rows",
 ]
 
 
@@ -82,12 +80,6 @@ def ecdf_points(sample: Sample) -> Tuple[np.ndarray, np.ndarray]:
     return xs[keep], cum[keep]
 
 
-def ecdf_csv_rows(sample: Sample) -> list:
-    """Plot-ready rows [(x, F(x))] with a header, for external tooling."""
-    xs, F = ecdf_points(sample)
-    return [["x", "F"]] + [[float(a), float(b)] for a, b in zip(xs, F)]
-
-
 @dataclass(frozen=True)
 class KSReport:
     statistic: float
@@ -129,21 +121,6 @@ def ks_statistic(sample: Sample, reference: Union[Sample, Callable],
     d = float(np.max(np.abs(e1 - e2)))
     n_eff = n1 * n2 / (n1 + n2)
     return KSReport(d, n1, n2, dkw_epsilon(n_eff, confidence), confidence)
-
-
-def wasserstein1(sample: Sample, sample2: Sample) -> float:
-    """Integral of |F1 - F2| over the line (equals sorted coupling cost
-    for equal-size unweighted samples)."""
-    if sample.size == 0 or sample2.size == 0:
-        raise InputError("empty sample")
-    xs, F1 = ecdf_points(sample)
-    ys, F2 = ecdf_points(sample2)
-    grid = np.union1d(xs, ys)
-    if grid.size == 1:
-        return 0.0
-    e1 = np.concatenate([[0.0], F1])[np.searchsorted(xs, grid, side="right")]
-    e2 = np.concatenate([[0.0], F2])[np.searchsorted(ys, grid, side="right")]
-    return float(np.sum(np.abs(e1[:-1] - e2[:-1]) * np.diff(grid)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Path transformations: reflected-excursion reversal and time reversals.
+"""Path transformation: the reflected-excursion rebuild and its local time.
 
 The central object is the pathwise transform that rebuilds a walk from the
 time-reversed excursions of its reflected process M - S, stacked above the
@@ -17,72 +17,30 @@ exercised by tests:
   segment is a window construction whose boundary effect is quantified
   rather than hidden.
 
-Time reversals at ladder epochs, at the last maximum, and the post-minimum
-split are the building blocks for the distributional identities certified in
-the test suite.
+The local time at the future minimum of the rebuilt path is the other side
+of the local-time identity that ``verify idloc`` certifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
-from .errors import InsufficientLadderError, ParameterError
-from .fluctuation import LocalTimeCurve, ladder_epochs, last_max_index, last_min_index
+from .errors import ParameterError
+from .fluctuation import LocalTimeCurve, ladder_epochs
 from .increments import WalkPath, path_values
 
 __all__ = [
-    "ExcursionDecomposition",
-    "decompose_excursions",
     "tanaka_transform",
     "tanaka_transform_np",
     "future_min_local_time",
     "future_min_local_time_np",
-    "reverse_at_ladder",
-    "reverse_at_last_max",
-    "post_min_process",
 ]
-
-
-@dataclass(frozen=True)
-class ExcursionDecomposition:
-    """Excursions of the reflected process M - S between ladder epochs.
-
-    Complete excursions start and end at 0 and are nonnegative throughout
-    (they may touch 0 inside at weak revisits of the maximum on lattice
-    paths).  ``boundary`` is the trailing incomplete excursion, possibly a
-    single point.
-    """
-
-    excursions: Tuple[tuple, ...]
-    boundary: tuple
-
-    def total_length(self) -> int:
-        n = sum(len(e) - 1 for e in self.excursions)
-        return n + (len(self.boundary) - 1)
 
 
 def _wrap_like(path, values):
     if isinstance(path, WalkPath):
         return WalkPath(values=tuple(values))
     return tuple(values)
-
-
-def decompose_excursions(path) -> ExcursionDecomposition:
-    vals = path_values(path)
-    T = ladder_epochs(vals)
-    m = len(vals) - 1
-    refl = []
-    mx = vals[0]
-    for v in vals:
-        if v > mx:
-            mx = v
-        refl.append(mx - v)
-    excs = tuple(tuple(refl[T[k]: T[k + 1] + 1]) for k in range(len(T) - 1))
-    boundary = tuple(refl[T[-1]: m + 1])
-    return ExcursionDecomposition(excursions=excs, boundary=boundary)
 
 
 def tanaka_transform(path):
@@ -200,39 +158,3 @@ def future_min_local_time_np(values: np.ndarray, variant: str = "verbatim") -> n
     if v.shape[-1] > 1:
         out[..., -1] = out[..., -2]
     return out
-
-
-def reverse_at_ladder(path, k: int):
-    """Reversed pre-T_k path: (S(T_k) - S(T_k - i), 0 <= i <= T_k).
-
-    Requires at least k ascending ladder epochs within the window.
-    """
-    vals = path_values(path)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
-    T = ladder_epochs(vals)
-    if len(T) - 1 < k:
-        raise InsufficientLadderError(
-            f"path realizes only {len(T) - 1} ladder epochs, needed {k}")
-    t = T[k]
-    top = vals[t]
-    return _wrap_like(path, [top - vals[t - i] for i in range(t + 1)])
-
-
-def reverse_at_last_max(path, m: int):
-    """Reversed pre-G path, G the last time at the running maximum by m."""
-    vals = path_values(path)
-    g = last_max_index(vals, m)
-    top = vals[g]
-    return _wrap_like(path, [top - vals[g - i] for i in range(g + 1)])
-
-
-def post_min_process(path, m: int):
-    """Post-minimum increments: (S(K+i) - S(K), 0 <= i <= m - K),
-
-    where K is the last time at the running minimum by m; rebased at 0.
-    """
-    vals = path_values(path)
-    kk = last_min_index(vals, m)
-    base = vals[kk]
-    return _wrap_like(path, [vals[kk + i] - base for i in range(m - kk + 1)])

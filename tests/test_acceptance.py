@@ -177,7 +177,7 @@ def test_a5_height_stddev(theorem1_report):
 
 def test_a6_localtime_stability():
     cfg = ExperimentConfig(
-        "localtime", GAUSS, [2 ** q for q in range(8, 14)], trials=200,
+        "localtime", GAUSS, [2 ** q for q in range(8, 14)], trials=None,
         seed=SEED_LOCALTIME, tolerances={"violations": 1, "ratio": 0.5},
         params={"base_resolution": 2 ** 16, "paths": 200})
     t0 = time.monotonic()
@@ -199,13 +199,13 @@ def test_a6_localtime_stability():
 def test_a7_lemma1_gaussian_and_cauchy():
     t0 = time.monotonic()
     cfg_g = ExperimentConfig(
-        "lemma1", GAUSS, [1024, 4096], trials=200, seed=SEED_LEMMA1_GAUSS,
+        "lemma1", GAUSS, [1024, 4096], trials=None, seed=SEED_LEMMA1_GAUSS,
         tolerances={"drift_rel": 0.03, "interval_mass": 0.02},
         params={"height_samples": 100_000, "height_cap": 100_000,
                 "interval": (0.5, 1.0)})
     rep_g = run_lemma1(cfg_g)
     cfg_c = ExperimentConfig(
-        "lemma1", IncrementLaw.heavy_tail(1.0), [4096], trials=200,
+        "lemma1", IncrementLaw.heavy_tail(1.0), [4096], trials=None,
         seed=SEED_LEMMA1_CAUCHY, tolerances={"ratio_rel": 0.10},
         params={"height_samples": 400_000, "height_cap": 20_000})
     rep_c = run_lemma1(cfg_c)

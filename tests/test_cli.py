@@ -163,7 +163,7 @@ def test_converge_theorem1_small(tmp_path):
 def test_converge_localtime_small(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
-        "n_grid": [32, 64, 128, 256], "trials": 100,
+        "n_grid": [32, 64, 128, 256],
         "tolerances": {"violations": 2, "ratio": 0.95},
         "params": {"base_resolution": 2048, "paths": 40}}))
     out = str(tmp_path / "lt")
@@ -173,7 +173,7 @@ def test_converge_localtime_small(tmp_path):
 def test_converge_lemma1_small(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
-        "n_grid": [128, 512], "trials": 200,
+        "n_grid": [128, 512],
         "tolerances": {"drift_rel": 0.1, "interval_mass": 0.05},
         "params": {"height_samples": 20000, "height_cap": 10000}}))
     out = str(tmp_path / "l1")
@@ -327,6 +327,8 @@ def test_malformed_n_grid_is_a_usage_error(tmp_path, capsys):
     (["verify", "idloc"], "gausian_paths"),
     (["converge", "theorem1"], "n_gird"),
     (["converge", "harmonic"], "trials"),
+    (["converge", "localtime"], "trials"),
+    (["converge", "lemma1"], "trials"),
 ])
 def test_unread_config_keys_rejected(tmp_path, capsys, argv, key):
     cfgfile = tmp_path / "c.json"

@@ -54,9 +54,10 @@ def test_unknown_config_keys_rejected(run, kind, key):
 def test_monotone_laws_rejected_everywhere():
     with pytest.raises(HypothesisViolationError):
         check_bilateral(RAMP)
-    for run, law in ((run_theorem1, RAMP), (run_lemma1, RAMP), (run_meander, RAMP)):
+    # lemma1 draws no trials, so its config sets none
+    for run, trials in ((run_theorem1, 200), (run_lemma1, None), (run_meander, 200)):
         with pytest.raises(HypothesisViolationError):
-            run(cfg("x", law, [64, 128]))
+            run(cfg("x", RAMP, [64, 128], trials=trials))
 
 
 def test_ladder_time_tails_match_exact_counts():
@@ -153,7 +154,7 @@ def test_run_theorem1_reports_are_byte_identical():
 
 
 def test_run_localtime_stability_small():
-    c = cfg("localtime", GAUSS, [2 ** q for q in range(5, 10)], trials=100,
+    c = cfg("localtime", GAUSS, [2 ** q for q in range(5, 10)], trials=None,
             tolerances={"violations": 2, "ratio": 0.9},
             params={"base_resolution": 2 ** 12, "paths": 60})
     rep = run_localtime_stability(c)
@@ -164,15 +165,15 @@ def test_run_localtime_stability_small():
 
 def test_run_localtime_stability_rejects_bad_grids():
     with pytest.raises(ConfigError):
-        run_localtime_stability(cfg("lt", GAUSS, [48, 96, 192], trials=100,
+        run_localtime_stability(cfg("lt", GAUSS, [48, 96, 192], trials=None,
                                     params={"base_resolution": 2 ** 12, "paths": 8}))
     with pytest.raises(ConfigError):
-        run_localtime_stability(cfg("lt", FAIR, [32, 64, 128], trials=100,
+        run_localtime_stability(cfg("lt", FAIR, [32, 64, 128], trials=None,
                                     params={"base_resolution": 2 ** 12, "paths": 8}))
 
 
 def test_run_lemma1_gaussian_small():
-    c = cfg("lemma1", GAUSS, [256, 1024], trials=200,
+    c = cfg("lemma1", GAUSS, [256, 1024], trials=None,
             tolerances={"drift_rel": 0.08, "interval_mass": 0.05},
             params={"height_samples": 30_000, "height_cap": 20_000})
     rep = run_lemma1(c)
@@ -182,7 +183,7 @@ def test_run_lemma1_gaussian_small():
 
 def test_run_lemma1_cauchy_ratio_small():
     law = IncrementLaw.heavy_tail(1.0)
-    c = cfg("lemma1", law, [512], trials=200,
+    c = cfg("lemma1", law, [512], trials=None,
             tolerances={"ratio_rel": 0.3},
             params={"height_samples": 60_000, "height_cap": 4_000})
     rep = run_lemma1(c)

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.fluctuation import (ladder_sequence, last_max_index,
-                                   last_min_index, local_time_curve_np,
-                                   local_time_strict, local_time_verbatim,
-                                   records_ratio, running_max)
+from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
+                                   local_time_strict, local_time_verbatim)
 from fluctwalk.increments import IncrementLaw, iter_rows, sample_walk
 from fluctwalk.oracle import iter_paths
 
@@ -38,12 +36,6 @@ def path_from(steps):
     return vals
 
 
-def test_running_max_examples():
-    assert running_max([0, 1, 0, 2]) == [0, 1, 1, 2]
-    assert running_max([0, -1, -2]) == [0, 0, 0]
-    assert running_max([0]) == [0]
-
-
 def test_local_time_verbatim_examples():
     assert local_time_verbatim([0]).counts == (0,)
     assert local_time_verbatim([0, 1, 0, 2]).counts == (0, 1, 1, 2)
@@ -58,19 +50,9 @@ def test_local_time_strict_examples():
 
 
 def test_ladder_sequence_examples():
-    ls = ladder_sequence([0, 1, 0, 2])
-    assert ls.epochs == (0, 1, 3) and ls.heights == (0, 1, 2)
-    assert not ls.killed  # window ends exactly at a ladder epoch
-    ls = ladder_sequence([0, -1, -2])
-    assert ls.epochs == (0,) and ls.killed
-    ls = ladder_sequence([0, -1, 1])
-    assert ls.epochs == (0, 2) and ls.heights == (0, 1)
-
-
-def test_ladder_json_summary():
-    ls = ladder_sequence([0, 1, 0, 2])
-    js = ls.to_json()
-    assert js["epochs"] == [0, 1, 3] and js["killed"] is False
+    assert ladder_epochs([0, 1, 0, 2]) == [0, 1, 3]
+    assert ladder_epochs([0, -1, -2]) == [0]
+    assert ladder_epochs([0, -1, 1]) == [0, 2]
 
 
 def test_last_max_index_examples():
@@ -79,28 +61,12 @@ def test_last_max_index_examples():
     assert last_max_index([0, -5, 3], 0) == 0
 
 
-def test_last_min_index_examples():
-    assert last_min_index([0, -1, 1, -2], 2) == 1
-    assert last_min_index([0, -1, 1, -2], 3) == 3
-    assert last_min_index([0, 7, -7], 0) == 0
-
-
-def test_records_ratio_examples():
-    r = records_ratio([0, 1, 0, 2])
-    assert (r.upward, r.downward, r.ratio, r.flag) == (2, 1, 2.0, "finite")
-    r = records_ratio([0, 1, 2])
-    assert r.downward == 0 and r.flag == "infinite" and r.ratio is None
-    r = records_ratio([0])
-    assert r.flag == "undefined"
-
-
 @given(lattice_steps)
 @settings(max_examples=1000, deadline=None)
 def test_strict_count_inverts_ladder_epochs(steps):
     vals = path_from(steps)
     lam = local_time_strict(vals)
-    ls = ladder_sequence(vals)
-    for k, t in enumerate(ls.epochs):
+    for k, t in enumerate(ladder_epochs(vals)):
         assert lam[t] == k
 
 
@@ -115,17 +81,6 @@ def test_counts_are_unit_increment_and_bounded(steps):
         for k in range(1, len(vals)):
             ups += vals[k] > vals[k - 1]
             assert lam[k] <= k and lam[k] <= ups
-
-
-@given(lattice_steps)
-@settings(max_examples=1000, deadline=None)
-def test_descending_ladder_is_ascending_of_negated_path(steps):
-    vals = path_from(steps)
-    down = ladder_sequence(vals, direction="descending")
-    up = ladder_sequence([-v for v in vals], direction="ascending")
-    assert down.epochs == up.epochs
-    assert down.heights == up.heights
-    assert down.killed == up.killed
 
 
 def test_variant_agreement_on_diffuse_paths():
@@ -192,14 +147,7 @@ def test_monotone_path_counts_every_step():
     assert local_time_strict(vals).counts == tuple(range(12))
 
 
-def test_curve_csv_rows():
-    lam = local_time_verbatim([0, 1, 0, 2])
-    assert lam.to_csv_rows() == [(0, 0), (1, 1), (2, 1), (3, 2)]
-
-
 def test_index_out_of_window_rejected():
     from fluctwalk.errors import ParameterError
     with pytest.raises(ParameterError):
         last_max_index([0, 1], 5)
-    with pytest.raises(ParameterError):
-        last_min_index([0, 1], -1)

@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fluctwalk import certify, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
-from fluctwalk.errors import BudgetError, DimensionError, ParameterError
+from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
 from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
-                                  sample_rows, sample_walk, skeleton)
+                                  sample_rows, sample_walk)
 from fluctwalk.oracle import iter_paths
 from fluctwalk.scaling import positivity_probabilities
 from fluctwalk.transforms import future_min_local_time, tanaka_transform
@@ -79,43 +77,6 @@ def test_lattice_integer_form_normalizes_gcd():
     unit, steps, probs = law.lattice_integer_form()
     assert unit == Fraction(1, 2)
     assert steps == (-1, 1)
-
-
-def test_killed_path_freezes_at_predeath_value():
-    w = WalkPath(values=(0, 1, 2, 3, 4))
-    k = w.killed_at(2)
-    assert k.values == (0, 1, 1, 1, 1)
-    assert k.kill_index == 2
-    with pytest.raises(ParameterError):
-        w.killed_at(0)
-
-
-@given(st.integers(1, 30), st.integers(0, 2**32))
-@settings(max_examples=1000, deadline=None)
-def test_killed_freeze_invariant(j_frac, seed):
-    law = IncrementLaw.gaussian()
-    w = sample_walk(law, 30, seed)
-    j = 1 + (j_frac - 1) % 30
-    k = w.killed_at(j)
-    assert all(k.values[i] == w.values[j - 1] for i in range(j, 31))
-    assert k.values[: j] == w.values[: j]
-
-
-def test_skeleton_examples():
-    path = list(range(9))  # length 8
-    assert skeleton(path, 2) == (0, 2, 4, 6, 8)
-    assert skeleton(path, 1) == tuple(path)
-    with pytest.raises(DimensionError):
-        skeleton(path, 3)
-    with pytest.raises(ParameterError):
-        skeleton(path, 0)
-
-
-@given(st.integers(0, 2**32))
-@settings(max_examples=1000, deadline=None)
-def test_skeleton_composition(seed):
-    w = sample_walk(IncrementLaw.gaussian(), 16, seed)
-    assert skeleton(skeleton(w, 2), 2).values == skeleton(w, 4).values
 
 
 def test_walk_must_start_at_zero():

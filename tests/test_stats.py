@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctwalk.errors import InputError, ParameterError
-from fluctwalk.stats import (Sample, dkw_epsilon, ecdf_points, ks_statistic,
-                             trend_test, wasserstein1)
+from fluctwalk.stats import Sample, dkw_epsilon, ecdf_points, ks_statistic, trend_test
 
 floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -77,30 +76,6 @@ def test_ks_invariant_under_increasing_transform(a, b):
     ta, tb = Sample(f(np.array(a))), Sample(f(np.array(b)))
     assert ks_statistic(sa, sb).statistic == pytest.approx(
         ks_statistic(ta, tb).statistic)
-
-
-def test_wasserstein_examples():
-    assert wasserstein1(Sample(np.array([3.0])), Sample(np.array([3.0]))) == 0.0
-    assert wasserstein1(Sample(np.array([0.0])), Sample(np.array([1.0]))) == 1.0
-    assert wasserstein1(Sample(np.array([0.0, 0.0])),
-                        Sample(np.array([0.0, 2.0]))) == 1.0
-
-
-@given(st.lists(floats, min_size=1, max_size=30), st.integers(0, 2**16))
-@settings(max_examples=300, deadline=None)
-def test_wasserstein_matches_sorted_coupling(a, seed):
-    rng = np.random.default_rng(seed)
-    b = rng.normal(size=len(a)).tolist()
-    w = wasserstein1(Sample(np.array(a)), Sample(np.array(b)))
-    coupling = np.mean(np.abs(np.sort(a) - np.sort(b)))
-    assert w == pytest.approx(coupling, abs=1e-9)
-
-
-def test_ecdf_csv_rows():
-    from fluctwalk.stats import ecdf_csv_rows
-    rows = ecdf_csv_rows(Sample(np.array([2.0, 1.0, 2.0, 3.0])))
-    assert rows[0] == ["x", "F"]
-    assert rows[1:] == [[1.0, 0.25], [2.0, 0.75], [3.0, 1.0]]
 
 
 def test_trend_examples():

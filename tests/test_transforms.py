@@ -6,14 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.errors import InsufficientLadderError, ParameterError
-from fluctwalk.fluctuation import (ladder_epochs, ladder_sequence,
-                                   local_time_strict, local_time_verbatim)
+from fluctwalk.errors import ParameterError
+from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
 from fluctwalk.increments import IncrementLaw, WalkPath, derive_seed, sample_walk
 from fluctwalk.oracle import distribution_equality, exact_functional_distribution, iter_paths
-from fluctwalk.transforms import (decompose_excursions, future_min_local_time,
-                                  future_min_local_time_np, post_min_process,
-                                  reverse_at_ladder, reverse_at_last_max,
+from fluctwalk.transforms import (future_min_local_time, future_min_local_time_np,
                                   tanaka_transform, tanaka_transform_np)
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=30)
@@ -109,26 +106,6 @@ def test_batched_future_min_rejects_unknown_variant():
         future_min_local_time_np(np.zeros((2, 3)), "weak")
 
 
-def test_reverse_at_ladder_examples():
-    assert reverse_at_ladder([0, 1, 0, 2], 2) == (0, 2, 1, 2)
-    assert reverse_at_ladder([0, 1, 0, 2], 1) == (0, 1)
-    assert reverse_at_ladder([0, 1, 2], 1) == (0, 1)
-    with pytest.raises(InsufficientLadderError):
-        reverse_at_ladder([0, -1, -2], 1)
-
-
-def test_reverse_at_last_max_examples():
-    assert reverse_at_last_max([0, 1, 0, 2], 2) == (0, 1)
-    assert reverse_at_last_max([0, 1, 0, 2], 3) == (0, 2, 1, 2)
-    assert reverse_at_last_max([0, 5, 3], 0) == (0,)
-
-
-def test_post_min_process_examples():
-    assert post_min_process([0, -1, 1, -2], 2) == (0, 2)
-    assert post_min_process([0, -1, 1, -2], 3) == (0,)
-    assert post_min_process([0, 9, 9], 0) == (0,)
-
-
 @given(lattice_steps)
 @settings(max_examples=1000, deadline=None)
 def test_rebuild_is_nonnegative_and_positive_inside(steps):
@@ -144,9 +121,8 @@ def test_rebuild_is_nonnegative_and_positive_inside(steps):
 def test_rebuild_preserves_ladder_heights(steps):
     vals = path_from(steps)
     out = tanaka_transform(vals)
-    ls = ladder_sequence(vals)
-    for t, h in zip(ls.epochs, ls.heights):
-        assert out[t] == h
+    for t in ladder_epochs(vals):
+        assert out[t] == vals[t]
 
 
 @given(lattice_steps)
@@ -208,18 +184,6 @@ def test_diffuse_paths_satisfy_verbatim_identity():
         assert all(a[j] == b[j] for j in range(T[-1]))
 
 
-@given(lattice_steps)
-@settings(max_examples=1000, deadline=None)
-def test_excursion_decomposition_invariants(steps):
-    vals = path_from(steps)
-    dec = decompose_excursions(vals)
-    assert dec.total_length() == len(vals) - 1
-    for e in dec.excursions:
-        assert e[0] == 0 and e[-1] == 0
-        assert all(x >= 0 for x in e)
-    assert all(x >= 0 for x in dec.boundary)
-
-
 def test_reversed_ladder_segment_law_equals_rebuilt_segment_law():
     # distributional identity certified by the oracle: the reversed walk up
     # to its k-th ladder epoch has the law of the rebuilt path up to the same
@@ -231,7 +195,8 @@ def test_reversed_ladder_segment_law_equals_rebuilt_segment_law():
                 T = ladder_epochs(vals)
                 if len(T) - 1 < k:
                     return "unrealized"
-                return reverse_at_ladder(vals, k)
+                t = T[k]
+                return tuple(vals[t] - vals[t - i] for i in range(t + 1))
 
             def fwd(vals, k=k):
                 T = ladder_epochs(vals)
