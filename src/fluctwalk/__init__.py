@@ -8,8 +8,7 @@ limit targets.
 """
 
 from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk
-from .fluctuation import (LocalTimeCurve, last_max_index, local_time_strict,
-                          local_time_verbatim)
+from .fluctuation import last_max_index, local_time_strict, local_time_verbatim
 from .transforms import future_min_local_time, tanaka_transform
 from .scaling import (FristedtReport, PositivitySequence, fristedt_residual,
                       norming_constant, positivity_probabilities)

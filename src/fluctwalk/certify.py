@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -73,28 +73,29 @@ class CheckResult:
     detail: str
     rows: List[list] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
-
 
 # ---------------------------------------------------------------------------
 # ladder-pair identity
 
 
-def certify_fristedt(laws: Sequence[IncrementLaw] = None,
-                     alphas=(0.5, 1.0, 2.0), betas=(0.0, 0.5, 1.0),
-                     K: int = 60, bound: float = 1e-6) -> CheckResult:
-    laws = DEFAULT_LAWS() if laws is None else laws
+# the (alpha, beta) grid of the identity, and the largest tail bound that
+# makes a residual a certificate
+_FRISTEDT_ALPHAS = (0.5, 1.0, 2.0)
+_FRISTEDT_BETAS = (0.0, 0.5, 1.0)
+_FRISTEDT_BOUND = 1e-6
+
+
+def certify_fristedt(K: int = 60) -> CheckResult:
     rows = [["law", "alpha", "beta", "lhs", "rhs", "residual", "tail_bound"]]
     ok = True
     worst = 0.0
-    for law in laws:
-        for a in alphas:
-            for b in betas:
+    for law in DEFAULT_LAWS():
+        for a in _FRISTEDT_ALPHAS:
+            for b in _FRISTEDT_BETAS:
                 rep = fristedt_residual(law, a, b, K)
                 rows.append([law.description, a, b, rep.lhs, rep.rhs,
                              rep.residual, rep.tail_bound])
-                good = rep.residual <= rep.tail_bound and rep.tail_bound <= bound
+                good = rep.residual <= rep.tail_bound and rep.tail_bound <= _FRISTEDT_BOUND
                 ok = ok and good
                 worst = max(worst, rep.residual)
     return CheckResult("fristedt", ok,
@@ -133,7 +134,7 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
 
     for _, vals, c in iter_paths(law, m):
         T = ladder_epochs(vals)
-        lam = local_time_strict(vals).counts
+        lam = local_time_strict(vals)
         up = tanaka_transform(vals)
         # segment starts strictly before i, for i = 0..T_last
         marks = [bisect_left(T, i) for i in range(T[-1] + 1)]
@@ -144,7 +145,7 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
                  (tuple(up[: t + 1]), tuple(marks[: t + 1]))) for t in T]
         for k in range(1, len(T)):
             add(k, *keys[k], c)
-        if last_max_index(vals, m) == T[-1]:
+        if last_max_index(vals) == T[-1]:
             add(0, *keys[-1], c)
     return diffs
 
@@ -154,12 +155,10 @@ def _total_variation(diff: Dict, Dm: int) -> Fraction:
     return Fraction(sum(map(abs, diff.values())), 2 * Dm)
 
 
-def certify_reversal(laws: Sequence[IncrementLaw] = None,
-                     max_length: int = 8) -> CheckResult:
-    laws = DEFAULT_LAWS() if laws is None else laws
+def certify_reversal(max_length: int = 8) -> CheckResult:
     rows = [["law", "length", "check", "k", "tv"]]
     ok = True
-    for law in laws:
+    for law in DEFAULT_LAWS():
         D = integer_law(law)[2]
         for m in range(1, max_length + 1):
             diffs = _reversal_differences(law, m)
@@ -227,7 +226,7 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
     rows = [["length", "paths_checked", "mismatches"]]
     ok = True
     for m in range(1, max_length + 1):
-        chain = hchain_path_distribution(law, m, V)
+        chain = hchain_path_distribution(law, m)
         mism = 0
         total = 0
         seen = set()
@@ -250,7 +249,7 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
         rows.append([m, total, mism])
 
     # weight normalization: mean of the meander weights over chain samples
-    for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7), V):
+    for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7)):
         pass
     w = meander_weights(law, weight_n, x)
     mean = float(w.mean())
@@ -296,7 +295,7 @@ def certify_h_kernel(max_length: int = 8) -> CheckResult:
     worst = Fraction(0)
     for m in range(1, max_length + 1):
         td_end = exact_functional_distribution(law, m, lambda v: tanaka_transform(v)[-1])
-        chain_end = hchain_endpoint_distribution(law, m, V)
+        chain_end = hchain_endpoint_distribution(law, m)
         tv = distribution_equality(td_end, chain_end)
         worst = max(worst, tv)
         endpoint_ok = endpoint_ok and tv == 0

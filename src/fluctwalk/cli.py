@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .conditioning import conditioned_walk, meander_sample, renewal_function
+from .conditioning import conditioned_walk, meander_sample
 from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
@@ -194,14 +194,13 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
                  for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
     elif kind == "conditioned":
         try:
-            V = renewal_function(law)
+            paths = [(conditioned_walk(law, length, derive_seed(seed, t)), 1.0)
+                     for t in range(n_paths)]
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "
                         f"function, such as fair-pm1: {exc}")
-        paths = [(conditioned_walk(law, length, derive_seed(seed, t), method="h_chain",
-                                   V=V), 1.0) for t in range(n_paths)]
     else:
-        paths = [meander_sample(law, length, derive_seed(seed, t), method="rejection")
+        paths = [meander_sample(law, length, derive_seed(seed, t))
                  for t in range(n_paths)]
     rows = [["trial", "index", "value", "weight"]]
     for t, (path, weight) in enumerate(paths):

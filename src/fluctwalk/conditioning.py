@@ -16,16 +16,18 @@ the meander event C_k = {S_1 >= 0, ..., S_k >= 0}); the kernel is therefore
 defined at every x >= 0 with V(x) > 0.
 
 V is exact and rational: skip-free-downward lattice laws (descents by one
-lattice unit) have closed forms for it.  :func:`conditioned_states` is the
-one sampler of the conditioned chain: it runs many chains at once by table
-lookup in the float-rounded cumulative kernel rows, and the single walk of
-:func:`conditioned_walk` is its one-trial case.
+lattice unit) have closed forms for it, and every function here that needs
+V builds it with :func:`renewal_function`.  :func:`conditioned_states` is
+the one sampler of the conditioned chain: it runs many chains at once by
+table lookup in the float-rounded cumulative kernel rows, and the single
+walk of :func:`conditioned_walk` is its one-trial case.
 
-Two meander samplers are provided.  Rejection sampling is the ground truth
-at small horizons; above that the conditioned walk is reweighted by
-1 / (P(C_k) V(endpoint)) (:func:`meander_weights`, the one place that
-knows this weight), whose weighted empirical law is exactly the meander
-law, path by path on lattices.
+Meanders come two ways.  :func:`meander_sample` draws one by rejection, the
+ground truth at small horizons.  Above that, the chains of
+:func:`conditioned_states` are weighted by 1 / (P(C_k) V(endpoint))
+(:func:`meander_weights`, the one place that knows this weight); the
+weighted empirical law is exactly the meander law, path by path on
+lattices.
 """
 
 from __future__ import annotations
@@ -34,17 +36,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
                      ParameterError, UnsupportedModeError)
-from .increments import IncrementLaw, WalkPath, iter_rows, sample_walk, _rng
+from .increments import IncrementLaw, WalkPath, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
                       required_truncation)
-from .transforms import tanaka_transform
 
 __all__ = [
     "renewal_function",
@@ -148,11 +149,12 @@ def h_kernel_row(x, law: IncrementLaw, V: Callable) -> List[Tuple[Fraction, Frac
     return row
 
 
-def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
-                       V: Optional[Callable] = None) -> Iterator[np.ndarray]:
+def conditioned_states(law: IncrementLaw, length: int, trials: int,
+                       seed: int) -> Iterator[np.ndarray]:
     """Run ``trials`` kernel chains from 0 at once; yield their levels per step.
 
-    For lattice laws with an exact V (skip-free downward).  Each step draws
+    For lattice laws with an exact V (skip-free downward); for any other
+    law :func:`renewal_function` raises.  Each step draws
     one ``rng.random(trials)`` from ``_rng(seed)`` and moves trial i by the
     first step, up-step first, whose cumulative kernel probability exceeds
     its uniform; so on fair +-1 a chain at level x steps up when
@@ -165,10 +167,7 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
     """
     if length < 1 or trials < 1:
         raise ParameterError("length and trials must be >= 1")
-    if law.kind != "lattice":
-        raise UnsupportedModeError("the conditioned chain requires a lattice law")
-    if V is None:
-        V = renewal_function(law)
+    V = renewal_function(law)
     unit, steps, probs = law.lattice_integer_form()
     steps = sorted((s for s, p in zip(steps, probs) if p > 0), reverse=True)
 
@@ -203,33 +202,14 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int, seed: int,
         yield x
 
 
-def conditioned_walk(law: IncrementLaw, length: int, seed: int,
-                     method: str = "h_chain",
-                     V: Optional[Callable] = None) -> WalkPath:
-    """A walk conditioned to stay positive, by kernel chain or by transform.
-
-    ``h_chain`` is the one-trial case of :func:`conditioned_states` and
-    realizes the conditioned law exactly (lattice laws, exact rows).
-    ``tanaka_transform`` transforms an unconditioned sample pathwise; the
-    two constructions share scaling limit and endpoint law, but on lattice
-    windows their path laws differ at the zero boundary (quantified in
-    tests), so law-sensitive estimators use the kernel chain.
-    """
+def conditioned_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
+    """A walk conditioned to stay positive: the one-trial case of
+    :func:`conditioned_states`, exact in law (lattice laws, exact rows)."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    if method == "tanaka_transform":
-        return tanaka_transform(sample_walk(law, length, seed))
-    if method != "h_chain":
-        raise ParameterError(f"unknown method {method!r}")
-    return _chain_walk(law, length, seed, V)[0]
-
-
-def _chain_walk(law: IncrementLaw, length: int, seed: int,
-                V: Optional[Callable]) -> Tuple[WalkPath, int]:
-    """One kernel chain from 0: its walk and its final integer level."""
-    levels = [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed, V)]
+    levels = [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed)]
     unit, _, _ = law.lattice_integer_form()
-    return WalkPath(values=tuple(float(k * unit) for k in levels)), levels[-1]
+    return WalkPath(values=tuple(float(k * unit) for k in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +222,6 @@ class SurvivalEstimate:
 
     probability: Union[Fraction, float]
     error: float
-    mode: str
-
-    def __float__(self):
-        return float(self.probability)
 
 
 def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistribution:
@@ -277,14 +253,14 @@ def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
     if mode == "exact":
         if law.kind != "lattice":
             raise UnsupportedModeError("exact survival requires a lattice law")
-        return SurvivalEstimate(survival_sequence(law, [k])[k], 0.0, "exact")
+        return SurvivalEstimate(survival_sequence(law, [k])[k], 0.0)
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
     trials = max(100, budget)
     hits = sum(int((S.min(axis=1) >= 0).sum()) for S in iter_rows(law, k, seed, trials))
     p = hits / trials
     se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-    return SurvivalEstimate(p, se, "montecarlo")
+    return SurvivalEstimate(p, se)
 
 
 def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fraction]:
@@ -297,33 +273,25 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
     return out
 
 
-def meander_sample(law: IncrementLaw, k: int, seed: int,
-                   method: str = "rejection", budget: int = 100_000,
-                   V: Optional[Callable] = None,
-                   survival: Optional[SurvivalEstimate] = None) -> Tuple[WalkPath, float]:
-    """One meander path of length k, with its importance weight.
+# rejection attempts of one meander_sample call
+_MEANDER_ATTEMPTS = 100_000
 
-    Rejection returns exact-law paths with weight 1.  Reweight returns a
-    conditioned-walk path with its :func:`meander_weights` weight
-    1 / (P(C_k) V(endpoint)); the weighted empirical law over such samples is
-    the meander law.
+
+def meander_sample(law: IncrementLaw, k: int, seed: int) -> Tuple[WalkPath, float]:
+    """One meander path of length k by rejection, with its weight 1.
+
+    Attempt t is trial t of ``seed``; the first walk that stays >= 0 is
+    returned, so the path has the exact meander law.
     """
     if k < 1:
         raise ParameterError("length must be >= 1")
-    if method == "rejection":
-        # attempt t is trial t of ``seed``
-        for S in iter_rows(law, k, seed, budget):
-            ok = S.min(axis=1) >= 0
-            if ok.any():
-                return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist())), 1.0
-        raise BudgetError(
-            f"no meander accepted in {budget} attempts",
-            acceptance_rate=0.0)
-    if method != "reweight":
-        raise ParameterError(f"unknown method {method!r}")
-    path, level = _chain_walk(law, k, seed, V)
-    p = None if survival is None else survival.probability
-    return path, float(meander_weights(law, k, level, p))
+    for S in iter_rows(law, k, seed, _MEANDER_ATTEMPTS):
+        ok = S.min(axis=1) >= 0
+        if ok.any():
+            return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist())), 1.0
+    raise BudgetError(
+        f"no meander accepted in {_MEANDER_ATTEMPTS} attempts",
+        acceptance_rate=0.0)
 
 
 def meander_weights(law: IncrementLaw, n: int, levels,
@@ -349,13 +317,9 @@ def meander_weights(law: IncrementLaw, n: int, levels,
 # exact conditioned-walk distributions (certification helpers)
 
 
-def hchain_path_distribution(law: IncrementLaw, length: int,
-                             V: Optional[Callable] = None) -> ExactDistribution:
+def hchain_path_distribution(law: IncrementLaw, length: int) -> ExactDistribution:
     """Exact law of the kernel chain over integer-lattice paths."""
-    if law.kind != "lattice":
-        raise UnsupportedModeError("exact chain law requires a lattice law")
-    if V is None:
-        V = renewal_function(law)
+    V = renewal_function(law)
     unit, _, _ = law.lattice_integer_form()
     atoms: Dict[tuple, Fraction] = {}
 
@@ -373,13 +337,9 @@ def hchain_path_distribution(law: IncrementLaw, length: int,
     return dist
 
 
-def hchain_endpoint_distribution(law: IncrementLaw, length: int,
-                                 V: Optional[Callable] = None) -> ExactDistribution:
+def hchain_endpoint_distribution(law: IncrementLaw, length: int) -> ExactDistribution:
     """Exact law of the kernel chain's endpoint, by forward recursion."""
-    if law.kind != "lattice":
-        raise UnsupportedModeError("exact chain law requires a lattice law")
-    if V is None:
-        V = renewal_function(law)
+    V = renewal_function(law)
     unit, _, _ = law.lattice_integer_form()
     cur = {0: Fraction(1)}
     for _ in range(length):
@@ -419,9 +379,14 @@ class HarmonicReport:
         return rows
 
 
+# truncation tolerance of every a_hat_n sum, and the largest truncation the
+# exact positivity convolution may take
+_REL_TOL = 1e-9
+_EXACT_POSITIVITY_CAP = 4096
+
+
 def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
-                    n_grid: Sequence[int], rel_tol: float = 1e-9,
-                    exact_positivity_cap: int = 4096) -> HarmonicReport:
+                    n_grid: Sequence[int]) -> HarmonicReport:
     """Track a_hat_n P(C_n) and P(C_n) V_n(x) across n.
 
     Exact lattice route: survival by integer recursion, V by the skip-free
@@ -449,16 +414,16 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     a_hat = []
     for n in n_grid:
         if rule is not None:
-            a_hat.append(norming_constant(rule, n, rel_tol))
+            a_hat.append(norming_constant(rule, n, _REL_TOL))
         else:
-            K = required_truncation(n, rel_tol)
-            if K > exact_positivity_cap:
+            K = required_truncation(n, _REL_TOL)
+            if K > _EXACT_POSITIVITY_CAP:
                 raise UnsupportedModeError(
                     f"n={n} needs positivity out to K={K}, above the exact cap; "
                     "no closed-form rule for this law")
             negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
             seq = positivity_probabilities(negated, K, mode="exact")
-            a_hat.append(norming_constant(seq, n, rel_tol))
+            a_hat.append(norming_constant(seq, n, _REL_TOL))
 
     surv = survival_sequence(law, n_grid)
     p_surv = [float(surv[n]) for n in n_grid]

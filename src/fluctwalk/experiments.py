@@ -264,7 +264,7 @@ _SPARE_WINDOWS = 32
 
 
 def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
-                          seed: int, window_mult: int = 64) -> tuple:
+                          seed: int, window_mult: int) -> tuple:
     """(T_block, H_block) read off simulated windows of length window_mult * n.
 
     Window t is trial t of ``seed``; windows are read in order, a pair comes
@@ -655,7 +655,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     if law.kind != "lattice":
         raise ConfigError("the exact-reweight meander route requires the "
                           "fair +-1 lattice walk")
-    unit, steps, _ = law.lattice_integer_form()
+    _, steps, _ = law.lattice_integer_form()
     if set(steps) != {-1, 1} or not law.is_symmetric():
         raise ConfigError("meander experiment implemented for the fair +-1 walk")
 
@@ -673,7 +673,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
                                     derive_seed(config.seed, 200 + i)):
             pass
         w = meander_weights(law, n, x, p_survival=surv[n])
-        s = Sample(x * float(unit) / math.sqrt(n) / float(unit), weights=w)
+        s = Sample(x / math.sqrt(n), weights=w)
         ks = ks_statistic(s, rayleigh_cdf).statistic
         rows.append([n, float(surv[n]), ks])
         if prev_sample is not None:

@@ -14,22 +14,20 @@ epoch equals k on every path).  Exact certification work therefore uses the
 strict variant on lattice laws; convergence experiments on diffuse laws may
 use either.
 
-The scalar counts are the references that the batched
-:func:`local_time_curve_np` is tested against; the reversal certificate reads
-:func:`ladder_epochs`, :func:`local_time_strict` and :func:`last_max_index`.
+The scalar counts take a sequence of path values S_0..S_m and return the
+tuple of counts Lambda_0..Lambda_m, with Lambda_0 = 0.  They are the
+references that the batched :func:`local_time_curve_np` is tested against;
+the reversal certificate reads :func:`ladder_epochs`,
+:func:`local_time_strict` and :func:`last_max_index`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
-from .increments import path_values
 
 __all__ = [
-    "LocalTimeCurve",
     "local_time_verbatim",
     "local_time_strict",
     "local_time_curve_np",
@@ -38,27 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalTimeCurve:
-    """Nondecreasing integer counts Lambda_0..Lambda_m with Lambda_0 = 0."""
-
-    counts: tuple
-    variant: str  # "verbatim" | "strict"
-
-    def __getitem__(self, k):
-        return self.counts[k]
-
-    def __len__(self):
-        return len(self.counts)
-
-    @property
-    def final(self) -> int:
-        return self.counts[-1]
-
-
-def local_time_verbatim(path) -> LocalTimeCurve:
+def local_time_verbatim(vals) -> tuple:
     """Count up-steps landing on the running maximum (weak records)."""
-    vals = path_values(path)
     counts = [0]
     mx = vals[0]
     c = 0
@@ -70,12 +49,11 @@ def local_time_verbatim(path) -> LocalTimeCurve:
             c += 1
         counts.append(c)
         prev = v
-    return LocalTimeCurve(counts=tuple(counts), variant="verbatim")
+    return tuple(counts)
 
 
-def local_time_strict(path) -> LocalTimeCurve:
+def local_time_strict(vals) -> tuple:
     """Count strict running-max records; inverse of the ladder epochs."""
-    vals = path_values(path)
     counts = [0]
     mx = vals[0]
     c = 0
@@ -84,7 +62,7 @@ def local_time_strict(path) -> LocalTimeCurve:
             c += 1
             mx = v
         counts.append(c)
-    return LocalTimeCurve(counts=tuple(counts), variant="strict")
+    return tuple(counts)
 
 
 def local_time_curve_np(values: np.ndarray, variant: str = "verbatim") -> np.ndarray:
@@ -120,14 +98,11 @@ def ladder_epochs(vals) -> list:
     return epochs
 
 
-def last_max_index(path, k: int) -> int:
-    """Largest j <= k at which the path touches its running maximum."""
-    vals = path_values(path)
-    if not (0 <= k <= len(vals) - 1):
-        raise ParameterError("index outside the window")
+def last_max_index(vals) -> int:
+    """Last index at which the path touches its running maximum."""
     mx = vals[0]
     last = 0
-    for j in range(1, k + 1):
+    for j in range(1, len(vals)):
         if vals[j] > mx:
             mx = vals[j]
         if vals[j] == mx:

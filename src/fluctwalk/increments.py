@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -175,9 +175,6 @@ class IncrementLaw:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True)
-
     def describe(self) -> dict:
         """Manifest entry: full parametrization, exact where applicable."""
         if self.kind == "lattice":
@@ -221,13 +218,6 @@ class WalkPath:
     def __post_init__(self):
         if len(self.values) == 0 or self.values[0] != 0:
             raise ParameterError("a walk path must start at 0")
-
-
-def path_values(path) -> Sequence:
-    """Accept a WalkPath or a raw value sequence; return the value sequence."""
-    if isinstance(path, WalkPath):
-        return path.values
-    return path
 
 
 # numpy's SeedSequence (O'Neill's seed_seq hash for PCG) on uint32 words

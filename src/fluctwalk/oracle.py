@@ -56,9 +56,6 @@ class ExactDistribution:
         if self.total() != 1:
             raise ParameterError(f"atom probabilities sum to {self.total()}, expected 1")
 
-    def to_json(self) -> dict:
-        return {repr(k): str(v) for k, v in sorted(self.atoms.items(), key=lambda kv: repr(kv[0]))}
-
 
 def integer_law(law: IncrementLaw):
     """Integer form of a lattice law's exact mass: (unit, live, D).
@@ -102,8 +99,7 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0):
             w = w[:max(0, 1 - lo)]
 
 
-def iter_paths(law: IncrementLaw, length: int,
-               budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[tuple, tuple, int]]:
+def iter_paths(law: IncrementLaw, length: int) -> Iterator[Tuple[tuple, tuple, int]]:
     """Yield (increment index key, integer path values, integer weight).
 
     A path has probability weight / D**length, with D from
@@ -113,15 +109,15 @@ def iter_paths(law: IncrementLaw, length: int,
     a choice change at depth j recomputes the values and weights from depth j
     on only.  Path values are on the integer lattice of the law's support;
     multiply by the unit from ``lattice_integer_form`` to recover rational
-    values.
+    values.  More than ``DEFAULT_BUDGET`` paths raise a BudgetError.
     """
     if length < 0:
         raise ParameterError("length must be >= 0")
     _, live, _ = integer_law(law)
     r = len(live)
     n_paths = r ** length
-    if n_paths > budget:
-        raise BudgetError(f"{n_paths} paths exceed the enumeration budget {budget}")
+    if n_paths > DEFAULT_BUDGET:
+        raise BudgetError(f"{n_paths} paths exceed the enumeration budget {DEFAULT_BUDGET}")
     choice = [0] * length
     keys = [0] * length
     vals = [0] * (length + 1)
@@ -142,8 +138,8 @@ def iter_paths(law: IncrementLaw, length: int,
         choice[j] += 1
 
 
-def exact_functional_distribution(law: IncrementLaw, length: int, functional,
-                                  budget: int = DEFAULT_BUDGET) -> ExactDistribution:
+def exact_functional_distribution(law: IncrementLaw, length: int,
+                                  functional) -> ExactDistribution:
     """Exact pushforward of the law of the length-step path under ``functional``.
 
     The functional receives the integer path values of each enumerated path
@@ -152,7 +148,7 @@ def exact_functional_distribution(law: IncrementLaw, length: int, functional,
     D**length.
     """
     out: Dict[Hashable, int] = {}
-    for _, vals, c in iter_paths(law, length, budget):
+    for _, vals, c in iter_paths(law, length):
         y = functional(vals)
         out[y] = out.get(y, 0) + c
     Dm = integer_law(law)[2] ** length

@@ -20,7 +20,6 @@ residual together with a rigorous combined tail bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +52,6 @@ class PositivitySequence:
     """
 
     probabilities: Dict[int, Union[Fraction, float]]
-    source: str  # "exact" | "estimated"
     standard_errors: Optional[Dict[int, float]] = None
 
     def __post_init__(self):
@@ -154,7 +152,7 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
             raise UnsupportedModeError("exact positivity requires a lattice law")
         probs = {k: Fraction(int(above.sum()), Dk)
                  for k, Dk, _, above, _ in _split_at_zero(law, K, keep=0)}
-        return PositivitySequence(probabilities=probs, source="exact")
+        return PositivitySequence(probabilities=probs)
     if mode != "montecarlo":
         raise ParameterError(f"unknown mode {mode!r}")
     rng_seed = derive_seed(seed, 0)
@@ -166,7 +164,6 @@ def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
     se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / trials)
     return PositivitySequence(
         probabilities={k + 1: float(p[k]) for k in range(K)},
-        source="estimated",
         standard_errors={k + 1: float(se[k]) for k in range(K)},
     )
 
@@ -182,13 +179,6 @@ class FristedtReport:
     residual: float
     tail_bound: float
     truncation: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha, "beta": self.beta, "lhs": self.lhs,
-            "rhs": self.rhs, "residual": self.residual,
-            "tail_bound": self.tail_bound, "truncation": self.truncation,
-        }, sort_keys=True)
 
 
 def _split_at_zero(law: IncrementLaw, K: int, keep: int):
@@ -225,8 +215,12 @@ def first_ladder_pair_table(law: IncrementLaw, K: int):
     return unit, table, survivor
 
 
+# decimal digits of the mpmath evaluation in fristedt_residual
+_DPS = 80
+
+
 def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
-                      K: int = 60, dps: int = 80) -> FristedtReport:
+                      K: int = 60) -> FristedtReport:
     """Residual between the two sides of the ladder-pair identity.
 
     Requires alpha > 0 so that both truncation tails decay geometrically.
@@ -235,7 +229,7 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
     its computable geometric tail.  The reported bound is the sum of both.
 
     The truncation tails sit far below double precision already for moderate
-    alpha * K, so both sides are evaluated in ``dps``-digit arithmetic on
+    alpha * K, so both sides are evaluated in 80-digit arithmetic on
     top of the exact integer sweeps of :func:`first_ladder_pair_table` and
     of the walk's step laws: at each t the integer weights times
     e^{-beta x} are summed and divided once by D^t.  The residual is then a
@@ -251,7 +245,7 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
     from mpmath import mp, mpf, exp as mexp
 
     unit = law.lattice_integer_form()[0]
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         u = mpf(unit.numerator) / mpf(unit.denominator)
         al = mpf(repr(float(alpha)))
         be = mpf(repr(float(beta)))

@@ -86,21 +86,19 @@ class KSReport:
     n1: float
     n2: Optional[float]
     dkw_epsilon: float
-    confidence: float
-
-    def to_json(self) -> dict:
-        return {"statistic": self.statistic, "n1": self.n1, "n2": self.n2,
-                "dkw_epsilon": self.dkw_epsilon, "confidence": self.confidence}
 
 
-def ks_statistic(sample: Sample, reference: Union[Sample, Callable],
-                 confidence: float = 0.99) -> KSReport:
+# the confidence of every KS envelope
+_CONFIDENCE = 0.99
+
+
+def ks_statistic(sample: Sample, reference: Union[Sample, Callable]) -> KSReport:
     """Sup-distance between ECDFs, or between an ECDF and a reference CDF.
 
     Against a CDF callable the sup is evaluated at sample breakpoints from
     both sides of each jump, which is exact for step functions.  The
     envelope half-width uses the effective sample size, so weighted samples
-    are handled uniformly.
+    are handled uniformly.  The envelope is at confidence 0.99.
     """
     if sample.size == 0:
         raise InputError("empty sample")
@@ -110,7 +108,7 @@ def ks_statistic(sample: Sample, reference: Union[Sample, Callable],
         ref = np.asarray(reference(xs), dtype=np.float64)
         lo = np.concatenate([[0.0], F1[:-1]])
         d = float(np.max(np.maximum(np.abs(ref - F1), np.abs(ref - lo))))
-        return KSReport(d, n1, None, dkw_epsilon(n1, confidence), confidence)
+        return KSReport(d, n1, None, dkw_epsilon(n1, _CONFIDENCE))
     if reference.size == 0:
         raise InputError("empty reference sample")
     ys, F2 = ecdf_points(reference)
@@ -120,7 +118,7 @@ def ks_statistic(sample: Sample, reference: Union[Sample, Callable],
     e2 = np.concatenate([[0.0], F2])[np.searchsorted(ys, grid, side="right")]
     d = float(np.max(np.abs(e1 - e2)))
     n_eff = n1 * n2 / (n1 + n2)
-    return KSReport(d, n1, n2, dkw_epsilon(n_eff, confidence), confidence)
+    return KSReport(d, n1, n2, dkw_epsilon(n_eff, _CONFIDENCE))
 
 
 @dataclass(frozen=True)

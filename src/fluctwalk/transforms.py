@@ -18,7 +18,10 @@ exercised by tests:
   rather than hidden.
 
 The local time at the future minimum of the rebuilt path is the other side
-of the local-time identity that ``verify idloc`` certifies.
+of the local-time identity that ``verify idloc`` certifies.  The scalar
+:func:`tanaka_transform` and :func:`future_min_local_time` take a sequence
+of path values and return a tuple; the batched ``_np`` forms, which the
+certificate runs, are tested against them row by row.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fluctuation import LocalTimeCurve, ladder_epochs
-from .increments import WalkPath, path_values
+from .fluctuation import ladder_epochs
 
 __all__ = [
     "tanaka_transform",
@@ -37,13 +39,7 @@ __all__ = [
 ]
 
 
-def _wrap_like(path, values):
-    if isinstance(path, WalkPath):
-        return WalkPath(values=tuple(values))
-    return tuple(values)
-
-
-def tanaka_transform(path):
+def tanaka_transform(vals) -> tuple:
     """Rebuild the path from reversed reflected excursions above the ladder.
 
     Same length as the input.  On complete ladder intervals the interval
@@ -51,7 +47,6 @@ def tanaka_transform(path):
     H_last + (M - S).  Output values are >= 0 everywhere and strictly
     positive at indices 1..T_last.
     """
-    vals = path_values(path)
     m = len(vals) - 1
     T = ladder_epochs(vals)
     out = [vals[0]] * (m + 1)
@@ -66,7 +61,7 @@ def tanaka_transform(path):
     for i in range(a, m + 1):
         # running max past the last epoch stays at h_last
         out[i] = h_last + (h_last - vals[i])
-    return _wrap_like(path, out)
+    return tuple(out)
 
 
 def tanaka_transform_np(values: np.ndarray) -> np.ndarray:
@@ -104,7 +99,7 @@ def tanaka_transform_np(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def future_min_local_time(path, variant: str = "verbatim") -> LocalTimeCurve:
+def future_min_local_time(vals, variant: str = "verbatim") -> tuple:
     """Count times the path sits at its future minimum and then steps up.
 
     Future minima are taken over the finite window; the final index has no
@@ -114,7 +109,6 @@ def future_min_local_time(path, variant: str = "verbatim") -> LocalTimeCurve:
     maximum, the two agree on diffuse paths and differ on lattice ties, and
     only the strict count matches the strict ladder structure exactly.
     """
-    vals = path_values(path)
     m = len(vals) - 1
     counts = [0]
     c = 0
@@ -134,7 +128,7 @@ def future_min_local_time(path, variant: str = "verbatim") -> LocalTimeCurve:
             if ok:
                 c += 1
         counts.append(c)
-    return LocalTimeCurve(counts=tuple(counts), variant=variant)
+    return tuple(counts)
 
 
 def future_min_local_time_np(values: np.ndarray, variant: str = "verbatim") -> np.ndarray:

@@ -52,7 +52,7 @@ def _line(cid, passed, detail):
 
 def test_a1_fristedt_identity_exact():
     t0 = time.monotonic()
-    res = certify_fristedt(K=60, bound=1e-6)
+    res = certify_fristedt(K=60)
     elapsed = time.monotonic() - t0
     spot = [r for r in res.rows[1:]
             if r[0] == "fair +-1" and r[1] == 1.0 and r[2] == 0.0][0]
@@ -287,12 +287,10 @@ def test_a10_dkw_calibration():
     rng = np.random.default_rng(20240808)
     for rep in range(100):
         u = rng.random(n)
-        d1 = ks_statistic(Sample(_inverse_rayleigh(u)), rayleigh_cdf,
-                          confidence=0.99)
+        d1 = ks_statistic(Sample(_inverse_rayleigh(u)), rayleigh_cdf)
         breaches["rayleigh"] += d1.statistic > d1.dkw_epsilon
         v = rng.random(n)
-        d2 = ks_statistic(Sample(_inverse_ladder_time_cdf(v)), levy_half_cdf,
-                          confidence=0.99)
+        d2 = ks_statistic(Sample(_inverse_ladder_time_cdf(v)), levy_half_cdf)
         breaches["ladder_time"] += d2.statistic > d2.dkw_epsilon
     elapsed = time.monotonic() - t0
     ok = breaches["rayleigh"] <= 5 and breaches["ladder_time"] <= 5

@@ -11,10 +11,11 @@ from fluctwalk.conditioning import (conditioned_states, conditioned_walk, h_kern
                                     survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
-from fluctwalk.increments import IncrementLaw, _rng, derive_seed
+from fluctwalk.increments import IncrementLaw, _rng, derive_seed, sample_walk
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
 from fluctwalk.stats import dkw_epsilon
+from fluctwalk.transforms import tanaka_transform
 
 F = Fraction
 FAIR = IncrementLaw.fair_pm1()
@@ -75,7 +76,7 @@ def test_kernel_step_samples_from_row():
     for law in (FAIR, IncrementLaw.biased_pm1(F(3, 4)), IncrementLaw.uniform3()):
         V = renewal_function(law)
         prev = np.zeros(2000, dtype=np.int64)
-        for x in conditioned_states(law, 12, 2000, 5, V):
+        for x in conditioned_states(law, 12, 2000, 5):
             assert x.min() >= 0
             for a in np.unique(prev):
                 row = {int(y) for y, _ in h_kernel_row(int(a), law, V)}
@@ -122,22 +123,20 @@ def test_conditioned_states_endpoint_law_in_dkw_band(law):
 
 
 def test_conditioned_walk_first_step_up():
-    for method in ("h_chain", "tanaka_transform"):
-        w = conditioned_walk(FAIR, 1, seed=3, method=method)
-        assert w.values == (0.0, 1.0)
+    assert conditioned_walk(FAIR, 1, seed=3).values == (0.0, 1.0)
+    assert tanaka_transform(sample_walk(FAIR, 1, 3).values) == (0.0, 1.0)
 
 
 def test_conditioned_walk_point_mass_is_ramp():
     law = IncrementLaw.lattice([1], [1])
-    for method in ("h_chain", "tanaka_transform"):
-        w = conditioned_walk(law, 4, seed=1, method=method)
-        assert w.values == (0.0, 1.0, 2.0, 3.0, 4.0)
+    ramp = (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert conditioned_walk(law, 4, seed=1).values == ramp
+    assert tanaka_transform(sample_walk(law, 4, 1).values) == ramp
 
 
 def test_conditioned_methods_share_endpoint_law_exactly():
     # full path laws differ on lattice windows (zero-boundary effect), but
     # endpoint laws coincide exactly; both facts are pinned here
-    from fluctwalk.transforms import tanaka_transform
     for m in (3, 5, 8):
         td_paths = exact_functional_distribution(FAIR, m,
                                                  lambda v: tuple(tanaka_transform(v)))
@@ -177,19 +176,18 @@ def test_survival_montecarlo_agrees_with_exact():
 
 
 def test_meander_length_one_forced_up():
-    for method in ("rejection", "reweight"):
-        path, w = meander_sample(FAIR, 1, seed=9, method=method)
-        assert path.values[-1] == 1.0
+    path, w = meander_sample(FAIR, 1, seed=9)
+    assert path.values[-1] == 1.0
 
 
 def test_meander_rejection_only_emits_nonnegative_paths():
     for s in range(30):
-        path, w = meander_sample(FAIR, 6, seed=s, method="rejection")
+        path, w = meander_sample(FAIR, 6, seed=s)
         assert min(path.values) >= 0 and w == 1.0
 
 
 def test_meander_two_step_endpoint_law():
-    ends = [meander_sample(FAIR, 2, seed=s, method="rejection")[0].values[-1]
+    ends = [meander_sample(FAIR, 2, seed=s)[0].values[-1]
             for s in range(600)]
     frac2 = sum(1 for e in ends if e == 2.0) / len(ends)
     assert abs(frac2 - 0.5) < 0.08
@@ -197,12 +195,10 @@ def test_meander_two_step_endpoint_law():
 
 
 def test_meander_reweight_weights_average_to_one():
+    # one chain per seed, weighted at its last level
     n = 16
-    V = renewal_function(FAIR)
-    surv = survival_probability(FAIR, n)
-    ws = [meander_sample(FAIR, n, seed=s, method="reweight", V=V,
-                         survival=surv)[1] for s in range(800)]
-    w = np.array(ws)
+    last = [list(conditioned_states(FAIR, n, 1, s))[-1][0] for s in range(800)]
+    w = meander_weights(FAIR, n, last)
     assert abs(w.mean() - 1.0) < 4 * w.std(ddof=1) / math.sqrt(w.size)
 
 
@@ -229,7 +225,7 @@ def test_chain_and_meander_absolute_continuity_exact():
     # meander law
     V = renewal_function(FAIR)
     for m in (2, 4, 6):
-        chain = hchain_path_distribution(FAIR, m, V)
+        chain = hchain_path_distribution(FAIR, m)
         total = F(0)
         from fluctwalk.oracle import iter_paths
         for _, vals, c in iter_paths(FAIR, m):

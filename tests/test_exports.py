@@ -1,11 +1,13 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import fluctwalk
+from fluctwalk.cli import VERIFY
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fluctwalk.__path__))
 
@@ -34,6 +36,7 @@ UNCALLED_EXPORTS = {
     "future_min_local_time": "scalar reference for the batched future_min_local_time_np",
     "meander_endpoint_distribution": "exact lattice law the meander tests compare against",
     "survival_probability": "library entry point the benchmark calls",
+    "sample_walk": "per-row reference that `sample_rows` is tested against",
 }
 
 
@@ -69,3 +72,75 @@ def test_every_exported_name_has_a_caller():
                                     "__all__", [])}
     assert UNCALLED_EXPORTS.keys() <= exported
     assert sorted(exported - referenced - UNCALLED_EXPORTS.keys()) == []
+
+
+# optional parameters that no caller sets, each kept on purpose
+UNSET_PARAMETERS = {
+    ("future_min_local_time", "variant"): "scalar reference for both variants of "
+                                          "future_min_local_time_np",
+}
+
+
+def _calls(files):
+    """Every call by name: (positional count, keyword names) per call site.
+
+    The name is the called Name or the attribute of a called Attribute.
+    """
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _exported_functions():
+    """(name, function, leading parameters the call does not pass) for every
+    ``__all__`` function and every public method of an exported class."""
+    for module in MODULES:
+        mod = importlib.import_module(f"fluctwalk.{module}")
+        for name in getattr(mod, "__all__", []):
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj):
+                yield name, obj, 0
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, staticmethod):
+                        yield attr, member.__func__, 0
+                    elif isinstance(member, classmethod):
+                        yield attr, member.__func__, 1
+                    elif inspect.isfunction(member):
+                        yield attr, member, 1
+
+
+def test_every_optional_parameter_has_a_setter():
+    # a parameter with a default is set when some call of its function's name
+    # in the package (outside __init__.py), scripts/ or bench/ passes it by
+    # keyword or by position; a certificate's parameter is also set when a
+    # config key of cli.VERIFY maps to it, and its seed always is.  Blind
+    # spot: a parameter that callers pass only at its default value counts
+    # as set, and so does one passed to a same-named other function.
+    root = Path(__file__).parent.parent
+    package = Path(fluctwalk.__file__).parent
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    calls = _calls(files)
+    from_config = {(certificate, param) for certificate, keys in VERIFY.values()
+                   for param in list(keys.values()) + ["seed"]}
+    unset = []
+    for name, fn, skip in _exported_functions():
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty or (name, p.name) in from_config:
+                continue
+            if not any(i < n_pos or p.name in keywords
+                       for n_pos, keywords in calls.get(name, [])):
+                unset.append((name, p.name))
+    extra = sorted(set(unset) - UNSET_PARAMETERS.keys())
+    assert not extra, "no caller sets " + ", ".join(f"{f}({p}=)" for f, p in extra)
+    assert UNSET_PARAMETERS.keys() <= set(unset)

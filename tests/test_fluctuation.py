@@ -37,16 +37,16 @@ def path_from(steps):
 
 
 def test_local_time_verbatim_examples():
-    assert local_time_verbatim([0]).counts == (0,)
-    assert local_time_verbatim([0, 1, 0, 2]).counts == (0, 1, 1, 2)
+    assert local_time_verbatim([0]) == (0,)
+    assert local_time_verbatim([0, 1, 0, 2]) == (0, 1, 1, 2)
     # the tie at level 1 is reached by an up-step, so it counts
-    assert local_time_verbatim([0, 1, 0, 1]).counts == (0, 1, 1, 2)
+    assert local_time_verbatim([0, 1, 0, 1]) == (0, 1, 1, 2)
 
 
 def test_local_time_strict_examples():
-    assert local_time_strict([0, 1, 0, 1]).counts == (0, 1, 1, 1)
-    assert local_time_strict([0, 1, 0, 2]).counts == (0, 1, 1, 2)
-    assert local_time_strict([0]).counts == (0,)
+    assert local_time_strict([0, 1, 0, 1]) == (0, 1, 1, 1)
+    assert local_time_strict([0, 1, 0, 2]) == (0, 1, 1, 2)
+    assert local_time_strict([0]) == (0,)
 
 
 def test_ladder_sequence_examples():
@@ -56,9 +56,9 @@ def test_ladder_sequence_examples():
 
 
 def test_last_max_index_examples():
-    assert last_max_index([0, 1, 0, 2], 2) == 1
-    assert last_max_index([0, 1, 0, 2], 3) == 3
-    assert last_max_index([0, -5, 3], 0) == 0
+    assert last_max_index([0, 1, 0]) == 1
+    assert last_max_index([0, 1, 0, 2]) == 3
+    assert last_max_index([0]) == 0
 
 
 @given(lattice_steps)
@@ -75,7 +75,7 @@ def test_strict_count_inverts_ladder_epochs(steps):
 def test_counts_are_unit_increment_and_bounded(steps):
     vals = path_from(steps)
     for lam in (local_time_verbatim(vals), local_time_strict(vals)):
-        diffs = [b - a for a, b in zip(lam.counts, lam.counts[1:])]
+        diffs = [b - a for a, b in zip(lam, lam[1:])]
         assert all(d in (0, 1) for d in diffs)
         ups = 0
         for k in range(1, len(vals)):
@@ -100,7 +100,7 @@ def test_batched_counts_match_scalar_on_every_lattice_path(law, max_length):
         for variant, scalar in (("strict", local_time_strict),
                                 ("verbatim", local_time_verbatim)):
             assert local_time_curve_np(V, variant).tolist() == [
-                list(scalar(p).counts) for p in paths]
+                list(scalar(p)) for p in paths]
 
 
 @given(float_rows)
@@ -117,7 +117,7 @@ def test_batched_counts_match_scalar_on_float_rows(rows):
             got = local_time_curve_np(V, variant)
             alone = [local_time_curve_np(np.array(r), variant).tolist() for r in rows]
         assert got.dtype == np.int64
-        assert got.tolist() == [list(scalar(r).counts) for r in rows]
+        assert got.tolist() == [list(scalar(r)) for r in rows]
         # one row alone is the same curve as in the stack
         assert alone == got.tolist()
 
@@ -128,26 +128,21 @@ def test_vectorized_counts_match_scalar(seed):
     w = sample_walk(IncrementLaw.gaussian(), 50, seed)
     v = np.asarray(w.values)
     assert local_time_curve_np(v, "verbatim").tolist() == list(
-        local_time_verbatim(w).counts)
+        local_time_verbatim(w.values))
     assert local_time_curve_np(v, "strict").tolist() == list(
-        local_time_strict(w).counts)
+        local_time_strict(w.values))
 
 
 def test_vectorized_counts_match_scalar_on_lattice_ties():
     vals = np.array([0, 1, 0, 1, 2, 1, 2], dtype=float)
     assert local_time_curve_np(vals, "verbatim").tolist() == list(
-        local_time_verbatim(vals.tolist()).counts)
+        local_time_verbatim(vals.tolist()))
     assert local_time_curve_np(vals, "strict").tolist() == list(
-        local_time_strict(vals.tolist()).counts)
+        local_time_strict(vals.tolist()))
 
 
 def test_monotone_path_counts_every_step():
     vals = list(range(12))
-    assert local_time_verbatim(vals).counts == tuple(range(12))
-    assert local_time_strict(vals).counts == tuple(range(12))
+    assert local_time_verbatim(vals) == tuple(range(12))
+    assert local_time_strict(vals) == tuple(range(12))
 
-
-def test_index_out_of_window_rejected():
-    from fluctwalk.errors import ParameterError
-    with pytest.raises(ParameterError):
-        last_max_index([0, 1], 5)

@@ -55,7 +55,7 @@ def test_exact_mode_rejects_continuous_laws():
 
 
 def test_insufficient_sequence_raises():
-    seq = PositivitySequence({1: F(1, 2), 2: F(1, 4)}, source="exact")
+    seq = PositivitySequence({1: F(1, 2), 2: F(1, 4)})
     with pytest.raises(InsufficientDataError):
         norming_constant(seq, 10, 1e-9)
 
@@ -124,9 +124,3 @@ def test_fristedt_requires_positive_alpha_and_lattice():
     with pytest.raises(ParameterError):
         fristedt_residual(IncrementLaw.fair_pm1(), 1.0, -1.0)
 
-
-def test_fristedt_report_json_fields():
-    rep = fristedt_residual(IncrementLaw.uniform3(), 1.0, 0.5, K=30)
-    js = rep.to_json()
-    for key in ("alpha", "beta", "lhs", "rhs", "residual", "tail_bound"):
-        assert key in js
