@@ -30,7 +30,7 @@ from .conditioning import conditioned_walk, meander_sample
 from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
-from .increments import IncrementLaw, WalkPath, derive_seed, iter_rows
+from .increments import IncrementLaw, derive_seed, iter_rows
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -190,22 +190,22 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     n_paths = overrides.get("paths", args.paths)
     kind = overrides.get("kind", args.kind)
     if kind == "walk":
-        paths = [(WalkPath(values=tuple(row)), 1.0)
-                 for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
+        paths = [row for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
     elif kind == "conditioned":
         try:
-            paths = [(conditioned_walk(law, length, derive_seed(seed, t)), 1.0)
+            paths = [conditioned_walk(law, length, derive_seed(seed, t)).values
                      for t in range(n_paths)]
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "
                         f"function, such as fair-pm1: {exc}")
     else:
-        paths = [meander_sample(law, length, derive_seed(seed, t))
+        paths = [meander_sample(law, length, derive_seed(seed, t)).values
                  for t in range(n_paths)]
+    # no kind draws weighted paths; the four-column format keeps weight 1.0
     rows = [["trial", "index", "value", "weight"]]
-    for t, (path, weight) in enumerate(paths):
-        for i, v in enumerate(path.values):
-            rows.append([t, i, v, weight])
+    for t, values in enumerate(paths):
+        for i, v in enumerate(values):
+            rows.append([t, i, v, 1.0])
     write_rows(out_dir, f"{kind}_paths", rows)
     print(f"wrote {n_paths} {kind} paths of length {length} to {out_dir}")
     return 0

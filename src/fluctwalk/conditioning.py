@@ -40,12 +40,12 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BudgetError, DegenerateStateError, HypothesisViolationError,
-                     ParameterError, UnsupportedModeError)
+from .errors import (BudgetError, DegenerateStateError, ParameterError,
+                     UnsupportedModeError)
 from .increments import IncrementLaw, WalkPath, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
-from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
-                      required_truncation)
+from .scaling import (check_bilateral, norming_constant, positivity_probabilities,
+                      positivity_rule, required_truncation)
 
 __all__ = [
     "renewal_function",
@@ -277,8 +277,8 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
 _MEANDER_ATTEMPTS = 100_000
 
 
-def meander_sample(law: IncrementLaw, k: int, seed: int) -> Tuple[WalkPath, float]:
-    """One meander path of length k by rejection, with its weight 1.
+def meander_sample(law: IncrementLaw, k: int, seed: int) -> WalkPath:
+    """One meander path of length k by rejection.
 
     Attempt t is trial t of ``seed``; the first walk that stays >= 0 is
     returned, so the path has the exact meander law.
@@ -288,7 +288,7 @@ def meander_sample(law: IncrementLaw, k: int, seed: int) -> Tuple[WalkPath, floa
     for S in iter_rows(law, k, seed, _MEANDER_ATTEMPTS):
         ok = S.min(axis=1) >= 0
         if ok.any():
-            return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist())), 1.0
+            return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist()))
     raise BudgetError(
         f"no meander accepted in {_MEANDER_ATTEMPTS} attempts",
         acceptance_rate=0.0)
@@ -402,15 +402,10 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
         raise ParameterError("n grid must be strictly increasing")
     if law.kind != "lattice":
         raise UnsupportedModeError("harmonic limit tracking is exact-lattice only")
-    if not (law.has_negative_steps() and law.has_positive_steps()):
-        raise HypothesisViolationError(
-            "law is monotone: descending ladder structure degenerate, "
-            "survival probabilities do not decay")
+    check_bilateral(law)
+    sigma = law.sigma()
 
-    var = sum(p * s * s for s, p in zip(law.support, law.probs)) - law.mean_step() ** 2
-    sigma = math.sqrt(float(var))
-
-    rule = positivity_rule(law, sign=-1)
+    rule = positivity_rule(law)  # a symmetric law's P(S_k < 0)
     a_hat = []
     for n in n_grid:
         if rule is not None:

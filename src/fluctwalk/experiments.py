@@ -8,11 +8,14 @@ master seed; re-running a config reproduces byte-identical numbers.
 
 Sampling notes, load-bearing for honesty about what is exact:
 
-* For symmetric laws without ties, the first-ascent time has the universal
-  law P(T_1 > k) = C(2k, k) 4^{-k}; ladder-time marginals for the Gaussian
-  family are sampled by exact inverse CDF of that law (with the asymptotic
-  inverse beyond the table).  The fair +-1 walk has its own closed tail
-  C(k, floor(k/2)) 2^{-k}.
+* :func:`first_ascent_tail` is the one place that decides which laws have
+  a closed first-ascent law: symmetric diffuse laws have the universal tail
+  P(T_1 > k) = C(2k, k) 4^{-k} (Sparre Andersen), the simple symmetric walk
+  +-u (``IncrementLaw.is_simple_symmetric``, at any u) the tail
+  C(k, floor(k/2)) 2^{-k}.  Ladder times of those laws are sampled by exact
+  inverse CDF of the table, with the asymptotic inverse beyond it; every
+  other law takes the windowed route.  Space is scaled by
+  ``IncrementLaw.sigma``.
 * Ladder heights are simulated by capped first-passage runs; the cap and
   the censoring rate are recorded.  Height and time marginals are sampled
   separately: every reported statistic is per-coordinate, so the joint
@@ -34,14 +37,13 @@ import numpy as np
 
 from .conditioning import (conditioned_states, harmonic_limits, meander_weights,
                            survival_sequence)
-from .errors import (BudgetError, ConfigError, HypothesisViolationError,
-                     InsufficientLadderError, ParameterError)
+from .errors import BudgetError, ConfigError, InsufficientLadderError
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
-from .scaling import (norming_constant, positivity_probabilities, positivity_rule,
-                      required_truncation)
+from .scaling import (check_bilateral, norming_constant, positivity_probabilities,
+                      positivity_rule, required_truncation)
 from .stats import Sample, ks_statistic, trend_test
 
 __all__ = [
@@ -49,7 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "Criterion",
     "ExperimentReport",
-    "check_bilateral",
     "gaussian_norming",
     "run_theorem1",
     "run_localtime_stability",
@@ -128,7 +129,7 @@ class ExperimentConfig:
 DECLARED = {c.experiment: c for c in (
     ExperimentConfig("theorem1", IncrementLaw.gaussian(), [256, 1024], 2000, None,
                      {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
-                     {"tail_table": 1_000_000, "height_cap": 20_000, "window_mult": 64}),
+                     {"height_cap": 20_000, "window_mult": 64}),
     ExperimentConfig("localtime", IncrementLaw.gaussian(), [2 ** q for q in range(6, 11)],
                      None, None, {"violations": 1, "ratio": 0.6},
                      {"base_resolution": 2 ** 13, "paths": 100, "variant": "verbatim"}),
@@ -201,14 +202,6 @@ def write_rows(out_dir: str, name: str, rows: List[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def check_bilateral(law: IncrementLaw) -> None:
-    """Reject walks that cannot both rise and fall."""
-    if not (law.has_positive_steps() and law.has_negative_steps()):
-        raise HypothesisViolationError(
-            f"law {law.description or law.kind!r} is monotone; the scaling "
-            "limits under test require movement in both directions")
-
-
 def gaussian_norming(n: int) -> float:
     """a_n for any symmetric diffuse law: (1 - e^{-1/n})^{-1/2}."""
     return (1.0 - math.exp(-1.0 / n)) ** -0.5
@@ -219,41 +212,50 @@ def gaussian_norming(n: int) -> float:
 
 
 def universal_t1_tail(kmax: int) -> np.ndarray:
-    """P(T_1 > k), k = 1..kmax, for symmetric laws without ties."""
+    """P(T_1 > k) = C(2k, k) 4^{-k}, k = 1..kmax, for symmetric laws without ties."""
     k = np.arange(1, kmax + 1, dtype=np.float64)
     return np.exp(np.cumsum(np.log1p(-1.0 / (2.0 * k))))
 
 
 def pm1_t1_tail(kmax: int) -> np.ndarray:
-    """P(T_1 > k), k = 1..kmax, for the fair +-1 walk."""
-    q = np.empty(kmax, dtype=np.float64)
-    cur = 0.5  # P(T_1 > 1)
-    q[0] = cur
-    for k in range(2, kmax + 1):
-        if k % 2 == 0:
-            q[k - 1] = cur  # even k adds no first-passage mass
-        else:
-            m = (k - 1) // 2
-            cur *= (2 * m + 1) / (2.0 * (m + 1))
-            q[k - 1] = cur
-    return q
+    """P(T_1 > k) = C(k, floor(k/2)) 2^{-k}, k = 1..kmax, for the simple
+    symmetric walk: at k = 2m + 1 the product of 1/2 and (2j + 1) / (2j + 2)
+    over j = 1..m, taken in that order; an even k repeats k - 1."""
+    j = np.arange(1, (kmax - 1) // 2 + 1, dtype=np.float64)
+    odd = np.multiply.accumulate(np.concatenate([[0.5], (2 * j + 1) / (2 * j + 2)]))
+    return odd[np.arange(kmax) // 2]
 
 
-def sample_ladder_times(rng, shape, tail: np.ndarray, tail_kind: str) -> np.ndarray:
-    """Inverse-CDF samples of T_1 from a tail table with asymptotic overflow."""
+# entries of every first-ascent tail table
+_TAIL_TABLE = 1_000_000
+
+
+def first_ascent_tail(law: IncrementLaw) -> Optional[tuple]:
+    """The closed law of the first strict ascent time T_1: (table, c) or None.
+
+    ``table[k - 1]`` is P(T_1 > k) for k <= 1 000 000; beyond the table
+    P(T_1 > k) ~ sqrt(c / (pi k)).  Symmetric diffuse laws have Sparre
+    Andersen's universal tail C(2k, k) 4^{-k} (c = 1), the simple symmetric
+    walk the reflection-principle tail C(k, floor(k/2)) 2^{-k} (c = 2).
+    Every other law gives None.
+    """
+    if law.is_simple_symmetric():
+        return pm1_t1_tail(_TAIL_TABLE), 2.0
+    if law.is_diffuse() and law.is_symmetric():
+        return universal_t1_tail(_TAIL_TABLE), 1.0
+    return None
+
+
+def sample_ladder_times(rng, shape, table: np.ndarray, c: float) -> np.ndarray:
+    """Inverse-CDF samples of T_1 from a :func:`first_ascent_tail` pair:
+    exact inside the table, ceil(c / (pi u^2)) beyond it."""
     u = rng.random(shape)
-    kmax = tail.size
-    q_full = np.concatenate([[1.0], tail])
+    q_full = np.concatenate([[1.0], table])
     idx = np.searchsorted(-q_full, -u, side="right")
     out = idx.astype(np.int64)
-    big = idx > kmax
+    big = idx > table.size
     if big.any():
-        if tail_kind == "universal":
-            out[big] = np.ceil(1.0 / (math.pi * u[big] ** 2)).astype(np.int64)
-        elif tail_kind == "pm1":
-            out[big] = np.ceil(2.0 / (math.pi * u[big] ** 2)).astype(np.int64)
-        else:
-            raise ParameterError(f"unknown tail kind {tail_kind!r}")
+        out[big] = np.ceil(c / (math.pi * u[big] ** 2)).astype(np.int64)
     return out
 
 
@@ -362,10 +364,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     first ladder heights, so its standard deviation is about
     0.569 [a_n]^{1/2} / sqrt(n) ~ 0.569 n^{-1/4} whatever sigma is (0.569^2
     is the variance of the first ladder height of the standard Gaussian
-    walk); on the +-1 route it is exactly 0.  A threshold below that value
-    at the largest n of the grid cannot pass.
+    walk); on the simple symmetric walk it is exactly 0.  A threshold below
+    that value at the largest n of the grid cannot pass.
 
-    On the windowed route (symmetric lattice laws other than +-1) the norming
+    On the windowed route (laws without a :func:`first_ascent_tail`: the
+    symmetric lattice laws other than the simple symmetric walk) the norming
     constants come from Monte Carlo positivity, and the notes record
     ``resampled_fraction_n{n}``: the share of windows without [a_n] ladder
     epochs among those read, in trial order, up to the window that delivered
@@ -377,41 +380,19 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("ladder-pair scaling targets are calibrated for the "
                           "finite-variance families; use run_lemma1 for "
                           "heavy-tailed ratio checks")
-
-    # three sampling routes: closed ladder-time laws for the fair +-1 walk
-    # and for symmetric diffuse laws; windowed simulation for other
-    # symmetric lattices (failed windows skipped, truncation recorded)
-    route = None
-    unit = None
-    if law.kind == "lattice":
-        unit, steps, _ = law.lattice_integer_form()
-        if not law.is_symmetric():
-            raise ConfigError("asymmetric laws are out of calibrated scope")
-        if set(steps) == {-1, 1}:
-            route = "pm1"
-            sigma = float(unit)
-            rule = positivity_rule(law)
-            tail = pm1_t1_tail(config.params["tail_table"])
-            tail_kind = "pm1"
-        else:
-            route = "windowed"
-            var = sum(float(p) * float(s) ** 2
-                      for s, p in zip(law.support, law.probs))
-            sigma = math.sqrt(var)
-    else:
-        if not law.is_symmetric():
-            raise ConfigError("asymmetric diffuse laws are out of calibrated scope")
-        route = "diffuse"
-        sigma = law.stddev
-        rule = positivity_rule(law)
-        tail = universal_t1_tail(config.params["tail_table"])
-        tail_kind = "universal"
-
+    if not law.is_symmetric():
+        raise ConfigError("asymmetric laws are out of calibrated scope")
+    # three sampling routes: T by inverse CDF of the closed first-ascent law
+    # with H = [a_n] units (simple symmetric walk) or from first passages
+    # (symmetric diffuse laws); windowed simulation for other symmetric
+    # lattices (failed windows skipped, truncation recorded)
+    sigma = law.sigma()
+    closed = first_ascent_tail(law)
     cap = int(config.params["height_cap"])
     window_mult = int(config.params["window_mult"])
 
     notes: Dict[str, object] = {}
-    if route == "windowed":
+    if closed is None:
         # no closed positivity rule: estimate the norming sum by Monte Carlo
         K = required_truncation(max(config.n_grid), 1e-6)
         seq = positivity_probabilities(law, K, mode="montecarlo",
@@ -420,10 +401,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         a_ns = [norming_constant(seq, n, 1e-6) for n in config.n_grid]
         notes["norming_source"] = "montecarlo positivity"
     else:
+        rule = positivity_rule(law)
         a_ns = [norming_constant(rule, n, 1e-9) for n in config.n_grid]
     blocks = [int(a) for a in a_ns]
 
-    if route == "diffuse":
+    if closed is not None and law.is_diffuse():
         pool, cens = first_passage_heights(law, config.trials * max(blocks), cap,
                                            derive_seed(config.seed, 1))
         notes["height_cap"] = cap
@@ -432,10 +414,9 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     rows = [["n", "a_n", "ks_ladder_time", "height_mean", "height_sd"]]
     ks_series = []
     for i, n in enumerate(config.n_grid):
-        rng = _rng(derive_seed(config.seed, 100 + i))
         blk = blocks[i]
         c_n = 1.0 / (sigma * math.sqrt(n))  # variance-1 spatial rescale
-        if route == "windowed":
+        if closed is None:
             T_raw, H_raw, resampled = windowed_ladder_pairs(
                 law, n, blk, config.trials, derive_seed(config.seed, 100 + i),
                 window_mult=window_mult)
@@ -445,10 +426,10 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
             h_sd = float(H.std(ddof=1))
             notes[f"resampled_fraction_n{n}"] = resampled
         else:
-            T = sample_ladder_times(rng, (config.trials, blk), tail,
-                                    tail_kind).sum(axis=1) / n
-            if route == "pm1":
-                h_mean = blk * float(unit) * c_n
+            rng = _rng(derive_seed(config.seed, 100 + i))
+            T = sample_ladder_times(rng, (config.trials, blk), *closed).sum(axis=1) / n
+            if law.kind == "lattice":
+                h_mean = blk * float(law.lattice_integer_form()[0]) * c_n
                 h_sd = 0.0
             else:
                 H = pool[: config.trials * blk].reshape(
@@ -566,19 +547,12 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
                                 tables={"lemma1_ratios": rows}, notes=notes)
 
     # finite-variance families: drift constant, vanishing height tail, time tail
-    if law.kind == "lattice":
-        unit, steps, _ = law.lattice_integer_form()
-        if set(steps) != {-1, 1} or not law.is_symmetric():
-            raise ConfigError("lattice route implemented for the fair +-1 walk")
-        sigma = float(unit)
-        tail = pm1_t1_tail(1_000_000)
-        tail_kind = "pm1"
-    else:
-        if not law.is_symmetric():
-            raise ConfigError("asymmetric diffuse laws are out of calibrated scope")
-        sigma = law.stddev
-        tail = universal_t1_tail(1_000_000)
-        tail_kind = "universal"
+    closed = first_ascent_tail(law)
+    if closed is None:
+        raise ConfigError("lemma1 is implemented for the simple symmetric walk "
+                          "and symmetric diffuse laws")
+    tail, c = closed
+    sigma = law.sigma()
     rule = positivity_rule(law)
     c_tail = float(config.params["time_tail_cutoff"])
 
@@ -588,7 +562,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
         a_n = norming_constant(rule, n, 1e-9)
         c_n = 1.0 / (sigma * math.sqrt(n))
         if law.kind == "lattice":
-            mh = a_n * float(unit) * c_n
+            mh = a_n * float(law.lattice_integer_form()[0]) * c_n
             mass = 0.0
             notes.setdefault("height_model", "deterministic unit ladder heights")
         else:
@@ -599,9 +573,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
             mass = a_n * float(np.mean((H * c_n > lo) & (H * c_n <= hi)))
             notes["height_censored_fraction"] = cens
         kc = int(math.ceil(c_tail * n))
-        q = float(tail[kc - 1]) if kc <= tail.size else (
-            1.0 / math.sqrt(math.pi * kc) if tail_kind == "universal"
-            else math.sqrt(2.0 / (math.pi * kc)))
+        q = float(tail[kc - 1]) if kc <= tail.size else math.sqrt(c / (math.pi * kc))
         nu = a_n * q
         rows.append([n, a_n, mh, mass, nu, half_stable_tau_tail(c_tail)])
 
@@ -652,12 +624,9 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     """
     config.validate("meander")
     law = config.law
-    if law.kind != "lattice":
-        raise ConfigError("the exact-reweight meander route requires the "
-                          "fair +-1 lattice walk")
-    _, steps, _ = law.lattice_integer_form()
-    if set(steps) != {-1, 1} or not law.is_symmetric():
-        raise ConfigError("meander experiment implemented for the fair +-1 walk")
+    if not law.is_simple_symmetric():
+        raise ConfigError("the meander experiment is implemented for the simple "
+                          "symmetric walk")
 
     n_small = int(config.params["cross_check_n"])
     small_trials = int(config.params["cross_check_trials"])

@@ -136,6 +136,14 @@ class IncrementLaw:
         table = dict(zip(self.support, self.probs))
         return all(table.get(-s, Fraction(0)) == p for s, p in table.items())
 
+    def is_simple_symmetric(self) -> bool:
+        """Whether this is the fair two-point walk +-unit: a symmetric lattice
+        law whose positive-mass integer steps are exactly {-1, +1}."""
+        if self.kind != "lattice" or not self.is_symmetric():
+            return False
+        _, steps, probs = self.lattice_integer_form()
+        return {s for s, p in zip(steps, probs) if p > 0} == {-1, 1}
+
     def is_diffuse(self) -> bool:
         return self.kind in ("gaussian", "heavy_tail")
 
@@ -155,6 +163,15 @@ class IncrementLaw:
         if self.kind == "gaussian":
             return self.mean
         raise ParameterError("heavy-tailed laws have no finite mean in general")
+
+    def sigma(self) -> float:
+        """Standard deviation of one step; a lattice law's from its exact variance."""
+        if self.kind == "lattice":
+            var = sum(p * s * s for s, p in zip(self.support, self.probs))
+            return math.sqrt(float(var - self.mean_step() ** 2))
+        if self.kind == "gaussian":
+            return self.stddev
+        raise ParameterError("heavy-tailed laws have no finite variance in general")
 
     def lattice_integer_form(self):
         """Return (unit, steps, probs) with integer steps of gcd 1.

@@ -27,8 +27,8 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .errors import (InsufficientDataError, ParameterError, UnboundedTailError,
-                     UnsupportedModeError)
+from .errors import (HypothesisViolationError, InsufficientDataError, ParameterError,
+                     UnboundedTailError, UnsupportedModeError)
 from .increments import IncrementLaw, derive_seed, iter_rows
 from .oracle import lattice_sweep
 
@@ -38,6 +38,7 @@ __all__ = [
     "required_truncation",
     "positivity_probabilities",
     "positivity_rule",
+    "check_bilateral",
     "FristedtReport",
     "fristedt_residual",
 ]
@@ -84,9 +85,9 @@ def required_truncation(n: int, rel_tol: float) -> int:
 def norming_constant(probs, n: int, rel_tol: float = 1e-9) -> float:
     """a_n = exp(sum k^{-1} e^{-k/n} P(S_k > 0)), truncated by the tail bound.
 
-    ``probs`` is a PositivitySequence or a rule k -> P(S_k > 0) (rules may
-    accept numpy integer arrays for speed).  The companion constant for -S is
-    the same call with P(S_k < 0).
+    ``probs`` is a PositivitySequence or a :func:`positivity_rule` (a map
+    from the int64 array of k to the array of P(S_k > 0)).  The companion
+    constant for -S is the same call with P(S_k < 0).
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
@@ -99,47 +100,43 @@ def norming_constant(probs, n: int, rel_tol: float = 1e-9) -> float:
                 f"truncation needs K={K} at rel_tol={rel_tol}")
         p = np.array([float(probs.probabilities[k]) for k in range(1, K + 1)])
     else:
-        try:
-            p = np.asarray(probs(np.arange(1, K + 1)), dtype=np.float64)
-            if p.shape != (K,):
-                raise TypeError
-        except Exception:
-            p = np.array([float(probs(k)) for k in range(1, K + 1)])
+        p = np.asarray(probs(np.arange(1, K + 1)), dtype=np.float64)
     if np.any((p < 0) | (p > 1)):
         raise ParameterError("positivity probabilities must lie in [0, 1]")
     return float(math.exp(np.sum(np.exp(-ks / n) / ks * p)))
 
 
-def positivity_rule(law: IncrementLaw, sign: int = +1):
-    """Closed-form rule k -> P(sign * S_k > 0) when one is available.
+def positivity_rule(law: IncrementLaw):
+    """Closed-form rule k -> P(S_k > 0) on int64 arrays of k, or None.
 
-    Symmetric diffuse laws give 1/2 identically.  The fair +-1 walk gives
-    1/2 at odd k and (1 - C(k, k/2) 2^{-k})/2 at even k.  One-signed point
-    masses give 0 or 1.  Returns None when no closed form applies.
+    Symmetric diffuse laws give 1/2 identically.  The simple symmetric walk
+    gives 1/2 at odd k and (1 - C(k, k/2) 2^{-k})/2 at even k.  Both laws
+    are symmetric, so the rule is also k -> P(S_k < 0).  Returns None for
+    every other law.
     """
-    if sign not in (+1, -1):
-        raise ParameterError("sign must be +1 or -1")
     if law.is_diffuse() and law.is_symmetric():
-        return lambda k: np.full(np.shape(k), 0.5) if np.ndim(k) else 0.5
-    if law.kind == "lattice":
-        live = [(s, p) for s, p in zip(law.support, law.probs) if p > 0]
-        if len(live) == 1:
-            s = live[0][0] * sign
-            val = 1.0 if s > 0 else 0.0
-            return lambda k: np.full(np.shape(k), val) if np.ndim(k) else val
-        if law.is_symmetric() and [s for s, _ in live] == [-1, 1]:
-            def rule(k):
-                ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
-                out = np.full(ks.shape, 0.5)
-                ev = ks % 2 == 0
-                ke = ks[ev].astype(np.float64)
-                # log C(k, k/2) 2^-k via lgamma
-                lg = (np.vectorize(math.lgamma)(ke + 1)
-                      - 2 * np.vectorize(math.lgamma)(ke / 2 + 1) - ke * math.log(2))
-                out[ev] = 0.5 - 0.5 * np.exp(lg)
-                return out if np.ndim(k) else float(out[0])
-            return rule
-    return None
+        return lambda ks: np.full(ks.shape, 0.5)
+    if not law.is_simple_symmetric():
+        return None
+
+    def rule(ks):
+        out = np.full(ks.shape, 0.5)
+        ev = ks % 2 == 0
+        ke = ks[ev].astype(np.float64)
+        # log C(k, k/2) 2^-k via lgamma
+        lg = (np.vectorize(math.lgamma)(ke + 1)
+              - 2 * np.vectorize(math.lgamma)(ke / 2 + 1) - ke * math.log(2))
+        out[ev] = 0.5 - 0.5 * np.exp(lg)
+        return out
+    return rule
+
+
+def check_bilateral(law: IncrementLaw) -> None:
+    """Reject walks that cannot both rise and fall."""
+    if not (law.has_positive_steps() and law.has_negative_steps()):
+        raise HypothesisViolationError(
+            f"law {law.description or law.kind!r} is monotone; the scaling "
+            "limits under test require movement in both directions")
 
 
 def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
@@ -193,28 +190,6 @@ def _split_at_zero(law: IncrementLaw, K: int, keep: int):
         yield t, D ** t, lo + cut, w[cut:], w[:cut]
 
 
-def first_ladder_pair_table(law: IncrementLaw, K: int):
-    """Exact joint law of (T_1, H_1) restricted to T_1 <= K.
-
-    Returns (unit, table, survivor_mass): table maps (t, h_int) to the exact
-    probability that the first strict ascent happens at time t with height
-    h_int * unit; survivor_mass is the exact probability that no ascent
-    happened by K (walks still at or below 0 everywhere).
-    """
-    if law.kind != "lattice":
-        raise UnsupportedModeError("exact ladder-pair table requires a lattice law")
-    unit = law.lattice_integer_form()[0]
-    table: Dict[tuple, Fraction] = {}
-    survivor = Fraction(1)
-    # levels <= 0 carry the mass of walks with S_i <= 0 so far; the rest ascend
-    for t, Dt, x0, above, below in _split_at_zero(law, K, keep=-1):
-        for j, c in enumerate(above):
-            if c:
-                table[(t, x0 + j)] = Fraction(c, Dt)
-        survivor = Fraction(int(below.sum()), Dt)
-    return unit, table, survivor
-
-
 # decimal digits of the mpmath evaluation in fristedt_residual
 _DPS = 80
 
@@ -230,8 +205,8 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
 
     The truncation tails sit far below double precision already for moderate
     alpha * K, so both sides are evaluated in 80-digit arithmetic on
-    top of the exact integer sweeps of :func:`first_ladder_pair_table` and
-    of the walk's step laws: at each t the integer weights times
+    top of the exact integer sweeps of the first ascents (T_1, H_1) and of
+    the walk's step laws: at each t the integer weights times
     e^{-beta x} are summed and divided once by D^t.  The residual is then a
     genuine truncation gap, not rounding noise.
     """

@@ -155,7 +155,7 @@ def test_converge_theorem1_small(tmp_path):
     cfgfile.write_text(json.dumps({
         "n_grid": [64, 128], "trials": 300,
         "tolerances": {"ks": 0.2, "height_mean": 0.2, "height_sd": 0.5},
-        "params": {"height_cap": 5000, "tail_table": 50000}}))
+        "params": {"height_cap": 5000}}))
     out = str(tmp_path / "t1")
     assert run(["--config", str(cfgfile), "--out", out, "converge", "theorem1"]) == 0
 
@@ -329,12 +329,16 @@ def test_malformed_n_grid_is_a_usage_error(tmp_path, capsys):
     (["converge", "harmonic"], "trials"),
     (["converge", "localtime"], "trials"),
     (["converge", "lemma1"], "trials"),
+    (["converge", "theorem1"], "params.tail_table"),
 ])
 def test_unread_config_keys_rejected(tmp_path, capsys, argv, key):
+    # "section.name" is the key name inside the config's section
+    section, _, name = key.rpartition(".")
+    entry = {section: {name: 5}} if section else {name: 5}
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({key: 5, "seed": 1, "out": str(tmp_path / "o")}))
+    cfgfile.write_text(json.dumps({**entry, "seed": 1, "out": str(tmp_path / "o")}))
     assert run(["--config", str(cfgfile)] + argv) == 1
-    assert repr(key) in capsys.readouterr().err
+    assert repr(name) in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 

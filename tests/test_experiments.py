@@ -1,11 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fluctwalk.errors import BudgetError, ConfigError, HypothesisViolationError
-from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
+from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
                                    first_passage_heights, gaussian_norming,
                                    pm1_meander_endpoints_rejection, pm1_t1_tail,
                                    run_harmonic, run_lemma1,
@@ -14,7 +15,7 @@ from fluctwalk.experiments import (ExperimentConfig, check_bilateral,
                                    sample_ladder_times, universal_t1_tail)
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import levy_half_cdf
-from fluctwalk.scaling import norming_constant, positivity_rule
+from fluctwalk.scaling import check_bilateral, norming_constant, positivity_rule
 from fluctwalk.stats import Sample, ks_statistic
 
 GAUSS = IncrementLaw.gaussian()
@@ -65,15 +66,48 @@ def test_ladder_time_tails_match_exact_counts():
     u = universal_t1_tail(6)
     for k in range(1, 7):
         assert u[k - 1] == pytest.approx(math.comb(2 * k, k) / 4 ** k)
-    p = pm1_t1_tail(6)
-    for k in range(1, 7):
-        assert p[k - 1] == pytest.approx(math.comb(k, k // 2) / 2 ** k)
+    # the fair tail in exact arithmetic, within the a-priori bound: at
+    # k = 2m + 1 the m factors and m products each round once, by at most
+    # 2^-53 relative; an even k repeats the odd k below it exactly
+    p = pm1_t1_tail(64)
+    for k in range(1, 65):
+        exact = Fraction(math.comb(k, k // 2), 2 ** k)
+        assert abs(Fraction(p[k - 1]) - exact) <= exact * k * Fraction(1, 2 ** 53)
+    assert np.array_equal(p[1::2], p[0::2])
+
+
+def test_pm1_t1_tail_matches_the_running_product():
+    # the accumulated factors are the floats of the running product, bit for bit
+    kmax = 100_001
+    q, cur = [0.5], 0.5
+    for k in range(2, kmax + 1):
+        if k % 2:
+            m = (k - 1) // 2
+            cur *= (2 * m + 1) / (2.0 * (m + 1))
+        q.append(cur)
+    assert np.array_equal(pm1_t1_tail(kmax), np.array(q))
+    assert pm1_t1_tail(1).tolist() == [0.5] and pm1_t1_tail(2).tolist() == [0.5, 0.5]
+
+
+def test_first_ascent_tail_decided_by_law():
+    table, c = first_ascent_tail(FAIR)
+    assert c == 2.0 and np.array_equal(table, pm1_t1_tail(table.size))
+    for law in (GAUSS, IncrementLaw.heavy_tail(1.0)):
+        table, c = first_ascent_tail(law)
+        assert c == 1.0 and np.array_equal(table, universal_t1_tail(table.size))
+    for law in (IncrementLaw.uniform3(), IncrementLaw.biased_pm1(Fraction(3, 4)),
+                IncrementLaw.gaussian(0.5)):
+        assert first_ascent_tail(law) is None
+    # both asymptotes: the table's last entry is close to sqrt(c / (pi k))
+    for law in (FAIR, GAUSS):
+        table, c = first_ascent_tail(law)
+        assert table[-1] == pytest.approx(math.sqrt(c / (math.pi * table.size)), rel=1e-6)
 
 
 def test_ladder_time_sampler_matches_tail_law():
     tail = universal_t1_tail(100_000)
     rng = _rng(99)
-    draws = sample_ladder_times(rng, 40_000, tail, "universal")
+    draws = sample_ladder_times(rng, 40_000, tail, 1.0)
     # exact CDF at k: 1 - tail[k-1]
     for k in (1, 2, 5, 20):
         emp = float((draws <= k).mean())
@@ -100,7 +134,7 @@ def test_gaussian_norming_closed_form():
 def test_run_theorem1_small_gaussian():
     c = cfg("theorem1", GAUSS, [64, 256], trials=400,
             tolerances={"ks": 0.2, "height_mean": 0.2, "height_sd": 0.5},
-            params={"height_cap": 20_000, "tail_table": 100_000})
+            params={"height_cap": 20_000})
     rep = run_theorem1(c)
     assert rep.passed
     by_id = {x.cid: x.value for x in rep.criteria}
@@ -110,8 +144,7 @@ def test_run_theorem1_small_gaussian():
 
 def test_run_theorem1_fair_lattice_heights_deterministic():
     c = cfg("theorem1", FAIR, [256, 1024], trials=400,
-            tolerances={"ks": 0.2, "height_mean": 0.05, "height_sd": 0.01},
-            params={"tail_table": 200_000})
+            tolerances={"ks": 0.2, "height_mean": 0.05, "height_sd": 0.01})
     rep = run_theorem1(c)
     by_id = {x.cid: x.value for x in rep.criteria}
     assert by_id["height_sd"] == 0.0
@@ -146,10 +179,8 @@ def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
 
 
 def test_run_theorem1_reports_are_byte_identical():
-    c1 = cfg("theorem1", GAUSS, [64], trials=200,
-             params={"height_cap": 5_000, "tail_table": 50_000})
-    c2 = cfg("theorem1", GAUSS, [64], trials=200,
-             params={"height_cap": 5_000, "tail_table": 50_000})
+    c1 = cfg("theorem1", GAUSS, [64], trials=200, params={"height_cap": 5_000})
+    c2 = cfg("theorem1", GAUSS, [64], trials=200, params={"height_cap": 5_000})
     assert run_theorem1(c1).to_json() == run_theorem1(c2).to_json()
 
 
@@ -276,7 +307,7 @@ def test_quadrivariate_ladder_marginals_stable_across_n():
     dists = []
     for n in (64, 256, 1024):
         a = int(gaussian_norming(n))
-        T = sample_ladder_times(rng, (trials, a), tail, "universal").sum(axis=1) / n
+        T = sample_ladder_times(rng, (trials, a), tail, 1.0).sum(axis=1) / n
         cur = Sample(T)
         if prev is not None:
             dists.append(ks_statistic(prev, cur).statistic)
@@ -284,3 +315,26 @@ def test_quadrivariate_ladder_marginals_stable_across_n():
     assert dists[-1] < 0.08
     d_limit = ks_statistic(prev, levy_half_cdf).statistic
     assert d_limit < 0.05
+
+
+FAIR_ENCODINGS = [FAIR, IncrementLaw.lattice(["-1/2", "1/2"], ["1/2", "1/2"]),
+                  IncrementLaw.lattice([-1, 0, 1], ["1/2", 0, "1/2"])]
+
+
+@pytest.mark.parametrize("run,experiment,n_grid,trials,params", [
+    (run_theorem1, "theorem1", [64, 128], 200, {}),
+    (run_lemma1, "lemma1", [64, 128], None, {}),
+    (run_meander, "meander", [32, 64], 200,
+     {"cross_check_n": 8, "cross_check_trials": 500}),
+    (run_harmonic, "harmonic", [64, 128, 256], None, {}),
+])
+def test_fair_walk_encodings_give_identical_reports(run, experiment, n_grid, trials,
+                                                    params):
+    # the fair walk as +-1, as +-1/2 and with a zero-mass atom at 0: sigma
+    # scales by a power of two and zero-mass atoms draw nothing, so every
+    # criterion and table is the same
+    reports = [run(cfg(experiment, law, n_grid, trials=trials, params=params))
+               for law in FAIR_ENCODINGS]
+    values = [[(c.cid, c.value) for c in rep.criteria] for rep in reports]
+    assert values[1] == values[0] and values[2] == values[0]
+    assert reports[1].tables == reports[0].tables == reports[2].tables

@@ -47,8 +47,17 @@ def _all_nodes(tree):
             for node in ast.walk(stmt.value)}
 
 
+def _public_names(module):
+    """The ``__all__`` names of a module and its public module-level functions."""
+    functions = {name for name, obj in vars(module).items()
+                 if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                 and not name.startswith("_")}
+    return functions | set(getattr(module, "__all__", []))
+
+
 def test_every_exported_name_has_a_caller():
-    # a reference is a Name, an Attribute or a string constant equal to the
+    # every exported name and every public module-level function; a
+    # reference is a Name, an Attribute or a string constant equal to the
     # name (the certificate names in cli.VERIFY), anywhere in the package
     # outside __init__.py and the __all__ lists, or in scripts/
     package = Path(fluctwalk.__file__).parent
@@ -68,8 +77,7 @@ def test_every_exported_name_has_a_caller():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 referenced.add(node.value)
     exported = {name for module in MODULES
-                for name in getattr(importlib.import_module(f"fluctwalk.{module}"),
-                                    "__all__", [])}
+                for name in _public_names(importlib.import_module(f"fluctwalk.{module}"))}
     assert UNCALLED_EXPORTS.keys() <= exported
     assert sorted(exported - referenced - UNCALLED_EXPORTS.keys()) == []
 

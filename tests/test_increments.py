@@ -24,6 +24,29 @@ def test_point_mass_walk_is_deterministic_ramp():
     assert w.values == (0.0, 1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(),
+                                 IncrementLaw.lattice(["-1/2", "1/2"], ["1/2", "1/2"]),
+                                 IncrementLaw.lattice([-1, 0, 1], ["1/2", 0, "1/2"])],
+                         ids=["pm1", "pm-half", "zero-atom"])
+def test_fair_walk_encodings_are_simple_symmetric(law):
+    # the one fair-walk test, and sigma the lattice unit u of +-u
+    assert law.is_simple_symmetric()
+    assert law.sigma() == float(law.lattice_integer_form()[0])
+
+
+def test_other_laws_are_not_simple_symmetric():
+    biased, u3 = IncrementLaw.biased_pm1(Fraction(3, 4)), IncrementLaw.uniform3()
+    for law in (biased, u3, IncrementLaw.gaussian(), IncrementLaw.lattice([1], [1])):
+        assert not law.is_simple_symmetric()
+    assert biased.sigma() == math.sqrt(0.75)
+    # the float sum sqrt(sum p s^2) that uniform3's windowed route read
+    assert u3.sigma() == math.sqrt(sum(float(p) * float(s) ** 2
+                                       for s, p in zip(u3.support, u3.probs)))
+    assert IncrementLaw.gaussian(0.0, 2.5).sigma() == 2.5
+    with pytest.raises(ParameterError):
+        IncrementLaw.heavy_tail(1.0).sigma()
+
+
 def test_same_seed_gives_identical_paths():
     law = IncrementLaw.gaussian(0.0, 1.0)
     a = sample_walk(law, 500, seed=123)
@@ -239,7 +262,7 @@ def test_meander_rejection_matches_per_row_loop(law, k):
             if min(w.values[1:]) >= 0:
                 break
             attempt += 1
-        assert meander_sample(law, k, seed) == (w, 1.0)
+        assert meander_sample(law, k, seed) == w
 
 
 def test_meander_rejection_budget_counts_attempts(monkeypatch):
@@ -354,7 +377,7 @@ def _batch_dependent_outputs():
         mp.setattr(certify, "tanaka_transform_np", _recording_rebuild(seen))
         certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                               seed=8)
-    meander, _ = meander_sample(IncrementLaw.fair_pm1(), 25, 6)
+    meander = meander_sample(IncrementLaw.fair_pm1(), 25, 6)
     return (T.tolist(), H.tolist(), frac, surv, pos.probabilities,
             pos.standard_errors, seen, meander.values)
 

@@ -11,7 +11,7 @@ from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
 from fluctwalk.oracle import (ExactDistribution, distribution_equality,
                               exact_functional_distribution, integer_law, iter_paths,
                               lattice_sweep)
-from fluctwalk.scaling import first_ladder_pair_table
+from fluctwalk.scaling import _split_at_zero
 from fluctwalk.stats import dkw_epsilon
 
 F = Fraction
@@ -109,6 +109,12 @@ def test_level_sweeps_match_path_enumeration(law):
     K = 7
     D = integer_law(law)[2]
     surv = survival_sequence(law, range(1, K + 1))
+    # the sweep that keeps levels <= 0: its levels > 0 at t are the first
+    # ascents (T_1 = t, H_1), its levels <= 0 the mass still without one
+    ascents, survivors = {}, {}
+    for t, Dt, x0, above, below in _split_at_zero(law, K, keep=-1):
+        ascents.update({(t, x0 + j): F(c, Dt) for j, c in enumerate(above) if c})
+        survivors[t] = F(int(below.sum()), Dt)
     for k in range(1, K + 1):
         table, meander = {}, {}
         survivor = alive = F(0)
@@ -122,7 +128,8 @@ def test_level_sweeps_match_path_enumeration(law):
             if min(vals[1:]) >= 0:
                 alive += prob
                 meander[vals[-1]] = meander.get(vals[-1], F(0)) + prob
-        assert first_ladder_pair_table(law, k)[1:] == (table, survivor)
+        assert {a: p for a, p in ascents.items() if a[0] <= k} == table
+        assert survivors[k] == survivor
         assert surv[k] == alive
         assert meander_endpoint_distribution(law, k).atoms == {
             y: p / alive for y, p in meander.items()}

@@ -7,10 +7,9 @@ import pytest
 from fluctwalk.errors import (InsufficientDataError, ParameterError,
                               UnboundedTailError, UnsupportedModeError)
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.scaling import (PositivitySequence, first_ladder_pair_table,
-                               fristedt_residual, norming_constant,
-                               positivity_probabilities, positivity_rule,
-                               required_truncation)
+from fluctwalk.scaling import (PositivitySequence, _split_at_zero, fristedt_residual,
+                               norming_constant, positivity_probabilities,
+                               positivity_rule, required_truncation)
 
 F = Fraction
 
@@ -43,7 +42,7 @@ def test_point_mass_positivity_is_one():
 
 def test_symmetric_diffuse_positivity_near_half():
     law = IncrementLaw.gaussian()
-    assert positivity_rule(law)(7) == 0.5
+    assert np.array_equal(positivity_rule(law)(np.arange(1, 8)), np.full(7, 0.5))
     seq = positivity_probabilities(law, 5, mode="montecarlo", budget=40_000, seed=3)
     for k, p in seq.probabilities.items():
         assert abs(p - 0.5) < 5 * seq.standard_errors[k] + 1e-3
@@ -74,17 +73,40 @@ def test_norming_monotone_and_growing_in_n():
 
 
 def test_symmetric_diffuse_companion_constant_matches():
-    law = IncrementLaw.gaussian()
-    up = norming_constant(positivity_rule(law, +1), 64, 1e-10)
-    down = norming_constant(positivity_rule(law, -1), 64, 1e-10)
-    assert abs(up - down) < 1e-9
+    # P(S_k < 0) = P(S_k > 0) = 1/2 on a symmetric diffuse law, so the one
+    # rule gives the constant of -S too: (1 - e^{-1/n})^{-1/2}
+    down = norming_constant(positivity_rule(IncrementLaw.gaussian()), 64, 1e-10)
+    assert abs(down - (1 - math.exp(-1 / 64)) ** -0.5) < 1e-9
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(),
+                                 IncrementLaw.lattice(["-1/2", "1/2"], ["1/2", "1/2"])],
+                         ids=["pm1", "pm-half"])
+def test_positivity_rule_is_exact_positivity_and_negativity(law):
+    # the closed form against the exact sweep of S and of -S, k <= 40
+    ks = np.arange(1, 41)
+    rule = positivity_rule(law)(ks)
+    negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
+    for l in (law, negated):
+        exact = positivity_probabilities(l, 40, mode="exact").probabilities
+        assert rule == pytest.approx([float(exact[k]) for k in ks], rel=1e-13)
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.uniform3(), IncrementLaw.biased_pm1(F(3, 4)),
+                                 IncrementLaw.gaussian(0.5), IncrementLaw.lattice([1], [1])],
+                         ids=["uniform3", "biased", "drifting-gaussian", "point-mass"])
+def test_positivity_rule_none_without_closed_form(law):
+    assert positivity_rule(law) is None
 
 
 def test_first_ladder_pair_table_fair_walk():
     # first ascent of the fair walk: height always 1, odd epochs, survivor
-    # mass P(no ascent by K) = C(K, K/2) 2^-K
-    unit, table, survivor = first_ladder_pair_table(IncrementLaw.fair_pm1(), 8)
-    assert unit == 1
+    # mass P(no ascent by K) = C(K, K/2) 2^-K; levels > 0 of the sweep that
+    # keeps levels <= 0 are the first ascents at t
+    table = {}
+    for t, Dt, x0, above, below in _split_at_zero(IncrementLaw.fair_pm1(), 8, keep=-1):
+        table.update({(t, x0 + j): F(c, Dt) for j, c in enumerate(above) if c})
+        survivor = F(int(below.sum()), Dt)
     assert all(h == 1 for (_, h) in table)
     assert table[(1, 1)] == F(1, 2) and table[(3, 1)] == F(1, 8)
     assert survivor == F(math.comb(8, 4), 2 ** 8)
