@@ -90,14 +90,12 @@ def certify_fristedt(K: int = 60) -> CheckResult:
     ok = True
     worst = 0.0
     for law in DEFAULT_LAWS():
-        for a in _FRISTEDT_ALPHAS:
-            for b in _FRISTEDT_BETAS:
-                rep = fristedt_residual(law, a, b, K)
-                rows.append([law.description, a, b, rep.lhs, rep.rhs,
-                             rep.residual, rep.tail_bound])
-                good = rep.residual <= rep.tail_bound and rep.tail_bound <= _FRISTEDT_BOUND
-                ok = ok and good
-                worst = max(worst, rep.residual)
+        for rep in fristedt_residual(law, _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, K):
+            rows.append([law.description, rep.alpha, rep.beta, rep.lhs, rep.rhs,
+                         rep.residual, rep.tail_bound])
+            good = rep.residual <= rep.tail_bound and rep.tail_bound <= _FRISTEDT_BOUND
+            ok = ok and good
+            worst = max(worst, rep.residual)
     return CheckResult("fristedt", ok,
                        f"worst residual {worst:.3e} over {len(rows) - 1} cases",
                        rows)

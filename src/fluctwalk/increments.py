@@ -94,7 +94,9 @@ class IncrementLaw:
             raise ParameterError(f"lattice probabilities sum to {sum(pr)}, expected exactly 1")
         if len(set(sup)) != len(sup):
             raise ParameterError("support points must be distinct")
-        order = sorted(range(len(sup)), key=lambda i: sup[i])
+        # zero-mass atoms carry no path: they are dropped, so they cannot
+        # set the lattice unit or count as steps
+        order = sorted((i for i in range(len(sup)) if pr[i] > 0), key=lambda i: sup[i])
         sup = tuple(sup[i] for i in order)
         pr = tuple(pr[i] for i in order)
         return cls(kind="lattice", support=sup, probs=pr, description=description)
@@ -138,11 +140,10 @@ class IncrementLaw:
 
     def is_simple_symmetric(self) -> bool:
         """Whether this is the fair two-point walk +-unit: a symmetric lattice
-        law whose positive-mass integer steps are exactly {-1, +1}."""
+        law whose integer steps are exactly {-1, +1}."""
         if self.kind != "lattice" or not self.is_symmetric():
             return False
-        _, steps, probs = self.lattice_integer_form()
-        return {s for s, p in zip(steps, probs) if p > 0} == {-1, 1}
+        return set(self.lattice_integer_form()[1]) == {-1, 1}
 
     def is_diffuse(self) -> bool:
         return self.kind in ("gaussian", "heavy_tail")
@@ -150,12 +151,12 @@ class IncrementLaw:
     def has_positive_steps(self) -> bool:
         if self.kind != "lattice":
             return True
-        return any(s > 0 and p > 0 for s, p in zip(self.support, self.probs))
+        return any(s > 0 for s in self.support)
 
     def has_negative_steps(self) -> bool:
         if self.kind != "lattice":
             return True
-        return any(s < 0 and p > 0 for s, p in zip(self.support, self.probs))
+        return any(s < 0 for s in self.support)
 
     def mean_step(self):
         if self.kind == "lattice":

@@ -60,19 +60,19 @@ class ExactDistribution:
 def integer_law(law: IncrementLaw):
     """Integer form of a lattice law's exact mass: (unit, live, D).
 
-    ``live`` lists (support index, integer step, numerator) for every atom of
-    positive probability, with P(step) = numerator / D and D the least common
-    denominator; k steps then carry integer weights over D**k.
+    ``live`` lists (support index, integer step, numerator) for every atom,
+    with P(step) = numerator / D and D the least common denominator; k steps
+    then carry integer weights over D**k.
     """
     if law.kind != "lattice":
         raise ParameterError("exact enumeration requires a finite-support lattice law")
     unit, steps, probs = law.lattice_integer_form()
     D = math.lcm(*(p.denominator for p in probs))
-    live = [(i, s, int(p * D)) for i, (s, p) in enumerate(zip(steps, probs)) if p > 0]
+    live = [(i, s, int(p * D)) for i, (s, p) in enumerate(zip(steps, probs))]
     return unit, live, D
 
 
-def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0):
+def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0, exact: bool = True):
     """Push the law's integer weights forward one step at a time, k = 1..kmax.
 
     Level lo + j carries weight ``weights[j]`` (a numpy object array of
@@ -80,15 +80,27 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0):
     *before* the kill, so an absorbing caller reads the mass that leaves;
     then ``keep`` = +1 drops levels below 0 and -1 drops levels above 0
     (0 keeps every level).  The arrays are fresh each step.
+
+    ``exact=False`` runs the same loop in float64: each atom weighs its
+    probability numerator / D, the weights are probabilities and the
+    yielded D is 1, so ``weights.sum() / D**k`` reads the same in both
+    forms.  Every term is nonnegative, so nothing cancels: with r atoms,
+    each float weight after k steps is within relative (r + 1) k u of the
+    exact one (u = 2**-53; the rounded probabilities, one product and r - 1
+    sums per step), and a sum of L of them adds (L - 1) u.  Weights that
+    underflow to subnormals or 0 add at most L 2**-1074 absolutely.
     """
     _, live, D = integer_law(law)
+    if not exact:
+        live = [(i, s, a / D) for i, s, a in live]
+        D = 1
     smin = min(s for _, s, _ in live)
     span = max(s for _, s, _ in live) - smin
-    w = np.ones(1, dtype=object)
+    w = np.ones(1, dtype=object if exact else np.float64)
     lo = 0
     for k in range(1, kmax + 1):
         n = len(w)
-        nw = np.zeros(n + span, dtype=object)
+        nw = np.zeros(n + span, dtype=w.dtype)
         for _, s, a in live:
             nw[s - smin: s - smin + n] += w if a == 1 else w * a
         w, lo = nw, lo + smin

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -194,8 +194,8 @@ def _split_at_zero(law: IncrementLaw, K: int, keep: int):
 _DPS = 80
 
 
-def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
-                      K: int = 60) -> FristedtReport:
+def fristedt_residual(law: IncrementLaw, alpha, beta,
+                      K: int = 60) -> Union[FristedtReport, List[FristedtReport]]:
     """Residual between the two sides of the ladder-pair identity.
 
     Requires alpha > 0 so that both truncation tails decay geometrically.
@@ -209,28 +209,36 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
     the walk's step laws: at each t the integer weights times
     e^{-beta x} are summed and divided once by D^t.  The residual is then a
     genuine truncation gap, not rounding noise.
+
+    ``alpha`` and ``beta`` are numbers or sequences of numbers.  Two numbers
+    give one report; otherwise the reports of the (alpha, beta) grid come as
+    a list, alpha outer and beta inner.  The two sweeps run once per call
+    and the weighted sums once per beta; each alpha then only weighs them by
+    e^{-alpha t}, in the same operation order as a one-point call, so a grid
+    report equals the one-point report bit for bit.
     """
-    if not (alpha > 0):
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    betas = [float(b) for b in np.atleast_1d(beta)]
+    if not all(a > 0 for a in alphas):
         raise UnboundedTailError("alpha must be strictly positive to bound the tails")
-    if beta < 0:
+    if any(b < 0 for b in betas):
         raise ParameterError("beta must be nonnegative")
     if law.kind != "lattice":
         raise UnsupportedModeError("exact ladder-pair table requires a lattice law")
     # imported here: mpmath adds start-up time that only this function needs
     from mpmath import mp, mpf, exp as mexp
 
+    # first ascents at t (walks at or below 0 before t), and the step laws
+    ascents = [(t, Dt, x0, above) for t, Dt, x0, above, _ in _split_at_zero(law, K, keep=-1)]
+    walks = [(k, Dk, x0, above) for k, Dk, x0, above, _ in _split_at_zero(law, K, keep=0)]
     unit = law.lattice_integer_form()[0]
+    reports = []
     with mp.workdps(_DPS):
         u = mpf(unit.numerator) / mpf(unit.denominator)
-        al = mpf(repr(float(alpha)))
-        be = mpf(repr(float(beta)))
-        ea = mexp(-al)
 
-        # cache e^{-beta x u} over the lattice positions that occur
-        exp_h: Dict[int, object] = {}
-
-        def weighted(x0: int, above) -> object:
-            """sum_j above[j] e^{-beta (x0 + j) u}, still over D^t."""
+        def weighted(be, exp_h, x0: int, above) -> object:
+            """sum_j above[j] e^{-beta (x0 + j) u}, still over D^t; ``exp_h``
+            caches e^{-beta x u} over the lattice positions that occur."""
             total = mpf(0)
             for j, c in enumerate(above):
                 if c:
@@ -240,21 +248,26 @@ def fristedt_residual(law: IncrementLaw, alpha: float, beta: float,
                     total += c * exp_h[x]
             return total
 
-        # first ascents at t (walks at or below 0 before t)
-        lhs = 1 - sum((ea ** t) * weighted(x0, above) / Dt
-                      for t, Dt, x0, above, _ in _split_at_zero(law, K, keep=-1))
-        lhs_tail = ea ** K
+        # per beta: E(e^{-beta H_1}; T_1 = t) still over D^t, and
+        # E(e^{-beta S_k}; S_k > 0)
+        sums = []
+        for b in betas:
+            be, exp_h = mpf(repr(b)), {}
+            sums.append(([weighted(be, exp_h, x0, above) for _, _, x0, above in ascents],
+                         [weighted(be, exp_h, x0, above) / Dk for _, Dk, x0, above in walks]))
 
-        # E(e^{-beta S_k}; S_k > 0) at each k
-        s = sum((ea ** k) / k * (weighted(x0, above) / Dk)
-                for k, Dk, x0, above, _ in _split_at_zero(law, K, keep=0))
-        rhs = mexp(-s)
-        # sum_{k>K} e^{-alpha k}/k <= e^{-alpha(K+1)} / ((K+1)(1 - e^{-alpha}))
-        rhs_tail = (ea ** (K + 1)) / ((K + 1) * (1 - ea))
-        residual = abs(lhs - rhs)
-        bound = lhs_tail + rhs_tail
-
-    return FristedtReport(
-        alpha=float(alpha), beta=float(beta), lhs=float(lhs), rhs=float(rhs),
-        residual=float(residual), tail_bound=float(bound), truncation=K,
-    )
+        for a in alphas:
+            ea = mexp(-mpf(repr(a)))
+            powers = [ea ** t for t in range(K + 2)]
+            # lhs tail e^{-alpha K}, and the rhs tail
+            # sum_{k>K} e^{-alpha k}/k <= e^{-alpha(K+1)} / ((K+1)(1 - e^{-alpha}))
+            bound = powers[K] + powers[K + 1] / ((K + 1) * (1 - ea))
+            for b, (first, positive) in zip(betas, sums):
+                lhs = 1 - sum(powers[t] * W / Dt for (t, Dt, _, _), W in zip(ascents, first))
+                s = sum(powers[k] / k * W for (k, _, _, _), W in zip(walks, positive))
+                rhs = mexp(-s)
+                reports.append(FristedtReport(
+                    alpha=a, beta=b, lhs=float(lhs), rhs=float(rhs),
+                    residual=float(abs(lhs - rhs)), tail_bound=float(bound),
+                    truncation=K))
+    return reports[0] if np.ndim(alpha) == np.ndim(beta) == 0 else reports

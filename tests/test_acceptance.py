@@ -223,7 +223,10 @@ def test_a7_lemma1_gaussian_and_cauchy():
 
 
 # ---------------------------------------------------------------------------
-# A8: harmonic products across the exact survival recursion
+# A8: harmonic products across the survival recursion, read from the float
+# form of the level sweep: P(C_n) within relative (r + 1) n u + (L - 1) u
+# of the exact value (r = 2 atoms, L <= n + 1 levels, u = 2^-53), so below
+# 4e-12 at n = 8192
 
 
 def test_a8_harmonic_limits():

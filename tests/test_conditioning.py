@@ -295,6 +295,17 @@ def test_harmonic_limits_rejects_monotone_law():
         harmonic_limits(IncrementLaw.lattice([1], [1]), [1.0], [16, 32, 64])
 
 
+def test_harmonic_survival_is_the_central_binomial_within_the_float_bound():
+    # harmonic_limits reads P(C_n) from the float sweep; on fair +-1 over
+    # A8's grid it is C(n, n//2) 2^-n within (r + 1) n u + (L - 1) u with
+    # r = 2 atoms and L <= n + 1 levels summed
+    grid = [2 ** q for q in range(8, 14)]
+    rep = harmonic_limits(FAIR, [1.0], grid)
+    for n, p in zip(grid, rep.survival):
+        exact = F(math.comb(n, n // 2), 2 ** n)
+        assert abs(F(p) - exact) <= 4 * n * 2.0 ** -53 * exact
+
+
 def test_harmonic_limits_product_tracks_target():
     rep = harmonic_limits(FAIR, [1.0, 3.0], [64, 128, 256, 512])
     target = half_stable_tau_tail(1.0)

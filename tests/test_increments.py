@@ -26,8 +26,9 @@ def test_point_mass_walk_is_deterministic_ramp():
 
 @pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(),
                                  IncrementLaw.lattice(["-1/2", "1/2"], ["1/2", "1/2"]),
-                                 IncrementLaw.lattice([-1, 0, 1], ["1/2", 0, "1/2"])],
-                         ids=["pm1", "pm-half", "zero-atom"])
+                                 IncrementLaw.lattice([-1, 0, 1], ["1/2", 0, "1/2"]),
+                                 IncrementLaw.lattice([-1, "1/2", 1], ["1/2", 0, "1/2"])],
+                         ids=["pm1", "pm-half", "zero-atom", "zero-atom-off-lattice"])
 def test_fair_walk_encodings_are_simple_symmetric(law):
     # the one fair-walk test, and sigma the lattice unit u of +-u
     assert law.is_simple_symmetric()
@@ -102,6 +103,13 @@ def test_lattice_integer_form_normalizes_gcd():
     unit, steps, probs = law.lattice_integer_form()
     assert unit == Fraction(1, 2)
     assert steps == (-1, 1)
+
+
+def test_zero_mass_atoms_are_dropped():
+    # a zero-mass atom carries no path, so it sets neither the unit nor a step
+    law = IncrementLaw.lattice([-1, "1/2", 1], ["1/2", 0, "1/2"])
+    assert law.support == (-1, 1) and law.probs == (Fraction(1, 2), Fraction(1, 2))
+    assert law.lattice_integer_form()[:2] == (1, (-1, 1))
 
 
 def test_walk_must_start_at_zero():

@@ -88,7 +88,7 @@ ZERO_ATOM = IncrementLaw.lattice([-1, 0, 2], [F(2, 5), 0, F(3, 5)],
 def test_iter_paths_weights_are_the_integer_sweep(law):
     # a path's weight is an integer over D**m; summed by endpoint they are the
     # integer level weights of lattice_sweep at step m (the zero-probability
-    # atom of ZERO_ATOM is never enumerated and leaves empty levels)
+    # atom of ZERO_ATOM is dropped with the law and leaves empty levels)
     _, live, D = integer_law(law)
     for m, lo, w, Ds in lattice_sweep(law, 6):
         ends = {}
@@ -100,6 +100,28 @@ def test_iter_paths_weights_are_the_integer_sweep(law):
         assert n == len(live) ** m
         assert Ds == D and sum(ends.values()) == D ** m
         assert ends == {lo + j: c for j, c in enumerate(w) if c}
+
+
+# steps {-1, +2}: skips upward, so one step spans three levels
+UP_TWO = IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)], description="-1/+2")
+
+
+@pytest.mark.parametrize("law", DEFAULT_LAWS() + [UP_TWO], ids=lambda law: law.description)
+def test_float_sweep_survival_within_its_bound(law):
+    # the float form of lattice_sweep reads P(C_k) within its documented
+    # relative bound (r + 1) k u + (L - 1) u of survival_sequence, at every
+    # k <= 512 (r atoms, L levels summed, u = 2^-53)
+    K, u = 512, 2.0 ** -53
+    r = len(integer_law(law)[1])
+    surv = survival_sequence(law, range(1, K + 1))
+    ks = []
+    for k, lo, w, D in lattice_sweep(law, K, keep=+1, exact=False):
+        assert w.dtype == np.float64 and D == 1
+        above = w[max(0, -lo):]
+        p = above.sum() / D ** k
+        assert abs(F(p) - surv[k]) <= ((r + 1) * k + len(above) - 1) * u * surv[k]
+        ks.append(k)
+    assert ks == list(range(1, K + 1))
 
 
 @pytest.mark.parametrize("law", DEFAULT_LAWS(), ids=lambda law: law.description)

@@ -1,15 +1,18 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fluctwalk.certify import _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, DEFAULT_LAWS
 from fluctwalk.errors import (InsufficientDataError, ParameterError,
                               UnboundedTailError, UnsupportedModeError)
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.scaling import (PositivitySequence, _split_at_zero, fristedt_residual,
-                               norming_constant, positivity_probabilities,
-                               positivity_rule, required_truncation)
+from fluctwalk.scaling import (FristedtReport, PositivitySequence, _split_at_zero,
+                               fristedt_residual, norming_constant,
+                               positivity_probabilities, positivity_rule,
+                               required_truncation)
 
 F = Fraction
 
@@ -130,6 +133,20 @@ def test_fristedt_spot_value_fair_walk():
     assert abs(rep.lhs - target) < 1e-10
     assert abs(rep.rhs - target) < 1e-10
     assert rep.residual <= rep.tail_bound <= 1e-6
+
+
+@pytest.mark.parametrize("law", DEFAULT_LAWS(), ids=lambda law: law.description)
+def test_fristedt_grid_reports_equal_one_point_reports(law):
+    # one grid call shares its sweeps and weighted sums; every report equals
+    # the one-point call's, field by field, in (alpha, beta) order
+    alphas, betas = _FRISTEDT_ALPHAS, _FRISTEDT_BETAS
+    grid = fristedt_residual(law, alphas, betas, K=60)
+    points = [fristedt_residual(law, a, b, K=60) for a in alphas for b in betas]
+    assert len(grid) == len(points) == 9
+    for g, p in zip(grid, points):
+        for f in fields(FristedtReport):
+            assert getattr(g, f.name) == getattr(p, f.name)
+    assert fristedt_residual(law, 1.0, [0.0], K=60) == [points[3]]
 
 
 def test_fristedt_large_alpha_pins_both_sides_near_one():
