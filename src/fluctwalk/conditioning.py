@@ -44,8 +44,7 @@ from .errors import (BudgetError, DegenerateStateError, ParameterError,
                      UnsupportedModeError)
 from .increments import IncrementLaw, WalkPath, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
-from .scaling import (check_bilateral, norming_constant, positivity_probabilities,
-                      positivity_rule, required_truncation)
+from .scaling import check_bilateral, norming_constant, positivity_rule
 
 __all__ = [
     "renewal_function",
@@ -375,10 +374,8 @@ class HarmonicReport:
         return rows
 
 
-# truncation tolerance of every a_hat_n sum, and the largest truncation the
-# exact positivity convolution may take
+# truncation tolerance of every a_hat_n sum
 _REL_TOL = 1e-9
-_EXACT_POSITIVITY_CAP = 4096
 
 
 def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
@@ -388,9 +385,10 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     Lattice route: survival P(C_n) by the float form of the level sweep
     (:func:`~fluctwalk.oracle.lattice_sweep` with ``exact=False``), V by
     the skip-free closed form evaluated at x / c_n with c_n =
-    1 / (sigma sqrt(n)), and a_hat_n from a closed-form negativity rule
-    where available (falling back to exact convolution when the truncation
-    stays below the cap).
+    1 / (sigma sqrt(n)), and a_hat_n from the positivity rule of -S
+    (:func:`~fluctwalk.scaling.positivity_rule`): closed on the simple
+    symmetric walk, one float sweep per n, within that rule's stated bound,
+    on every other law.
 
     The survival numbers carry an a-priori bound, not a certificate: every
     level weight is nonnegative, so with r atoms P(C_n) is within relative
@@ -409,20 +407,9 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     check_bilateral(law)
     sigma = law.sigma()
 
-    rule = positivity_rule(law)  # a symmetric law's P(S_k < 0)
-    a_hat = []
-    for n in n_grid:
-        if rule is not None:
-            a_hat.append(norming_constant(rule, n, _REL_TOL))
-        else:
-            K = required_truncation(n, _REL_TOL)
-            if K > _EXACT_POSITIVITY_CAP:
-                raise UnsupportedModeError(
-                    f"n={n} needs positivity out to K={K}, above the exact cap; "
-                    "no closed-form rule for this law")
-            negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
-            seq = positivity_probabilities(negated, K, mode="exact")
-            a_hat.append(norming_constant(seq, n, _REL_TOL))
+    # a_hat_n is the norming constant of -S: its positivity is P(S_k < 0)
+    rule = positivity_rule(IncrementLaw.lattice([-s for s in law.support], law.probs))
+    a_hat = [norming_constant(rule, n, _REL_TOL) for n in n_grid]
 
     # P(C_n) is read only as a float: the float form of the level sweep
     wanted = set(n_grid)

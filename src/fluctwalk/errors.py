@@ -13,10 +13,6 @@ class UnsupportedModeError(FluctwalkError):
     """Exact computation requested for a law that only supports estimation."""
 
 
-class InsufficientDataError(FluctwalkError):
-    """A positivity sequence does not reach the required truncation index."""
-
-
 class UnboundedTailError(FluctwalkError):
     """Truncation tail cannot be bounded for the given exponents."""
 

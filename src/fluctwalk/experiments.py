@@ -42,8 +42,7 @@ from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
-from .scaling import (check_bilateral, norming_constant, positivity_probabilities,
-                      positivity_rule, required_truncation)
+from .scaling import check_bilateral, norming_constant, positivity_rule
 from .stats import Sample, ks_statistic, trend_test
 
 __all__ = [
@@ -368,11 +367,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     that value at the largest n of the grid cannot pass.
 
     On the windowed route (laws without a :func:`first_ascent_tail`: the
-    symmetric lattice laws other than the simple symmetric walk) the norming
-    constants come from Monte Carlo positivity, and the notes record
-    ``resampled_fraction_n{n}``: the share of windows without [a_n] ladder
-    epochs among those read, in trial order, up to the window that delivered
-    the last pair (see :func:`windowed_ladder_pairs`).
+    symmetric lattice laws other than the simple symmetric walk) the notes
+    record ``resampled_fraction_n{n}``: the share of windows without [a_n]
+    ladder epochs among those read, in trial order, up to the window that
+    delivered the last pair (see :func:`windowed_ladder_pairs`).  On every
+    route a_n comes from :func:`~fluctwalk.scaling.positivity_rule`.
     """
     config.validate("theorem1")
     law = config.law
@@ -392,17 +391,8 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     window_mult = int(config.params["window_mult"])
 
     notes: Dict[str, object] = {}
-    if closed is None:
-        # no closed positivity rule: estimate the norming sum by Monte Carlo
-        K = required_truncation(max(config.n_grid), 1e-6)
-        seq = positivity_probabilities(law, K, mode="montecarlo",
-                                       budget=K * 4_000,
-                                       seed=derive_seed(config.seed, 2))
-        a_ns = [norming_constant(seq, n, 1e-6) for n in config.n_grid]
-        notes["norming_source"] = "montecarlo positivity"
-    else:
-        rule = positivity_rule(law)
-        a_ns = [norming_constant(rule, n, 1e-9) for n in config.n_grid]
+    rule = positivity_rule(law)
+    a_ns = [norming_constant(rule, n, 1e-9) for n in config.n_grid]
     blocks = [int(a) for a in a_ns]
 
     if closed is not None and law.is_diffuse():

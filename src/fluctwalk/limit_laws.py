@@ -3,8 +3,11 @@
 With the local time normalized so that the ladder-pair exponent satisfies
 kappa(1, 0) = 1, the Brownian-limit objects have elementary closed forms:
 
-* kappa(alpha, beta) = sqrt(alpha + beta^2 / 2), so kappa(alpha, 0) =
-  sqrt(alpha) and kappa(0, beta) = beta / sqrt(2);
+* kappa(alpha, beta) = sqrt(alpha) + beta / sqrt(2): the local time is
+  L = sqrt(2) M, so the ladder height is the drift H(l) = l / sqrt(2) and
+  the inverse local time L^{-1}(l) is the first passage of the Brownian
+  motion to l / sqrt(2), with E e^{-alpha L^{-1}(l) - beta H(l)} =
+  e^{-l (sqrt(alpha) + beta / sqrt(2))};
 * the inverse local time is the 1/2-stable subordinator with Laplace
   exponent sqrt(alpha); its time-1 marginal has CDF erfc(1 / (2 sqrt(s)));
 * the ladder height process is pure drift with rate 1/sqrt(2) (its jump
@@ -44,7 +47,7 @@ def kappa_bm(alpha, beta) -> float:
     """Ladder-pair exponent of the Brownian limit; kappa(1, 0) = 1."""
     if alpha < 0 or beta < 0:
         raise ParameterError("kappa is defined for nonnegative arguments")
-    return math.sqrt(alpha + beta * beta / 2.0)
+    return math.sqrt(alpha) + BROWNIAN_DRIFT * beta
 
 
 def levy_half_cdf(s):

@@ -7,7 +7,10 @@ The scale that turns record counts into a convergent local time is
 an infinite sum truncated here at a K chosen from the analytic tail bound
 sum_{k>K} k^{-1} e^{-k/n} <= (n/K) e^{-K/n}, never at a fixed constant.
 Strict positivity P(S_k > 0) is used exactly as written; the weak version is
-not substituted even on lattices.
+not substituted even on lattices.  :func:`positivity_rule` is the one source
+of P(S_k > 0): a closed form for the simple symmetric walk and symmetric
+diffuse laws, the float level sweep with its stated error bound for every
+other lattice law.
 
 The module also evaluates both sides of the first-ladder-pair identity
 
@@ -22,47 +25,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, InsufficientDataError, ParameterError,
-                     UnboundedTailError, UnsupportedModeError)
-from .increments import IncrementLaw, derive_seed, iter_rows
+from .errors import (HypothesisViolationError, ParameterError, UnboundedTailError,
+                     UnsupportedModeError)
+from .increments import IncrementLaw
 from .oracle import lattice_sweep
 
 __all__ = [
-    "PositivitySequence",
     "norming_constant",
     "required_truncation",
-    "positivity_probabilities",
     "positivity_rule",
     "check_bilateral",
     "FristedtReport",
     "fristedt_residual",
 ]
-
-
-@dataclass
-class PositivitySequence:
-    """Map k -> P(S_k > 0) for k = 1..K, exact or estimated.
-
-    Exact entries are Fractions from the integer level sweep;
-    estimated entries are floats with per-entry standard errors.
-    """
-
-    probabilities: Dict[int, Union[Fraction, float]]
-    standard_errors: Optional[Dict[int, float]] = None
-
-    def __post_init__(self):
-        for k, p in self.probabilities.items():
-            if not (0 <= p <= 1):
-                raise ParameterError(f"P(S_{k}>0) = {p} outside [0, 1]")
-
-    @property
-    def max_index(self) -> int:
-        return max(self.probabilities) if self.probabilities else 0
 
 
 def required_truncation(n: int, rel_tol: float) -> int:
@@ -82,42 +61,51 @@ def required_truncation(n: int, rel_tol: float) -> int:
     return hi
 
 
-def norming_constant(probs, n: int, rel_tol: float = 1e-9) -> float:
+def norming_constant(rule, n: int, rel_tol: float = 1e-9) -> float:
     """a_n = exp(sum k^{-1} e^{-k/n} P(S_k > 0)), truncated by the tail bound.
 
-    ``probs`` is a PositivitySequence or a :func:`positivity_rule` (a map
-    from the int64 array of k to the array of P(S_k > 0)).  The companion
-    constant for -S is the same call with P(S_k < 0).
+    ``rule`` is a :func:`positivity_rule` (a map from the int64 array of k
+    to the array of P(S_k > 0)).  The companion constant for -S is the same
+    call with P(S_k < 0).
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
     K = required_truncation(n, rel_tol)
     ks = np.arange(1, K + 1, dtype=np.float64)
-    if isinstance(probs, PositivitySequence):
-        if probs.max_index < K:
-            raise InsufficientDataError(
-                f"positivity sequence reaches k={probs.max_index}, "
-                f"truncation needs K={K} at rel_tol={rel_tol}")
-        p = np.array([float(probs.probabilities[k]) for k in range(1, K + 1)])
-    else:
-        p = np.asarray(probs(np.arange(1, K + 1)), dtype=np.float64)
+    p = np.asarray(rule(np.arange(1, K + 1)), dtype=np.float64)
     if np.any((p < 0) | (p > 1)):
         raise ParameterError("positivity probabilities must lie in [0, 1]")
     return float(math.exp(np.sum(np.exp(-ks / n) / ks * p)))
 
 
 def positivity_rule(law: IncrementLaw):
-    """Closed-form rule k -> P(S_k > 0) on int64 arrays of k, or None.
+    """Rule k -> P(S_k > 0) on int64 arrays of k; None off the lattice.
 
     Symmetric diffuse laws give 1/2 identically.  The simple symmetric walk
     gives 1/2 at odd k and (1 - C(k, k/2) 2^{-k})/2 at even k.  Both laws
-    are symmetric, so the rule is also k -> P(S_k < 0).  Returns None for
-    every other law.
+    are symmetric, so their rule is also k -> P(S_k < 0).  Every other
+    lattice law reads the levels above 0 of one float level sweep
+    (:func:`~fluctwalk.oracle.lattice_sweep` with ``exact=False``) out to
+    the largest k asked for.  With r atoms, each such P(S_k > 0) is within
+    relative (r + 1) k u + (L - 1) u of the exact value (u = 2**-53, L the
+    number of levels above 0 summed), plus at most L 2**-1074 from
+    underflow; a value that rounding lifts past 1 reads 1.  The sweep costs
+    K steps of r vector updates over up to K * span + 1 levels, about
+    r * span * K**2 / 2 operations for K = max k and span the largest step
+    minus the smallest.  Laws off the lattice without a closed form give
+    None.
     """
     if law.is_diffuse() and law.is_symmetric():
         return lambda ks: np.full(ks.shape, 0.5)
-    if not law.is_simple_symmetric():
+    if law.kind != "lattice":
         return None
+    if not law.is_simple_symmetric():
+        def swept(ks):
+            p = np.empty(int(ks.max()))
+            for k, lo, w, _ in lattice_sweep(law, len(p), exact=False):
+                p[k - 1] = w[max(0, 1 - lo):].sum()
+            return np.minimum(p, 1.0)[ks - 1]
+        return swept
 
     def rule(ks):
         out = np.full(ks.shape, 0.5)
@@ -137,32 +125,6 @@ def check_bilateral(law: IncrementLaw) -> None:
         raise HypothesisViolationError(
             f"law {law.description or law.kind!r} is monotone; the scaling "
             "limits under test require movement in both directions")
-
-
-def positivity_probabilities(law: IncrementLaw, K: int, mode: str = "exact",
-                             budget: int = 100_000, seed: int = 0) -> PositivitySequence:
-    """P(S_k > 0) for k = 1..K, exact (lattice) or Monte Carlo with errors."""
-    if K < 1:
-        raise ParameterError("K must be >= 1")
-    if mode == "exact":
-        if law.kind != "lattice":
-            raise UnsupportedModeError("exact positivity requires a lattice law")
-        probs = {k: Fraction(int(above.sum()), Dk)
-                 for k, Dk, _, above, _ in _split_at_zero(law, K, keep=0)}
-        return PositivitySequence(probabilities=probs)
-    if mode != "montecarlo":
-        raise ParameterError(f"unknown mode {mode!r}")
-    rng_seed = derive_seed(seed, 0)
-    trials = max(100, budget // max(K, 1))
-    counts = np.zeros(K, dtype=np.int64)
-    for S in iter_rows(law, K, rng_seed, trials):
-        counts += (S[:, 1:] > 0).sum(axis=0)
-    p = counts / trials
-    se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / trials)
-    return PositivitySequence(
-        probabilities={k + 1: float(p[k]) for k in range(K)},
-        standard_errors={k + 1: float(se[k]) for k in range(K)},
-    )
 
 
 @dataclass(frozen=True)

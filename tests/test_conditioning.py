@@ -14,6 +14,7 @@ from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed, sample_walk
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
+from fluctwalk.scaling import _split_at_zero, required_truncation
 from fluctwalk.stats import dkw_epsilon
 from fluctwalk.transforms import tanaka_transform
 
@@ -304,6 +305,23 @@ def test_harmonic_survival_is_the_central_binomial_within_the_float_bound():
     for n, p in zip(grid, rep.survival):
         exact = F(math.comb(n, n // 2), 2 ** n)
         assert abs(F(p) - exact) <= 4 * n * 2.0 ** -53 * exact
+
+
+def test_harmonic_limits_norming_on_a_law_without_closed_form():
+    # {-1, +2} has no closed positivity rule: a_hat_n, the constant of -S,
+    # comes from the float sweep and matches the sum over the exact
+    # P(S_k < 0); n = 256 needs positivity out to K = 4568
+    law = IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)])
+    negated = IncrementLaw.lattice([1, -2], [F(2, 3), F(1, 3)])
+    grid = [16, 32, 64]
+    exact = [F(int(above.sum()), Dk) for _, Dk, _, above, _ in
+             _split_at_zero(negated, required_truncation(grid[-1], 1e-9), keep=0)]
+    rep = harmonic_limits(law, [1.0], grid)
+    for n, a in zip(grid, rep.a_hat):
+        ks = range(1, required_truncation(n, 1e-9) + 1)
+        a_exact = math.exp(math.fsum(math.exp(-k / n) / k * float(exact[k - 1]) for k in ks))
+        assert a == pytest.approx(a_exact, rel=1e-12)
+    assert harmonic_limits(law, [1.0], [256]).a_hat[0] > rep.a_hat[-1]
 
 
 def test_harmonic_limits_product_tracks_target():

@@ -162,7 +162,13 @@ def test_run_theorem1_windowed_route_for_general_lattice():
     assert rep.passed
     by_id = {x.cid: x.value for x in rep.criteria}
     assert by_id["ladder_time_ks"] < 0.15
-    assert rep.notes["norming_source"] == "montecarlo positivity"
+    # a_n draws no random numbers: the same at another seed, and the
+    # positivity rule's constant
+    other = run_theorem1(cfg("theorem1", law, [64, 128], trials=400, seed=8,
+                             params={"window_mult": 64}))
+    a_n = [row[1] for row in rep.tables["theorem1"][1:]]
+    assert a_n == [row[1] for row in other.tables["theorem1"][1:]]
+    assert a_n == [norming_constant(positivity_rule(law), n, 1e-9) for n in (64, 128)]
 
 
 def test_run_theorem1_windowed_route_fail_mode(monkeypatch):

@@ -14,7 +14,6 @@ from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _latti
                                   _pcg64_states, _rng, derive_seed, iter_rows,
                                   sample_rows, sample_walk)
 from fluctwalk.oracle import iter_paths
-from fluctwalk.scaling import positivity_probabilities
 from fluctwalk.transforms import future_min_local_time, tanaka_transform
 
 
@@ -222,15 +221,6 @@ def test_survival_montecarlo_matches_per_row_loop():
     assert est.error == math.sqrt(max(p * (1 - p), 1e-12) / budget)
 
 
-def test_positivity_montecarlo_matches_per_row_loop():
-    law, K, budget, seed = IncrementLaw.uniform3(), 10, 20_000, 3
-    trials = budget // K
-    S = np.cumsum(oracle_rows(law, K, oracle_seed(seed, 0), 0, trials), axis=1)
-    p = (S > 0).sum(axis=0) / trials
-    seq = positivity_probabilities(law, K, "montecarlo", budget=budget, seed=seed)
-    assert seq.probabilities == {k + 1: float(p[k]) for k in range(K)}
-
-
 def test_windowed_ladder_pairs_match_per_row_loop():
     law, n, block, count, seed = IncrementLaw.uniform3(), 8, 4, 60, 17
     width = 2 * n
@@ -379,20 +369,17 @@ def _batch_dependent_outputs():
                                        window_mult=2)
     surv = survival_probability(IncrementLaw.fair_pm1(), 12, "montecarlo",
                                 budget=3000, seed=5)
-    pos = positivity_probabilities(IncrementLaw.uniform3(), 10, "montecarlo",
-                                   budget=20_000, seed=3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "tanaka_transform_np", _recording_rebuild(seen))
         certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                               seed=8)
     meander = meander_sample(IncrementLaw.fair_pm1(), 25, 6)
-    return (T.tolist(), H.tolist(), frac, surv, pos.probabilities,
-            pos.standard_errors, seen, meander.values)
+    return T.tolist(), H.tolist(), frac, surv, seen, meander.values
 
 
 def test_outputs_do_not_depend_on_the_batch_cap(monkeypatch):
     default = _batch_dependent_outputs()
-    assert len(default[6]) == 40 and default[2] > 0
+    assert len(default[4]) == 40 and default[2] > 0
     for cap in (1, 1 << 40):
         monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
         assert _batch_dependent_outputs() == default

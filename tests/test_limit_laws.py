@@ -22,6 +22,15 @@ def test_kappa_marginal_exponents_on_grid():
     assert BROWNIAN_DRIFT == pytest.approx(1 / math.sqrt(2))
 
 
+def test_kappa_joint_form():
+    # L = sqrt(2) M: H(l) = l / sqrt(2) and L^{-1}(l) is the first passage to
+    # l / sqrt(2), so the exponent is additive in alpha and beta
+    assert kappa_bm(1.0, 1.0) == pytest.approx(1 + 1 / math.sqrt(2))
+    for a in (0.0, 0.25, 1.0, 4.0):
+        for b in (0.0, 0.5, 1.0, 3.0):
+            assert kappa_bm(a, b) == pytest.approx(kappa_bm(a, 0.0) + kappa_bm(0.0, b))
+
+
 def test_ladder_time_cdf_values_and_shape():
     assert levy_half_cdf(1.0) == pytest.approx(erfc(0.5))
     assert abs(levy_half_cdf(1.0) - 0.4795) < 1e-4

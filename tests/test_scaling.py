@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from fluctwalk.certify import _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, DEFAULT_LAWS
-from fluctwalk.errors import (InsufficientDataError, ParameterError,
-                              UnboundedTailError, UnsupportedModeError)
+from fluctwalk.errors import ParameterError, UnboundedTailError, UnsupportedModeError
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.scaling import (FristedtReport, PositivitySequence, _split_at_zero,
-                               fristedt_residual, norming_constant,
-                               positivity_probabilities, positivity_rule,
-                               required_truncation)
+from fluctwalk.scaling import (FristedtReport, _split_at_zero, fristedt_residual,
+                               norming_constant, positivity_rule, required_truncation)
 
 F = Fraction
 
@@ -27,39 +24,24 @@ def test_constant_half_closed_form_at_n1():
     assert abs(a1 - (1 - math.exp(-1)) ** -0.5) < 1e-11
 
 
+def exact_positivity(law, K):
+    """P(S_k > 0) for k = 1..K as Fractions, from the integer sweep."""
+    return [F(int(above.sum()), Dk) for _, Dk, _, above, _ in _split_at_zero(law, K, keep=0)]
+
+
 def test_fair_walk_exact_positivity_sequence():
-    seq = positivity_probabilities(IncrementLaw.fair_pm1(), 4, mode="exact")
-    assert [seq.probabilities[k] for k in (1, 2, 3, 4)] == [
-        F(1, 2), F(1, 4), F(1, 2), F(5, 16)]
-    # and the norming constant built from it matches the closed-form rule
-    seq_long = positivity_probabilities(IncrementLaw.fair_pm1(), 40, mode="exact")
-    a_exact = norming_constant(seq_long, 1, 1e-12)
-    a_rule = norming_constant(positivity_rule(IncrementLaw.fair_pm1()), 1, 1e-12)
-    assert abs(a_exact - a_rule) < 1e-10
+    assert exact_positivity(IncrementLaw.fair_pm1(), 4) == [F(1, 2), F(1, 4), F(1, 2), F(5, 16)]
 
 
 def test_point_mass_positivity_is_one():
-    seq = positivity_probabilities(IncrementLaw.lattice([1], [1]), 6, mode="exact")
-    assert all(p == 1 for p in seq.probabilities.values())
+    law = IncrementLaw.lattice([1], [1])
+    assert exact_positivity(law, 6) == [1] * 6
+    assert np.array_equal(positivity_rule(law)(np.arange(1, 7)), np.ones(6))
 
 
 def test_symmetric_diffuse_positivity_near_half():
     law = IncrementLaw.gaussian()
     assert np.array_equal(positivity_rule(law)(np.arange(1, 8)), np.full(7, 0.5))
-    seq = positivity_probabilities(law, 5, mode="montecarlo", budget=40_000, seed=3)
-    for k, p in seq.probabilities.items():
-        assert abs(p - 0.5) < 5 * seq.standard_errors[k] + 1e-3
-
-
-def test_exact_mode_rejects_continuous_laws():
-    with pytest.raises(UnsupportedModeError):
-        positivity_probabilities(IncrementLaw.gaussian(), 3, mode="exact")
-
-
-def test_insufficient_sequence_raises():
-    seq = PositivitySequence({1: F(1, 2), 2: F(1, 4)})
-    with pytest.raises(InsufficientDataError):
-        norming_constant(seq, 10, 1e-9)
 
 
 def test_truncation_respects_tail_bound():
@@ -91,14 +73,36 @@ def test_positivity_rule_is_exact_positivity_and_negativity(law):
     rule = positivity_rule(law)(ks)
     negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
     for l in (law, negated):
-        exact = positivity_probabilities(l, 40, mode="exact").probabilities
-        assert rule == pytest.approx([float(exact[k]) for k in ks], rel=1e-13)
+        assert rule == pytest.approx([float(p) for p in exact_positivity(l, 40)], rel=1e-13)
 
 
 @pytest.mark.parametrize("law", [IncrementLaw.uniform3(), IncrementLaw.biased_pm1(F(3, 4)),
-                                 IncrementLaw.gaussian(0.5), IncrementLaw.lattice([1], [1])],
-                         ids=["uniform3", "biased", "drifting-gaussian", "point-mass"])
-def test_positivity_rule_none_without_closed_form(law):
+                                 IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)]),
+                                 IncrementLaw.lattice([1], [1])],
+                         ids=["uniform3", "biased", "skip-up", "point-mass"])
+def test_positivity_rule_sweep_within_its_bound(law):
+    # the float sweep against the integer one: every k <= 60 within
+    # (r + 1) k u + (L - 1) u, with r atoms and L levels above 0 summed
+    K, u, r = 60, 2.0 ** -53, len(law.support)
+    swept = positivity_rule(law)(np.arange(1, K + 1))
+    for k, (_, Dk, _, above, _) in zip(range(1, K + 1), _split_at_zero(law, K, keep=0)):
+        exact = F(int(above.sum()), Dk)
+        assert abs(F(swept[k - 1]) - exact) <= ((r + 1) * k * u + (len(above) - 1) * u) * exact
+
+
+def test_positivity_rule_reads_at_most_one():
+    # on a walk that rises with probability 9/10, rounding lifts the float
+    # P(S_k > 0) past 1 from k = 61 on; the rule reads 1 there, so a_n exists
+    rule = positivity_rule(IncrementLaw.biased_pm1(F(9, 10)))
+    assert rule(np.arange(1, 144)).max() == 1.0
+    assert 1 < norming_constant(rule, 8) <= 1 / (1 - math.exp(-1 / 8))
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.gaussian(0.5), IncrementLaw.gaussian(-1.0, 2.0)],
+                         ids=["drifting-gaussian", "falling-gaussian"])
+def test_positivity_rule_none_off_the_lattice(law):
+    # the heavy-tailed family is symmetric, so only drifting diffuse laws
+    # are left without a rule
     assert positivity_rule(law) is None
 
 
