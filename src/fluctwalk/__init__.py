@@ -11,9 +11,9 @@ from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk
 from .fluctuation import last_max_index, local_time_strict, local_time_verbatim
 from .transforms import future_min_local_time, tanaka_transform
 from .scaling import FristedtReport, fristedt_residual, norming_constant
-from .conditioning import (SurvivalEstimate, conditioned_states, conditioned_walk,
-                           harmonic_limits, meander_sample, meander_weights,
-                           renewal_function, survival_probability)
+from .conditioning import (SurvivalEstimate, conditioned_states, harmonic_limits,
+                           meander_sample, meander_weights, renewal_function,
+                           survival_probability)
 from .oracle import ExactDistribution, distribution_equality, exact_functional_distribution
 from .stats import Sample, ks_statistic, trend_test
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf

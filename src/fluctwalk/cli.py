@@ -26,11 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .conditioning import conditioned_walk, meander_sample
+from .conditioning import conditioned_states, meander_sample
 from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
-from .increments import IncrementLaw, derive_seed, iter_rows
+from .increments import IncrementLaw, iter_rows
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -127,6 +127,9 @@ def main(argv=None) -> int:
     p_tab.add_argument("--points", type=int, default=200)
 
     args = parser.parse_args(argv)
+    for flag, value in (("--trials", args.trials), ("--n-grid", args.n_grid)):
+        if value is not None and args.command != "converge":
+            parser.error(f"{flag}: only converge reads it")
     overrides = _load_config_file(args.config)
     out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
     seed = overrides.get("seed", args.seed)
@@ -193,14 +196,16 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
         paths = [row for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
     elif kind == "conditioned":
         try:
-            paths = [conditioned_walk(law, length, derive_seed(seed, t)).values
-                     for t in range(n_paths)]
+            levels = list(conditioned_states(law, length, n_paths, seed))
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "
                         f"function, such as fair-pm1: {exc}")
+        # integer chain levels after S_0 = 0, times the lattice unit
+        unit = law.lattice_integer_form()[0]
+        levels = np.column_stack([np.zeros(n_paths, dtype=np.int64)] + levels)
+        paths = (levels * unit.numerator / unit.denominator).tolist()
     else:
-        paths = [meander_sample(law, length, derive_seed(seed, t)).values
-                 for t in range(n_paths)]
+        paths = meander_sample(law, length, n_paths, seed).tolist()
     # no kind draws weighted paths; the four-column format keeps weight 1.0
     rows = [["trial", "index", "value", "weight"]]
     for t, values in enumerate(paths):

@@ -19,15 +19,15 @@ V is exact and rational: skip-free-downward lattice laws (descents by one
 lattice unit) have closed forms for it, and every function here that needs
 V builds it with :func:`renewal_function`.  :func:`conditioned_states` is
 the one sampler of the conditioned chain: it runs many chains at once by
-table lookup in the float-rounded cumulative kernel rows, and the single
-walk of :func:`conditioned_walk` is its one-trial case.
+table lookup in the float-rounded cumulative kernel rows.
 
-Meanders come two ways.  :func:`meander_sample` draws one by rejection, the
-ground truth at small horizons.  Above that, the chains of
-:func:`conditioned_states` are weighted by 1 / (P(C_k) V(endpoint))
-(:func:`meander_weights`, the one place that knows this weight); the
-weighted empirical law is exactly the meander law, path by path on
-lattices.
+Meanders come three ways, one per job.  :func:`meander_sample` draws a
+batch by rejection from the walk's own trials, on any law.  The chains of
+:func:`conditioned_states` weighted by 1 / (P(C_k) V(endpoint))
+(:func:`meander_weights`, the one place that knows this weight) have
+exactly the meander law, path by path on lattices; they reach the large
+horizons.  :func:`meander_endpoint_distribution` is the exact endpoint law
+on lattices, the reference the weighted chains are checked against.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, ParameterError,
                      UnsupportedModeError)
-from .increments import IncrementLaw, WalkPath, iter_rows, _rng
+from .increments import IncrementLaw, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
 from .scaling import check_bilateral, norming_constant, positivity_rule
 
@@ -50,7 +50,6 @@ __all__ = [
     "renewal_function",
     "h_kernel_row",
     "conditioned_states",
-    "conditioned_walk",
     "meander_sample",
     "meander_weights",
     "SurvivalEstimate",
@@ -198,16 +197,6 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int,
         yield x
 
 
-def conditioned_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
-    """A walk conditioned to stay positive: the one-trial case of
-    :func:`conditioned_states`, exact in law (lattice laws, exact rows)."""
-    if length < 1:
-        raise ParameterError("length must be >= 1")
-    levels = [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed)]
-    unit, _, _ = law.lattice_integer_form()
-    return WalkPath(values=tuple(float(k * unit) for k in levels))
-
-
 # ---------------------------------------------------------------------------
 # survival probabilities and meanders
 
@@ -269,25 +258,32 @@ def survival_sequence(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, Fractio
     return out
 
 
-# rejection attempts of one meander_sample call
+# rejection attempts per meander that meander_sample asks for
 _MEANDER_ATTEMPTS = 100_000
 
 
-def meander_sample(law: IncrementLaw, k: int, seed: int) -> WalkPath:
-    """One meander path of length k by rejection.
+def meander_sample(law: IncrementLaw, k: int, count: int, seed: int) -> np.ndarray:
+    """``count`` meander paths of length k by rejection, one row each.
 
-    Attempt t is trial t of ``seed``; the first walk that stays >= 0 is
-    returned, so the path has the exact meander law.
+    Attempt t is trial t of ``seed`` (:func:`~fluctwalk.increments.iter_rows`);
+    the rows are the first ``count`` walks that stay >= 0, in trial order,
+    so each has the exact meander law.  Returns an array of shape
+    (count, k + 1).  At most count * 100 000 attempts are drawn; a shortfall
+    raises a BudgetError carrying the observed acceptance rate.
     """
-    if k < 1:
-        raise ParameterError("length must be >= 1")
-    for S in iter_rows(law, k, seed, _MEANDER_ATTEMPTS):
-        ok = S.min(axis=1) >= 0
-        if ok.any():
-            return WalkPath(values=tuple(S[int(np.argmax(ok))].tolist()))
-    raise BudgetError(
-        f"no meander accepted in {_MEANDER_ATTEMPTS} attempts",
-        acceptance_rate=0.0)
+    if k < 1 or count < 1:
+        raise ParameterError("length and count must be >= 1")
+    budget = count * _MEANDER_ATTEMPTS
+    kept = []
+    got = 0
+    for S in iter_rows(law, k, seed, budget):
+        ok = S[S.min(axis=1) >= 0][: count - got]
+        kept.append(ok)
+        got += len(ok)
+        if got == count:
+            return np.concatenate(kept)
+    raise BudgetError(f"only {got} of {count} meanders accepted in {budget} attempts",
+                      acceptance_rate=got / budget)
 
 
 def meander_weights(law: IncrementLaw, n: int, levels,
@@ -374,10 +370,6 @@ class HarmonicReport:
         return rows
 
 
-# truncation tolerance of every a_hat_n sum
-_REL_TOL = 1e-9
-
-
 def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
                     n_grid: Sequence[int]) -> HarmonicReport:
     """Track a_hat_n P(C_n) and P(C_n) V_n(x) across n.
@@ -387,8 +379,8 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     the skip-free closed form evaluated at x / c_n with c_n =
     1 / (sigma sqrt(n)), and a_hat_n from the positivity rule of -S
     (:func:`~fluctwalk.scaling.positivity_rule`): closed on the simple
-    symmetric walk, one float sweep per n, within that rule's stated bound,
-    on every other law.
+    symmetric walk, one float sweep for the whole grid, within that rule's
+    stated bound, on every other law.
 
     The survival numbers carry an a-priori bound, not a certificate: every
     level weight is nonnegative, so with r atoms P(C_n) is within relative
@@ -409,7 +401,7 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
 
     # a_hat_n is the norming constant of -S: its positivity is P(S_k < 0)
     rule = positivity_rule(IncrementLaw.lattice([-s for s in law.support], law.probs))
-    a_hat = [norming_constant(rule, n, _REL_TOL) for n in n_grid]
+    a_hat = norming_constant(rule, n_grid)
 
     # P(C_n) is read only as a float: the float form of the level sweep
     wanted = set(n_grid)

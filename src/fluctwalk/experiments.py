@@ -35,9 +35,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .conditioning import (conditioned_states, harmonic_limits, meander_weights,
+from .conditioning import (conditioned_states, harmonic_limits,
+                           meander_endpoint_distribution, meander_weights,
                            survival_sequence)
-from .errors import BudgetError, ConfigError, InsufficientLadderError
+from .errors import ConfigError, InsufficientLadderError
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
@@ -392,7 +393,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
 
     notes: Dict[str, object] = {}
     rule = positivity_rule(law)
-    a_ns = [norming_constant(rule, n, 1e-9) for n in config.n_grid]
+    a_ns = norming_constant(rule, config.n_grid)
     blocks = [int(a) for a in a_ns]
 
     if closed is not None and law.is_diffuse():
@@ -543,13 +544,12 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
                           "and symmetric diffuse laws")
     tail, c = closed
     sigma = law.sigma()
-    rule = positivity_rule(law)
+    a_ns = norming_constant(positivity_rule(law), config.n_grid)
     c_tail = float(config.params["time_tail_cutoff"])
 
     rows = [["n", "a_n", "an_mean_height", "an_interval_mass", "an_time_tail",
              "time_tail_target"]]
-    for i, n in enumerate(config.n_grid):
-        a_n = norming_constant(rule, n, 1e-9)
+    for i, (n, a_n) in enumerate(zip(config.n_grid, a_ns)):
         c_n = 1.0 / (sigma * math.sqrt(n))
         if law.kind == "lattice":
             mh = a_n * float(law.lattice_integer_form()[0]) * c_n
@@ -582,35 +582,17 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
 # run_meander: endpoint law and cross-method agreement
 
 
-def pm1_meander_endpoints_rejection(n: int, count: int, seed: int,
-                                    budget_factor: int = 64) -> np.ndarray:
-    """Endpoints of exact-law meanders by vectorized rejection."""
-    out = []
-    got = 0
-    drawn = 0
-    stream = 0
-    while got < count and stream < budget_factor:
-        rng = _rng(derive_seed(seed, stream))
-        stream += 1
-        batch = max(1024, int((count - got) * 8))
-        steps = np.where(rng.random((batch, n)) < 0.5, 1, -1)
-        S = np.cumsum(steps, axis=1)
-        ok = S.min(axis=1) >= 0
-        out.append(S[ok, -1])
-        got += int(ok.sum())
-        drawn += batch
-    if got < count:
-        raise BudgetError("rejection budget exhausted",
-                          acceptance_rate=got / max(1, drawn))
-    return np.concatenate(out)[:count]
-
-
 def run_meander(config: ExperimentConfig) -> ExperimentReport:
-    """Meander endpoint against its limit law, plus cross-method agreement.
+    """Meander endpoint against its limit law, plus a check of the sampler.
 
     The reweighted conditioned walk supplies endpoint samples at every n of
-    the grid (weights 1 / (P(C_n) V(endpoint)), exact survival recursion);
-    rejection sampling is the ground truth at the small cross-check horizon.
+    the grid (weights 1 / (P(C_n) V(endpoint)), exact survival recursion).
+    At the small horizon ``cross_check_n`` a fresh set of weighted chain
+    endpoints is compared with the exact meander endpoint law
+    (:func:`~fluctwalk.conditioning.meander_endpoint_distribution`): the
+    criterion ``cross_method_ks`` is their KS distance.  The exact law
+    enters as a sample of its atoms weighted by their probabilities, so
+    both CDFs are right-continuous steps on the lattice.
     """
     config.validate("meander")
     law = config.law
@@ -641,15 +623,15 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
         prev_sample = s
         ks_final = ks
 
-    # cross-method check at the small horizon
-    xr = pm1_meander_endpoints_rejection(n_small, small_trials,
-                                         derive_seed(config.seed, 300))
+    # the weighted chain against the exact law at the small horizon
     for xc in conditioned_states(law, n_small, small_trials,
                                  derive_seed(config.seed, 301)):
         pass
     wc = meander_weights(law, n_small, xc, p_survival=surv[n_small])
-    cross = ks_statistic(Sample(xr.astype(np.float64)),
-                         Sample(xc.astype(np.float64), weights=wc)).statistic
+    exact = meander_endpoint_distribution(law, n_small).atoms
+    cross = ks_statistic(Sample(xc, weights=wc),
+                         Sample(list(exact), weights=[float(p) for p in exact.values()])
+                         ).statistic
 
     criteria = [
         Criterion("weighted_endpoint_ks", ks_final, config.tolerances["endpoint_ks"]),

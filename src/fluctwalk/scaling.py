@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -44,38 +44,45 @@ __all__ = [
 ]
 
 
-def required_truncation(n: int, rel_tol: float) -> int:
-    """Smallest K with (n/K) e^{-K/n} <= rel_tol (tail bound of the a_n sum)."""
-    if not (rel_tol > 0):
-        raise ParameterError("rel_tol must be positive")
+# relative tail bound of every a_n sum
+_REL_TOL = 1e-9
+
+
+def required_truncation(n: int) -> int:
+    """Smallest K with (n/K) e^{-K/n} <= 1e-9 (tail bound of the a_n sum)."""
     K = max(1, int(n))
-    while (n / K) * math.exp(-K / n) > rel_tol:
+    while (n / K) * math.exp(-K / n) > _REL_TOL:
         K *= 2
     lo, hi = K // 2, K
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if (n / mid) * math.exp(-mid / n) <= rel_tol:
+        if (n / mid) * math.exp(-mid / n) <= _REL_TOL:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def norming_constant(rule, n: int, rel_tol: float = 1e-9) -> float:
-    """a_n = exp(sum k^{-1} e^{-k/n} P(S_k > 0)), truncated by the tail bound.
+def norming_constant(rule, n_grid: Sequence[int]) -> List[float]:
+    """a_n = exp(sum k^{-1} e^{-k/n} P(S_k > 0)) for every n of ``n_grid``.
 
     ``rule`` is a :func:`positivity_rule` (a map from the int64 array of k
-    to the array of P(S_k > 0)).  The companion constant for -S is the same
-    call with P(S_k < 0).
+    to the array of P(S_k > 0)), called once out to the largest truncation;
+    each a_n sums its own prefix, truncated by the tail bound, so it is the
+    same number bit for bit whatever else the grid holds.  The companion
+    constant for -S is the same call with P(S_k < 0).
     """
-    if n < 1:
+    if not n_grid or min(n_grid) < 1:
         raise ParameterError("n must be a positive integer")
-    K = required_truncation(n, rel_tol)
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    p = np.asarray(rule(np.arange(1, K + 1)), dtype=np.float64)
+    truncations = [required_truncation(n) for n in n_grid]
+    p = np.asarray(rule(np.arange(1, max(truncations) + 1)), dtype=np.float64)
     if np.any((p < 0) | (p > 1)):
         raise ParameterError("positivity probabilities must lie in [0, 1]")
-    return float(math.exp(np.sum(np.exp(-ks / n) / ks * p)))
+    out = []
+    for n, K in zip(n_grid, truncations):
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        out.append(float(math.exp(np.sum(np.exp(-ks / n) / ks * p[:K]))))
+    return out
 
 
 def positivity_rule(law: IncrementLaw):

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from fluctwalk import certify, cli, experiments
 from fluctwalk.cli import VERIFY, main
+from fluctwalk.conditioning import conditioned_states, meander_sample
 from fluctwalk.increments import IncrementLaw
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -212,6 +215,54 @@ def test_simulate_conditioned(tmp_path):
     assert run(["--out", out, "simulate", "--law", "fair-pm1", "--length", "8",
                 "--paths", "2", "--kind", "conditioned"]) == 0
     assert os.path.exists(os.path.join(out, "conditioned_paths.csv"))
+
+
+def _simulated_paths(out, kind):
+    rows = [row.split(",") for row in
+            open(os.path.join(out, f"{kind}_paths.csv")).read().splitlines()[1:]]
+    paths = {}
+    for t, i, v, w in rows:
+        assert w == "1.0"
+        paths.setdefault(int(t), []).append(float(v))
+    return [paths[t] for t in range(len(paths))]
+
+
+HALF = '{"kind": "lattice", "support": ["-1/2", "1/2"], "probs": ["1/2", "1/2"]}'
+
+
+@pytest.mark.parametrize("law,unit", [("fair-pm1", 1), ("uniform3", 1), (HALF, 0.5)])
+def test_simulate_conditioned_rows_are_one_conditioned_states_batch(tmp_path, law, unit):
+    out = str(tmp_path / "simc")
+    assert run(["--seed", "11", "--out", out, "simulate", "--law", law, "--length", "12",
+                "--paths", "5", "--kind", "conditioned"]) == 0
+    levels = np.column_stack([np.zeros(5, dtype=np.int64)] + list(
+        conditioned_states(cli._parse_law(law), 12, 5, 11)))
+    assert _simulated_paths(out, "conditioned") == (levels * unit).tolist()
+
+
+@pytest.mark.parametrize("law", ["fair-pm1", "gaussian"])
+def test_simulate_meander_rows_are_one_meander_sample_batch(tmp_path, law):
+    out = str(tmp_path / "simm")
+    assert run(["--seed", "11", "--out", out, "simulate", "--law", law, "--length", "12",
+                "--paths", "5", "--kind", "meander"]) == 0
+    expected = meander_sample(cli._parse_law(law), 12, 5, 11).tolist()
+    assert _simulated_paths(out, "meander") == expected
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--trials", "5", "--n-grid", "3,4", "tables"], "--trials"),
+    (["--trials", "7", "verify", "reversal"], "--trials"),
+    (["--n-grid", "64", "verify", "h-kernel"], "--n-grid"),
+    (["--n-grid", "64", "simulate"], "--n-grid"),
+])
+def test_global_flags_outside_converge_are_a_usage_error(tmp_path, capsys, argv, flag):
+    # only converge reads --trials and --n-grid; elsewhere they would be ignored
+    out = str(tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", out] + argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("law", [None, "cauchy",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluctwalk.conditioning import (conditioned_states, conditioned_walk, h_kernel_row,
+from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_endpoint_distribution,
                                     meander_sample, meander_weights, renewal_function, survival_probability,
@@ -123,16 +123,20 @@ def test_conditioned_states_endpoint_law_in_dkw_band(law):
         assert set(np.unique(x).tolist()) <= set(exact)
 
 
+def one_chain(law, length, seed):
+    """Levels S_0 = 0, ..., S_length of the one trial of conditioned_states."""
+    return [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed)]
+
+
 def test_conditioned_walk_first_step_up():
-    assert conditioned_walk(FAIR, 1, seed=3).values == (0.0, 1.0)
+    assert one_chain(FAIR, 1, seed=3) == [0, 1]
     assert tanaka_transform(sample_walk(FAIR, 1, 3).values) == (0.0, 1.0)
 
 
 def test_conditioned_walk_point_mass_is_ramp():
     law = IncrementLaw.lattice([1], [1])
-    ramp = (0.0, 1.0, 2.0, 3.0, 4.0)
-    assert conditioned_walk(law, 4, seed=1).values == ramp
-    assert tanaka_transform(sample_walk(law, 4, 1).values) == ramp
+    assert one_chain(law, 4, seed=1) == [0, 1, 2, 3, 4]
+    assert tanaka_transform(sample_walk(law, 4, 1).values) == (0.0, 1.0, 2.0, 3.0, 4.0)
 
 
 def test_conditioned_methods_share_endpoint_law_exactly():
@@ -177,22 +181,21 @@ def test_survival_montecarlo_agrees_with_exact():
 
 
 def test_meander_length_one_forced_up():
-    path = meander_sample(FAIR, 1, seed=9)
-    assert path.values[-1] == 1.0
+    paths = meander_sample(FAIR, 1, 5, seed=9)
+    assert paths.tolist() == [[0.0, 1.0]] * 5
 
 
 def test_meander_rejection_only_emits_nonnegative_paths():
-    for s in range(30):
-        path = meander_sample(FAIR, 6, seed=s)
-        assert min(path.values) >= 0
+    for s in range(3):
+        paths = meander_sample(FAIR, 6, 10, seed=s)
+        assert paths.shape == (10, 7) and paths.min() >= 0
 
 
 def test_meander_two_step_endpoint_law():
-    ends = [meander_sample(FAIR, 2, seed=s).values[-1]
-            for s in range(600)]
-    frac2 = sum(1 for e in ends if e == 2.0) / len(ends)
+    ends = meander_sample(FAIR, 2, 600, seed=0)[:, -1]
+    frac2 = float(np.mean(ends == 2.0))
     assert abs(frac2 - 0.5) < 0.08
-    assert set(ends) == {0.0, 2.0}
+    assert set(ends.tolist()) == {0.0, 2.0}
 
 
 def test_meander_reweight_weights_average_to_one():
@@ -315,10 +318,10 @@ def test_harmonic_limits_norming_on_a_law_without_closed_form():
     negated = IncrementLaw.lattice([1, -2], [F(2, 3), F(1, 3)])
     grid = [16, 32, 64]
     exact = [F(int(above.sum()), Dk) for _, Dk, _, above, _ in
-             _split_at_zero(negated, required_truncation(grid[-1], 1e-9), keep=0)]
+             _split_at_zero(negated, required_truncation(grid[-1]), keep=0)]
     rep = harmonic_limits(law, [1.0], grid)
     for n, a in zip(grid, rep.a_hat):
-        ks = range(1, required_truncation(n, 1e-9) + 1)
+        ks = range(1, required_truncation(n) + 1)
         a_exact = math.exp(math.fsum(math.exp(-k / n) / k * float(exact[k - 1]) for k in ks))
         assert a == pytest.approx(a_exact, rel=1e-12)
     assert harmonic_limits(law, [1.0], [256]).a_hat[0] > rep.a_hat[-1]

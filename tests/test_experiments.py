@@ -5,15 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluctwalk.errors import BudgetError, ConfigError, HypothesisViolationError
+from fluctwalk.errors import ConfigError, HypothesisViolationError
 from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
                                    first_passage_heights, gaussian_norming,
-                                   pm1_meander_endpoints_rejection, pm1_t1_tail,
-                                   run_harmonic, run_lemma1,
+                                   pm1_t1_tail, run_harmonic, run_lemma1,
                                    run_localtime_stability, run_meander,
                                    run_theorem1,
                                    sample_ladder_times, universal_t1_tail)
-from fluctwalk.increments import IncrementLaw, _rng, derive_seed
+from fluctwalk.increments import IncrementLaw, _rng
 from fluctwalk.limit_laws import levy_half_cdf
 from fluctwalk.scaling import check_bilateral, norming_constant, positivity_rule
 from fluctwalk.stats import Sample, ks_statistic
@@ -128,7 +127,7 @@ def test_first_passage_heights_gaussian_mean():
 def test_gaussian_norming_closed_form():
     rule = positivity_rule(GAUSS)
     for n in (16, 256, 4096):
-        assert gaussian_norming(n) == pytest.approx(norming_constant(rule, n, 1e-12))
+        assert gaussian_norming(n) == pytest.approx(norming_constant(rule, [n])[0])
 
 
 def test_run_theorem1_small_gaussian():
@@ -168,7 +167,7 @@ def test_run_theorem1_windowed_route_for_general_lattice():
                              params={"window_mult": 64}))
     a_n = [row[1] for row in rep.tables["theorem1"][1:]]
     assert a_n == [row[1] for row in other.tables["theorem1"][1:]]
-    assert a_n == [norming_constant(positivity_rule(law), n, 1e-9) for n in (64, 128)]
+    assert a_n == norming_constant(positivity_rule(law), [64, 128])
 
 
 def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
@@ -176,7 +175,8 @@ def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
     # window fails and the route gives up after 8 * 200 + 32 windows
     from fluctwalk import experiments
     from fluctwalk.errors import InsufficientLadderError
-    monkeypatch.setattr(experiments, "norming_constant", lambda *args: 65.0)
+    monkeypatch.setattr(experiments, "norming_constant",
+                        lambda rule, n_grid: [65.0] * len(n_grid))
     law = IncrementLaw.uniform3()
     c = cfg("theorem1", law, [64], trials=200, params={"window_mult": 1})
     with pytest.raises(InsufficientLadderError,
@@ -227,33 +227,6 @@ def test_run_lemma1_cauchy_ratio_small():
     assert rep.passed
 
 
-def test_pm1_rejection_acceptance_rate_matches_survival():
-    n = 16
-    xe = pm1_meander_endpoints_rejection(n, 5_000, seed=3)
-    assert xe.size == 5_000 and xe.min() >= 0
-    # acceptance frequency is pinned by the survival probability elsewhere;
-    # here check endpoints take only even values within range
-    assert set(np.unique(xe % 2)) == {0}
-
-
-def test_pm1_rejection_budget_error_rate_counts_rows_drawn():
-    n, count, seed = 200, 1000, 5
-    with pytest.raises(BudgetError) as exc:
-        pm1_meander_endpoints_rejection(n, count, seed, budget_factor=2)
-    got = drawn = 0
-    for stream in range(2):
-        batch = max(1024, (count - got) * 8)
-        rng = _rng(derive_seed(seed, stream))
-        S = np.cumsum(np.where(rng.random((batch, n)) < 0.5, 1, -1), axis=1)
-        got += int((S.min(axis=1) >= 0).sum())
-        drawn += batch
-    rate = exc.value.acceptance_rate
-    assert got < count and rate == got / drawn
-    # P(C_n) = C(n, n/2) 2^-n for the fair walk
-    p = math.comb(n, n // 2) / 2 ** n
-    assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / drawn)
-
-
 def test_run_meander_small():
     c = cfg("meander", FAIR, [64, 256], trials=2_000,
             tolerances={"endpoint_ks": 0.08, "cross_method_ks": 0.05},
@@ -261,6 +234,21 @@ def test_run_meander_small():
     rep = run_meander(c)
     assert rep.passed
     assert rep.tables["meander"][0] == ["n", "P_Cn", "weighted_endpoint_ks"]
+
+
+def test_meander_cross_check_fails_on_unweighted_chains(monkeypatch):
+    # negative control: without the meander weights the chain endpoints have
+    # the conditioned law, not the meander law, and at the default
+    # cross-check size (n = 32, 20 000 chains) the KS distance to the exact
+    # meander law is far above its 0.02 bound
+    from fluctwalk import experiments
+    c = cfg("meander", FAIR, [64], trials=500, tolerances={"endpoint_ks": 1.0})
+    weighted = {x.cid: x for x in run_meander(c).criteria}["cross_method_ks"]
+    monkeypatch.setattr(experiments, "meander_weights",
+                        lambda law, n, levels, p_survival=None: np.ones(len(levels)))
+    unweighted = {x.cid: x for x in run_meander(c).criteria}["cross_method_ks"]
+    assert weighted.passed and weighted.threshold == 0.02
+    assert not unweighted.passed and unweighted.value > 0.1
 
 
 def test_report_write_and_exit_codes(tmp_path):

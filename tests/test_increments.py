@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluctwalk import certify, increments
+from fluctwalk import certify, conditioning, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.experiments import windowed_ladder_pairs
@@ -253,14 +253,16 @@ def test_windowed_ladder_pairs_match_per_row_loop():
                                    (IncrementLaw.fair_pm1(), 9),
                                    (IncrementLaw.gaussian(), 40)])
 def test_meander_rejection_matches_per_row_loop(law, k):
+    # the batch is the first ``count`` per-row walks that stay >= 0
+    count = 4
     for seed in range(6):
-        attempt = 0
-        while True:
+        rows, attempt = [], 0
+        while len(rows) < count:
             w = oracle_walk(law, k, oracle_seed(seed, attempt))
             if min(w.values[1:]) >= 0:
-                break
+                rows.append(list(w.values))
             attempt += 1
-        assert meander_sample(law, k, seed) == w
+        assert meander_sample(law, k, count, seed).tolist() == rows
 
 
 def test_meander_rejection_budget_counts_attempts(monkeypatch):
@@ -272,10 +274,22 @@ def test_meander_rejection_budget_counts_attempts(monkeypatch):
         return sample_rows(law, length, master, first, count)
 
     monkeypatch.setattr(increments, "sample_rows", counting_rows)
-    with pytest.raises(BudgetError, match="no meander accepted in 100000 attempts"):
-        meander_sample(law, 20, 3)
+    with pytest.raises(BudgetError, match="only 0 of 2 meanders accepted in 200000 attempts"):
+        meander_sample(law, 20, 2, 3)
     firsts = [0] + list(np.cumsum([c for _, c in drawn]))
-    assert [f for f, _ in drawn] == firsts[:-1] and firsts[-1] == 100_000
+    assert [f for f, _ in drawn] == firsts[:-1] and firsts[-1] == 200_000
+
+
+def test_meander_rejection_budget_error_reports_the_observed_rate(monkeypatch):
+    # two attempts per meander: 50 fair meanders of 20 steps (P(C_20) =
+    # C(20, 10) 2^-20, about 0.18) fall short in 100 attempts, and the error
+    # carries the share of those 100 walks that stayed >= 0
+    monkeypatch.setattr(conditioning, "_MEANDER_ATTEMPTS", 2)
+    law = IncrementLaw.fair_pm1()
+    with pytest.raises(BudgetError) as exc:
+        meander_sample(law, 20, 50, 3)
+    accepted = int((sample_rows(law, 20, 3, 0, 100).min(axis=1) >= 0).sum())
+    assert 0 < accepted < 50 and exc.value.acceptance_rate == accepted / 100
 
 
 def _recording_rebuild(seen):
@@ -373,8 +387,8 @@ def _batch_dependent_outputs():
         mp.setattr(certify, "tanaka_transform_np", _recording_rebuild(seen))
         certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                               seed=8)
-    meander = meander_sample(IncrementLaw.fair_pm1(), 25, 6)
-    return T.tolist(), H.tolist(), frac, surv, seen, meander.values
+    meander = meander_sample(IncrementLaw.fair_pm1(), 25, 40, 6)
+    return T.tolist(), H.tolist(), frac, surv, seen, meander.tolist()
 
 
 def test_outputs_do_not_depend_on_the_batch_cap(monkeypatch):

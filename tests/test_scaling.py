@@ -8,20 +8,22 @@ import pytest
 from fluctwalk.certify import _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, DEFAULT_LAWS
 from fluctwalk.errors import ParameterError, UnboundedTailError, UnsupportedModeError
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.scaling import (FristedtReport, _split_at_zero, fristedt_residual,
+from fluctwalk.scaling import (_REL_TOL, FristedtReport, _split_at_zero, fristedt_residual,
                                norming_constant, positivity_rule, required_truncation)
 
 F = Fraction
 
 
 def test_zero_positivity_gives_unit_constant():
-    assert norming_constant(lambda k: np.zeros(np.shape(k)), 5, 1e-10) == 1.0
+    assert norming_constant(lambda k: np.zeros(np.shape(k)), [5]) == [1.0]
 
 
 def test_constant_half_closed_form_at_n1():
-    # sum k^-1 e^-k / 2 = -(1/2) log(1 - e^-1)
-    a1 = norming_constant(lambda k: np.full(np.shape(k), 0.5), 1, 1e-12)
-    assert abs(a1 - (1 - math.exp(-1)) ** -0.5) < 1e-11
+    # sum k^-1 e^-k / 2 = -(1/2) log(1 - e^-1); the truncated sum falls
+    # short of it by at most half the tail bound 1e-9
+    [a1] = norming_constant(lambda k: np.full(np.shape(k), 0.5), [1])
+    gap = -0.5 * math.log(1 - math.exp(-1)) - math.log(a1)
+    assert -1e-15 < gap <= 0.5 * _REL_TOL
 
 
 def exact_positivity(law, K):
@@ -45,23 +47,26 @@ def test_symmetric_diffuse_positivity_near_half():
 
 
 def test_truncation_respects_tail_bound():
+    assert _REL_TOL == 1e-9
     for n in (1, 7, 64, 1024):
-        K = required_truncation(n, 1e-9)
+        K = required_truncation(n)
         assert (n / K) * math.exp(-K / n) <= 1e-9
         assert (n / (K - 1)) * math.exp(-(K - 1) / n) > 1e-9
 
 
 def test_norming_monotone_and_growing_in_n():
     rule = positivity_rule(IncrementLaw.fair_pm1())
-    vals = [norming_constant(rule, n, 1e-10) for n in (1, 2, 4, 8, 16, 32)]
+    vals = norming_constant(rule, [1, 2, 4, 8, 16, 32])
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_symmetric_diffuse_companion_constant_matches():
     # P(S_k < 0) = P(S_k > 0) = 1/2 on a symmetric diffuse law, so the one
-    # rule gives the constant of -S too: (1 - e^{-1/n})^{-1/2}
-    down = norming_constant(positivity_rule(IncrementLaw.gaussian()), 64, 1e-10)
-    assert abs(down - (1 - math.exp(-1 / 64)) ** -0.5) < 1e-9
+    # rule gives the constant of -S too: (1 - e^{-1/n})^{-1/2}, less at most
+    # half the tail bound 1e-9 in the exponent
+    [down] = norming_constant(positivity_rule(IncrementLaw.gaussian()), [64])
+    gap = -0.5 * math.log(1 - math.exp(-1 / 64)) - math.log(down)
+    assert -1e-15 < gap <= 0.5 * _REL_TOL
 
 
 @pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(),
@@ -95,7 +100,31 @@ def test_positivity_rule_reads_at_most_one():
     # P(S_k > 0) past 1 from k = 61 on; the rule reads 1 there, so a_n exists
     rule = positivity_rule(IncrementLaw.biased_pm1(F(9, 10)))
     assert rule(np.arange(1, 144)).max() == 1.0
-    assert 1 < norming_constant(rule, 8) <= 1 / (1 - math.exp(-1 / 8))
+    assert 1 < norming_constant(rule, [8])[0] <= 1 / (1 - math.exp(-1 / 8))
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(), IncrementLaw.uniform3(),
+                                 IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)]),
+                                 IncrementLaw.gaussian()],
+                         ids=["pm1", "uniform3", "skip-up", "gaussian"])
+def test_norming_grid_reads_the_rule_once_and_equals_one_point_calls(law):
+    # one rule call out to the largest truncation; each a_n equals, bit for
+    # bit, the one-point call and the sum over its own prefix of the rule
+    rule = positivity_rule(law)
+    calls = []
+
+    def counting(ks):
+        calls.append(int(ks.max()))
+        return rule(ks)
+
+    grid = [16, 64, 256]
+    a = norming_constant(counting, grid)
+    assert calls == [required_truncation(256)]
+    assert a == [norming_constant(rule, [n])[0] for n in grid]
+    for n, a_n in zip(grid, a):
+        ks = np.arange(1, required_truncation(n) + 1, dtype=np.float64)
+        p = rule(np.arange(1, required_truncation(n) + 1))
+        assert a_n == math.exp(np.sum(np.exp(-ks / n) / ks * p))
 
 
 @pytest.mark.parametrize("law", [IncrementLaw.gaussian(0.5), IncrementLaw.gaussian(-1.0, 2.0)],
