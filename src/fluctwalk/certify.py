@@ -85,12 +85,12 @@ _FRISTEDT_BETAS = (0.0, 0.5, 1.0)
 _FRISTEDT_BOUND = 1e-6
 
 
-def certify_fristedt(K: int = 60) -> CheckResult:
+def certify_fristedt(truncation: int = 60) -> CheckResult:
     rows = [["law", "alpha", "beta", "lhs", "rhs", "residual", "tail_bound"]]
     ok = True
     worst = 0.0
     for law in DEFAULT_LAWS():
-        for rep in fristedt_residual(law, _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, K):
+        for rep in fristedt_residual(law, _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, truncation):
             rows.append([law.description, rep.alpha, rep.beta, rep.lhs, rep.rhs,
                          rep.residual, rep.tail_bound])
             good = rep.residual <= rep.tail_bound and rep.tail_bound <= _FRISTEDT_BOUND

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import certify
 from .conditioning import conditioned_states, meander_sample
-from .errors import FluctwalkError, HypothesisViolationError, UnsupportedModeError
+from .errors import ConfigError, FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
 from .increments import IncrementLaw, iter_rows
@@ -43,23 +43,21 @@ LAW_SHORTCUTS = {
 }
 
 
-# each verify suite: its certificate in ``certify`` and the config keys it
-# reads, mapped to the certificate's parameters (a later key beats an earlier
-# one).  The certificate's keyword defaults are the suite's only defaults.
+# each verify suite's certificate in ``certify``.  The suite reads a config
+# key exactly when it names a keyword parameter of the certificate other
+# than ``seed``, and the certificate's defaults are the suite's only defaults.
 VERIFY = {
-    "fristedt": ("certify_fristedt", {"truncation": "K"}),
-    "reversal": ("certify_reversal", {"max_length": "max_length"}),
-    "idloc": ("certify_idloc", {"max_length": "enum_length", "enum_length": "enum_length",
-                                "gaussian_paths": "gaussian_paths",
-                                "gaussian_length": "gaussian_length"}),
-    "meander-ac": ("certify_meander_ac", {"max_length": "max_length", "weight_n": "weight_n",
-                                          "weight_trials": "weight_trials"}),
-    "h-kernel": ("certify_h_kernel", {"max_length": "max_length"}),
+    "fristedt": "certify_fristedt",
+    "reversal": "certify_reversal",
+    "idloc": "certify_idloc",
+    "meander-ac": "certify_meander_ac",
+    "h-kernel": "certify_h_kernel",
 }
 
 # the config-file keys each command reads besides "seed" and "out"
 CONFIG_KEYS = {
-    **{f"verify {suite}": tuple(keys) for suite, (_, keys) in VERIFY.items()},
+    **{f"verify {suite}": tuple(p for p in inspect.signature(getattr(certify, name)).parameters
+                                if p != "seed") for suite, name in VERIFY.items()},
     "converge": ("law", "n_grid", "trials", "tolerances", "params"),
     "simulate": ("law", "length", "paths", "kind"),
     "tables": (),
@@ -74,17 +72,24 @@ def integers(text):
 def _parse_law(text):
     if text in LAW_SHORTCUTS:
         return LAW_SHORTCUTS[text]()
-    if os.path.exists(text):
+    if os.path.isfile(text):
         with open(text) as fh:
             return IncrementLaw.from_json(fh.read())
     return IncrementLaw.from_json(text)
 
 
 def _load_config_file(path):
+    """The JSON object of ``--config`` ({} without one); anything else is a ConfigError."""
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--config {path}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"--config {path}: not a JSON object")
+    return overrides
 
 
 def _finish(report: ExperimentReport, out_dir: str) -> int:
@@ -123,19 +128,17 @@ def main(argv=None) -> int:
     p_sim.add_argument("--kind", choices=["walk", "conditioned", "meander"],
                        default="walk")
 
-    p_tab = sub.add_parser("tables", help="reference limit-law tables")
-    p_tab.add_argument("--points", type=int, default=200)
+    sub.add_parser("tables", help="reference limit-law tables")
 
     args = parser.parse_args(argv)
     for flag, value in (("--trials", args.trials), ("--n-grid", args.n_grid)):
         if value is not None and args.command != "converge":
             parser.error(f"{flag}: only converge reads it")
-    overrides = _load_config_file(args.config)
-    out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
-    seed = overrides.get("seed", args.seed)
-
     command = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
+        overrides = _load_config_file(args.config)
+        out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
+        seed = overrides.get("seed", args.seed)
         reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))
         if args.command == "verify":
             return _cmd_verify(args, overrides, out_dir, seed, p_verify.error)
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args, overrides, out_dir, seed, p_sim.error)
         if args.command == "tables":
-            return _cmd_tables(args, out_dir)
+            return _cmd_tables(out_dir)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
@@ -155,14 +158,13 @@ def main(argv=None) -> int:
 
 
 def _cmd_verify(args, overrides, out_dir, seed, usage_error) -> int:
-    name, keys = VERIFY[args.suite]
-    certificate = getattr(certify, name)
-    given = dict(overrides)
+    keys = CONFIG_KEYS[f"verify {args.suite}"]
+    kwargs = {key: overrides[key] for key in keys if key in overrides}
     if args.max_length is not None:
         if "max_length" not in keys:
             usage_error(f"--max-length: verify {args.suite} reads no length")
-        given["max_length"] = args.max_length
-    kwargs = {param: given[key] for key, param in keys.items() if key in given}
+        kwargs["max_length"] = args.max_length
+    certificate = getattr(certify, VERIFY[args.suite])
     signature = inspect.signature(certificate)
     if "seed" in signature.parameters:
         kwargs["seed"] = seed
@@ -216,8 +218,8 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     return 0
 
 
-def _cmd_tables(args, out_dir) -> int:
-    pts = args.points
+def _cmd_tables(out_dir) -> int:
+    pts = 200  # points per reference curve
     s = np.linspace(0.01, 25.0, pts)
     write_rows(out_dir, "ladder_time_cdf",
                [["s", "cdf"]] + [[float(x), float(levy_half_cdf(x))] for x in s])

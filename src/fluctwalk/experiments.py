@@ -129,15 +129,13 @@ class ExperimentConfig:
 DECLARED = {c.experiment: c for c in (
     ExperimentConfig("theorem1", IncrementLaw.gaussian(), [256, 1024], 2000, None,
                      {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
-                     {"height_cap": 20_000, "window_mult": 64}),
+                     {"height_cap": 20_000}),
     ExperimentConfig("localtime", IncrementLaw.gaussian(), [2 ** q for q in range(6, 11)],
                      None, None, {"violations": 1, "ratio": 0.6},
-                     {"base_resolution": 2 ** 13, "paths": 100, "variant": "verbatim"}),
+                     {"base_resolution": 2 ** 13, "paths": 100}),
     ExperimentConfig("lemma1", IncrementLaw.gaussian(), [512, 2048], None, None,
                      {"drift_rel": 0.05, "interval_mass": 0.03, "ratio_rel": 0.15},
-                     {"height_samples": 50_000, "height_cap": 20_000,
-                      "interval": (0.5, 1.0), "interval1": (0.5, 1.0),
-                      "interval2": (1.0, 2.0), "time_tail_cutoff": 1.0}),
+                     {"height_samples": 50_000, "height_cap": 20_000}),
     ExperimentConfig("meander", IncrementLaw.fair_pm1(), [256, 1024], 4000, None,
                      {"endpoint_ks": 0.04, "cross_method_ks": 0.02},
                      {"cross_check_n": 32, "cross_check_trials": 20_000}),
@@ -260,9 +258,10 @@ def sample_ladder_times(rng, shape, table: np.ndarray, c: float) -> np.ndarray:
 
 
 # windowed_ladder_pairs reads at most 8 * count + 32 windows: failure rates
-# up to about 7/8 pass
+# up to about 7/8 pass.  run_theorem1's windows are 64 n steps long.
 _WINDOWS_PER_PAIR = 8
 _SPARE_WINDOWS = 32
+_WINDOW_MULT = 64
 
 
 def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
@@ -368,11 +367,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     that value at the largest n of the grid cannot pass.
 
     On the windowed route (laws without a :func:`first_ascent_tail`: the
-    symmetric lattice laws other than the simple symmetric walk) the notes
-    record ``resampled_fraction_n{n}``: the share of windows without [a_n]
-    ladder epochs among those read, in trial order, up to the window that
-    delivered the last pair (see :func:`windowed_ladder_pairs`).  On every
-    route a_n comes from :func:`~fluctwalk.scaling.positivity_rule`.
+    symmetric lattice laws other than the simple symmetric walk) windows are
+    ``_WINDOW_MULT`` = 64 times n steps long, and the notes record
+    ``resampled_fraction_n{n}``, the share of windows read in trial order
+    without [a_n] ladder epochs (see :func:`windowed_ladder_pairs`).  On
+    every route a_n comes from :func:`~fluctwalk.scaling.positivity_rule`.
     """
     config.validate("theorem1")
     law = config.law
@@ -389,11 +388,9 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     sigma = law.sigma()
     closed = first_ascent_tail(law)
     cap = int(config.params["height_cap"])
-    window_mult = int(config.params["window_mult"])
 
     notes: Dict[str, object] = {}
-    rule = positivity_rule(law)
-    a_ns = norming_constant(rule, config.n_grid)
+    a_ns = norming_constant(positivity_rule(law), config.n_grid)
     blocks = [int(a) for a in a_ns]
 
     if closed is not None and law.is_diffuse():
@@ -409,8 +406,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         c_n = 1.0 / (sigma * math.sqrt(n))  # variance-1 spatial rescale
         if closed is None:
             T_raw, H_raw, resampled = windowed_ladder_pairs(
-                law, n, blk, config.trials, derive_seed(config.seed, 100 + i),
-                window_mult=window_mult)
+                law, n, blk, config.trials, derive_seed(config.seed, 100 + i), _WINDOW_MULT)
             T = T_raw / n
             H = H_raw * c_n
             h_mean = float(H.mean())
@@ -453,7 +449,8 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
 
     A fine base walk is subsampled at every n of a dyadic grid; successive
     normalized local-time curves are compared in sup norm on the shared
-    window.  The median discrepancy per comparison must trend down.
+    window.  The median discrepancy per comparison must trend down.  Counts
+    are verbatim, almost surely equal to strict ones on the Gaussian walk.
     """
     config.validate("localtime")
     law = config.law
@@ -461,7 +458,6 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("skeleton stability uses a centred Gaussian base walk")
     N = int(config.params["base_resolution"])
     paths = int(config.params["paths"])
-    variant = config.params["variant"]
     if N & (N - 1):
         raise ConfigError("base resolution must be a power of two")
     for n in config.n_grid:
@@ -470,23 +466,21 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
     if config.n_grid[-1] > N:
         raise ConfigError("n grid exceeds the base resolution")
 
-    discrepancies = {n: [] for n in config.n_grid[:-1]}
+    discrepancies = {n: [] for n in config.n_grid if 2 * n in config.n_grid}
     base_law = IncrementLaw.gaussian(0.0, 1.0 / math.sqrt(N))
     for S in iter_rows(base_law, N, config.seed, paths):
-        lam = {n: local_time_curve_np(S[:, :: N // n], variant) for n in config.n_grid}
-        for n in config.n_grid[:-1]:
-            if 2 * n not in lam:
-                continue
+        lam = {n: local_time_curve_np(S[:, :: N // n]) for n in config.n_grid}
+        for n, found in discrepancies.items():
             j = np.arange(2 * n + 1)
             c1 = lam[n][:, j // 2] / gaussian_norming(n)
             c2 = lam[2 * n] / gaussian_norming(2 * n)
-            discrepancies[n].extend(np.max(np.abs(c1 - c2), axis=1).tolist())
+            found.extend(np.max(np.abs(c1 - c2), axis=1).tolist())
 
     rows = [["n", "n_next", "median_sup_discrepancy"]]
     series = []
-    for n in config.n_grid[:-1]:
-        if discrepancies[n]:
-            med = float(np.median(discrepancies[n]))
+    for n, found in discrepancies.items():
+        if found:
+            med = float(np.median(found))
             rows.append([n, 2 * n, med])
             series.append((n, med))
     if len(series) < 3:
@@ -506,7 +500,17 @@ def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
 # run_lemma1: ladder-height and ladder-time asymptotics
 
 
+# run_lemma1's fixed windows, in scaled units
+_HEIGHT_INTERVAL = (0.5, 1.0)
+_RATIO_INTERVALS = ((0.5, 1.0), (1.0, 2.0))
+_TIME_TAIL_CUTOFF = 1.0
+
+
 def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
+    """Tail index 1: the ratio of the scaled ladder-height masses on the
+    ``_RATIO_INTERVALS``.  Finite variance: the drift constant, the a_n-scaled
+    height mass on ``_HEIGHT_INTERVAL`` and, in the notes, a_n P(T_1 > n)
+    against the ladder-time tail beyond ``_TIME_TAIL_CUTOFF`` = 1."""
     config.validate("lemma1")
     law = config.law
     notes: Dict[str, object] = {}
@@ -515,8 +519,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
 
     if law.kind == "heavy_tail":
         # normalization-free interval ratios of the ladder-height tail
-        a, b = config.params["interval1"]
-        a2, b2 = config.params["interval2"]
+        (a, b), (a2, b2) = _RATIO_INTERVALS
         n = config.n_grid[-1]
         H, cens = first_passage_heights(law, count, cap, derive_seed(config.seed, 3))
         if law.alpha != 1.0:
@@ -545,7 +548,6 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
     tail, c = closed
     sigma = law.sigma()
     a_ns = norming_constant(positivity_rule(law), config.n_grid)
-    c_tail = float(config.params["time_tail_cutoff"])
 
     rows = [["n", "a_n", "an_mean_height", "an_interval_mass", "an_time_tail",
              "time_tail_target"]]
@@ -559,13 +561,13 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
             H, cens = first_passage_heights(law, count, cap,
                                             derive_seed(config.seed, 10 + i))
             mh = a_n * float(H.mean()) * c_n
-            lo, hi = config.params["interval"]
+            lo, hi = _HEIGHT_INTERVAL
             mass = a_n * float(np.mean((H * c_n > lo) & (H * c_n <= hi)))
             notes["height_censored_fraction"] = cens
-        kc = int(math.ceil(c_tail * n))
+        kc = int(math.ceil(_TIME_TAIL_CUTOFF * n))
         q = float(tail[kc - 1]) if kc <= tail.size else math.sqrt(c / (math.pi * kc))
         nu = a_n * q
-        rows.append([n, a_n, mh, mass, nu, half_stable_tau_tail(c_tail)])
+        rows.append([n, a_n, mh, mass, nu, half_stable_tau_tail(_TIME_TAIL_CUTOFF)])
 
     last = rows[-1]
     criteria = [

@@ -216,14 +216,20 @@ class IncrementLaw:
 
     @classmethod
     def from_json(cls, text: str) -> "IncrementLaw":
-        obj = json.loads(text) if isinstance(text, str) else text
-        kind = obj.get("kind")
-        if kind == "lattice":
-            return cls.lattice(obj["support"], obj["probs"], obj.get("description", ""))
-        if kind == "gaussian":
-            return cls.gaussian(obj["mean"], obj["stddev"], obj.get("description", ""))
-        if kind == "heavy_tail":
-            return cls.heavy_tail(obj["alpha"], obj.get("description", ""))
+        """The law of a JSON law object; any other text is a ParameterError."""
+        try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ParameterError(f"not a law: {text!r} (not a JSON object)")
+            kind = obj.get("kind")
+            if kind == "lattice":
+                return cls.lattice(obj["support"], obj["probs"], obj.get("description", ""))
+            if kind == "gaussian":
+                return cls.gaussian(obj["mean"], obj["stddev"], obj.get("description", ""))
+            if kind == "heavy_tail":
+                return cls.heavy_tail(obj["alpha"], obj.get("description", ""))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"not a law: {text!r} ({exc!r})") from None
         raise ParameterError(f"unknown law kind {kind!r}")
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ParameterError
 
@@ -52,6 +51,8 @@ def kappa_bm(alpha, beta) -> float:
 
 def levy_half_cdf(s):
     """CDF of the 1/2-stable subordinator marginal with exponent sqrt(alpha)."""
+    # imported here: scipy.special adds start-up time that only this function needs
+    from scipy.special import erfc
     arr = np.asarray(s, dtype=np.float64)
     if np.any(arr < 0):
         raise ParameterError("the subordinator marginal lives on s >= 0")

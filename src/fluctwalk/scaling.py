@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def _split_at_zero(law: IncrementLaw, K: int, keep: int):
 _DPS = 80
 
 
-def fristedt_residual(law: IncrementLaw, alpha, beta,
-                      K: int = 60) -> Union[FristedtReport, List[FristedtReport]]:
+def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[FristedtReport]:
     """Residual between the two sides of the ladder-pair identity.
 
     Requires alpha > 0 so that both truncation tails decay geometrically.
@@ -179,9 +178,9 @@ def fristedt_residual(law: IncrementLaw, alpha, beta,
     e^{-beta x} are summed and divided once by D^t.  The residual is then a
     genuine truncation gap, not rounding noise.
 
-    ``alpha`` and ``beta`` are numbers or sequences of numbers.  Two numbers
-    give one report; otherwise the reports of the (alpha, beta) grid come as
-    a list, alpha outer and beta inner.  The two sweeps run once per call
+    ``alpha`` and ``beta`` are numbers or sequences of numbers; the reports
+    of the (alpha, beta) grid come as a list, alpha outer and beta inner
+    (one report for two numbers).  The two sweeps run once per call
     and the weighted sums once per beta; each alpha then only weighs them by
     e^{-alpha t}, in the same operation order as a one-point call, so a grid
     report equals the one-point report bit for bit.
@@ -239,4 +238,4 @@ def fristedt_residual(law: IncrementLaw, alpha, beta,
                     alpha=a, beta=b, lhs=float(lhs), rhs=float(rhs),
                     residual=float(abs(lhs - rhs)), tail_bound=float(bound),
                     truncation=K))
-    return reports[0] if np.ndim(alpha) == np.ndim(beta) == 0 else reports
+    return reports

@@ -52,7 +52,7 @@ def _line(cid, passed, detail):
 
 def test_a1_fristedt_identity_exact():
     t0 = time.monotonic()
-    res = certify_fristedt(K=60)
+    res = certify_fristedt(truncation=60)
     elapsed = time.monotonic() - t0
     spot = [r for r in res.rows[1:]
             if r[0] == "fair +-1" and r[1] == 1.0 and r[2] == 0.0][0]
@@ -201,8 +201,7 @@ def test_a7_lemma1_gaussian_and_cauchy():
     cfg_g = ExperimentConfig(
         "lemma1", GAUSS, [1024, 4096], trials=None, seed=SEED_LEMMA1_GAUSS,
         tolerances={"drift_rel": 0.03, "interval_mass": 0.02},
-        params={"height_samples": 100_000, "height_cap": 100_000,
-                "interval": (0.5, 1.0)})
+        params={"height_samples": 100_000, "height_cap": 100_000})
     rep_g = run_lemma1(cfg_g)
     cfg_c = ExperimentConfig(
         "lemma1", IncrementLaw.heavy_tail(1.0), [4096], trials=None,

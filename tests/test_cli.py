@@ -1,4 +1,5 @@
 import functools
+import importlib
 import inspect
 import json
 import os
@@ -15,6 +16,7 @@ from fluctwalk.conditioning import conditioned_states, meander_sample
 from fluctwalk.increments import IncrementLaw
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 def run(args):
@@ -36,8 +38,8 @@ def test_verify_fristedt_with_config_override(tmp_path):
     assert os.path.exists(os.path.join(out, "fristedt.csv"))
 
 
-@pytest.mark.parametrize("suite", [s for s, (_, keys) in VERIFY.items()
-                                   if "max_length" not in keys])
+@pytest.mark.parametrize("suite", [s for s in VERIFY
+                                   if "max_length" not in cli.CONFIG_KEYS[f"verify {s}"]])
 def test_max_length_on_a_suite_without_length_is_a_usage_error(tmp_path, capsys, suite):
     out = str(tmp_path / "v")
     with pytest.raises(SystemExit) as exc:
@@ -68,10 +70,10 @@ def test_verify_meander_ac_small(tmp_path):
     assert run(["--config", str(cfgfile), "--out", out, "verify", "meander-ac"]) == 0
 
 
-def _recorded_verify(tmp_path, monkeypatch, suite, argv=(), config=None):
-    """Run ``verify suite`` on a stand-in certificate with the real signature;
-    return the keyword arguments it received and the echoed parameters."""
-    name = VERIFY[suite][0]
+def _stand_in_certificate(monkeypatch, suite):
+    """Replace the certificate of ``verify suite`` by a stand-in with the real
+    signature; return the list of keyword arguments it will receive."""
+    name = VERIFY[suite]
     calls = []
 
     @functools.wraps(getattr(certify, name))
@@ -80,6 +82,13 @@ def _recorded_verify(tmp_path, monkeypatch, suite, argv=(), config=None):
         return certify.CheckResult(suite, True, "stand-in")
 
     monkeypatch.setattr(certify, name, stand_in)
+    return calls
+
+
+def _recorded_verify(tmp_path, monkeypatch, suite, argv=(), config=None):
+    """Run ``verify suite`` on a stand-in certificate with the real signature;
+    return the keyword arguments it received and the echoed parameters."""
+    calls = _stand_in_certificate(monkeypatch, suite)
     cfgfile = tmp_path / f"{suite}.json"
     cfgfile.write_text(json.dumps(config or {}))
     out = str(tmp_path / suite)
@@ -92,25 +101,29 @@ def _recorded_verify(tmp_path, monkeypatch, suite, argv=(), config=None):
 def test_verify_runs_each_certificate_at_its_own_defaults(tmp_path, monkeypatch, suite):
     # the certify_* keyword defaults are the only declared sizes: the command
     # passes nothing but the master seed, and echoes the defaults it ran at
-    signature = inspect.signature(getattr(certify, VERIFY[suite][0]))
+    signature = inspect.signature(getattr(certify, VERIFY[suite]))
     calls, params = _recorded_verify(tmp_path, monkeypatch, suite)
     assert calls == [{"seed": 20240808} if "seed" in signature.parameters else {}]
     assert params == json.loads(json.dumps(
         {k: p.default for k, p in signature.parameters.items()}))
 
 
-@pytest.mark.parametrize("argv,config,given", [
-    ([], {"max_length": 4}, {"enum_length": 4}),
-    (["--max-length", "3"], {"max_length": 4}, {"enum_length": 3}),
-    (["--max-length", "3"], {"max_length": 4, "enum_length": 5}, {"enum_length": 5}),
-    ([], {"gaussian_paths": 7, "gaussian_length": 9},
+@pytest.mark.parametrize("suite,argv,config,given", [
+    ("idloc", [], {"enum_length": 4}, {"enum_length": 4}),
+    ("idloc", [], {"gaussian_paths": 7, "gaussian_length": 9},
      {"gaussian_paths": 7, "gaussian_length": 9}),
+    ("fristedt", [], {"truncation": 40}, {"truncation": 40}),
+    ("meander-ac", ["--max-length", "3"], {"max_length": 4, "weight_n": 8},
+     {"max_length": 3, "weight_n": 8}),
 ])
-def test_verify_idloc_reads_max_length_as_enum_length(tmp_path, monkeypatch,
-                                                       argv, config, given):
-    # --max-length beats a config max_length; a config enum_length beats both
-    calls, _ = _recorded_verify(tmp_path, monkeypatch, "idloc", argv, config)
-    assert calls == [{**given, "seed": 20240808}]
+def test_verify_config_keys_are_certificate_parameters(tmp_path, monkeypatch,
+                                                        suite, argv, config, given):
+    # a config key passes to the certificate parameter of the same name, and
+    # --max-length beats a config max_length
+    calls, params = _recorded_verify(tmp_path, monkeypatch, suite, argv, config)
+    seed = {"seed": 20240808} if "seed" in params else {}
+    assert calls == [{**given, **seed}]
+    assert given.items() <= params.items()
 
 
 def test_converge_harmonic_small(tmp_path):
@@ -381,6 +394,14 @@ def test_malformed_n_grid_is_a_usage_error(tmp_path, capsys):
     (["converge", "localtime"], "trials"),
     (["converge", "lemma1"], "trials"),
     (["converge", "theorem1"], "params.tail_table"),
+    (["verify", "idloc"], "max_length"),
+    (["verify", "fristedt"], "K"),
+    (["converge", "theorem1"], "params.window_mult"),
+    (["converge", "localtime"], "params.variant"),
+    (["converge", "lemma1"], "params.interval"),
+    (["converge", "lemma1"], "params.interval1"),
+    (["converge", "lemma1"], "params.interval2"),
+    (["converge", "lemma1"], "params.time_tail_cutoff"),
 ])
 def test_unread_config_keys_rejected(tmp_path, capsys, argv, key):
     # "section.name" is the key name inside the config's section
@@ -395,7 +416,75 @@ def test_unread_config_keys_rejected(tmp_path, capsys, argv, key):
 
 def test_tables(tmp_path):
     out = str(tmp_path / "tab")
-    assert run(["--out", out, "tables", "--points", "50"]) == 0
+    assert run(["--out", out, "tables"]) == 0
     for name in ("ladder_time_cdf", "meander_endpoint_cdf", "ladder_exponent",
                  "renewal_limit", "constants"):
         assert os.path.exists(os.path.join(out, f"{name}.csv"))
+    # 200 points per reference curve, plus the header
+    assert len(open(os.path.join(out, "ladder_time_cdf.csv")).readlines()) == 201
+
+
+def test_tables_reads_no_points_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", str(tmp_path / "tab"), "tables", "--points", "50"])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
+
+
+GAUSS_X = '{"kind": "gaussian", "mean": 0, "stddev": "x"}'
+
+
+@pytest.mark.parametrize("law,config", [
+    ("nosuchlaw", None),
+    ('{"kind": "lattice"}', None),
+    (GAUSS_X, None),
+    (None, "missing"),
+    (None, "{bad"),
+    (None, "[1, 2]"),
+    (os.curdir, None),
+], ids=["law-not-json", "lattice-without-support", "gaussian-stddev-text",
+        "config-missing", "config-not-json", "config-not-object", "law-a-directory"])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, law, config):
+    # a --law that is not a law object, or a --config that is not a readable
+    # JSON object: one "error:" line on stderr, exit 1, no output
+    out = str(tmp_path / "o")
+    argv = ["--out", out]
+    if config is not None:
+        path = tmp_path / "c.json"
+        if config != "missing":
+            path.write_text(config)
+        argv += ["--config", str(path)]
+    argv += ["converge", "harmonic"] + (["--law", law] if law else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_benchmark_configs_pass_the_cli_key_checks(tmp_path, monkeypatch, size):
+    # every CLI task of every benchmark workload, on stand-ins for the
+    # certificates, the experiments and the meander sampler, so nothing runs:
+    # a key the CLI does not read fails here before it fails the benchmark
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = importlib.import_module("workloads")
+    for suite in VERIFY:
+        _stand_in_certificate(monkeypatch, suite)
+
+    def validate_only(config):
+        config.validate(config.experiment)
+        return experiments.ExperimentReport(config.echo(), [], {})
+    for name in experiments.RUNS:
+        monkeypatch.setitem(experiments.RUNS, name, validate_only)
+    monkeypatch.setattr(cli, "meander_sample",
+                        lambda law, k, count, seed: np.zeros((count, k + 1)))
+    ran = []
+    for workload in workloads.WORKLOADS:
+        tasks = [t for t in workloads.build_plan(workload, None, size) if t.argv]
+        configs = workloads.write_configs(tasks, str(tmp_path / workload))
+        for t in tasks:
+            argv = ["--config", configs[t.tid], "--out", str(tmp_path / "out" / t.tid)]
+            argv += ["--seed", str(t.seed)] * (t.seed is not None)
+            assert run(argv + t.argv) == 0, t.tid
+            ran.append(t.tid)
+    assert len(ran) == 8

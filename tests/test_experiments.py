@@ -155,30 +155,28 @@ def test_run_theorem1_windowed_route_for_general_lattice():
     # is simulated on windows; scaled marginals still approach the limits
     law = IncrementLaw.uniform3()
     c = cfg("theorem1", law, [64, 128], trials=400,
-            tolerances={"ks": 0.25, "height_mean": 0.25, "height_sd": 0.6},
-            params={"window_mult": 64})
+            tolerances={"ks": 0.25, "height_mean": 0.25, "height_sd": 0.6})
     rep = run_theorem1(c)
     assert rep.passed
     by_id = {x.cid: x.value for x in rep.criteria}
     assert by_id["ladder_time_ks"] < 0.15
     # a_n draws no random numbers: the same at another seed, and the
     # positivity rule's constant
-    other = run_theorem1(cfg("theorem1", law, [64, 128], trials=400, seed=8,
-                             params={"window_mult": 64}))
+    other = run_theorem1(cfg("theorem1", law, [64, 128], trials=400, seed=8))
     a_n = [row[1] for row in rep.tables["theorem1"][1:]]
     assert a_n == [row[1] for row in other.tables["theorem1"][1:]]
     assert a_n == norming_constant(positivity_rule(law), [64, 128])
 
 
 def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
-    # a block of 65 ladder epochs fits in no window of 64 steps, so every
-    # window fails and the route gives up after 8 * 200 + 32 windows
+    # a block of 4097 ladder epochs fits in no window of 64 * 64 steps, so
+    # every window fails and the route gives up after 8 * 200 + 32 windows
     from fluctwalk import experiments
     from fluctwalk.errors import InsufficientLadderError
     monkeypatch.setattr(experiments, "norming_constant",
-                        lambda rule, n_grid: [65.0] * len(n_grid))
+                        lambda rule, n_grid: [4097.0] * len(n_grid))
     law = IncrementLaw.uniform3()
-    c = cfg("theorem1", law, [64], trials=200, params={"window_mult": 1})
+    c = cfg("theorem1", law, [64], trials=200)
     with pytest.raises(InsufficientLadderError,
                        match=r"only 0/200 windows .* 1632 windows read"):
         run_theorem1(c)

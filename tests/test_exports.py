@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import fluctwalk
+from fluctwalk import certify
 from fluctwalk.cli import VERIFY
+from fluctwalk.experiments import DECLARED
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fluctwalk.__path__))
 
@@ -130,17 +132,18 @@ def _exported_functions():
 def test_every_optional_parameter_has_a_setter():
     # a parameter with a default is set when some call of its function's name
     # in the package (outside __init__.py), scripts/ or bench/ passes it by
-    # keyword or by position; a certificate's parameter is also set when a
-    # config key of cli.VERIFY maps to it, and its seed always is.  Blind
-    # spot: a parameter that callers pass only at its default value counts
-    # as set, and so does one passed to a same-named other function.
+    # keyword or by position; every parameter of a cli.VERIFY certificate is
+    # also set, by the config key of its name or, for the seed, by the
+    # command.  Blind spot: a parameter that callers pass only at its default
+    # value counts as set, and so does one passed to a same-named other
+    # function.
     root = Path(__file__).parent.parent
     package = Path(fluctwalk.__file__).parent
     files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
     calls = _calls(files)
-    from_config = {(certificate, param) for certificate, keys in VERIFY.values()
-                   for param in list(keys.values()) + ["seed"]}
+    from_config = {(certificate, param) for certificate in VERIFY.values()
+                   for param in inspect.signature(getattr(certify, certificate)).parameters}
     unset = []
     for name, fn, skip in _exported_functions():
         params = list(inspect.signature(fn).parameters.values())[skip:]
@@ -153,3 +156,17 @@ def test_every_optional_parameter_has_a_setter():
     extra = sorted(set(unset) - UNSET_PARAMETERS.keys())
     assert not extra, "no caller sets " + ", ".join(f"{f}({p}=)" for f, p in extra)
     assert UNSET_PARAMETERS.keys() <= set(unset)
+
+
+def test_every_declared_param_has_a_setter():
+    # a DECLARED param is set when a string constant in scripts/ or bench/
+    # names it; a value that nothing sets is a module constant instead.  Blind
+    # spot: a param that callers set only at its declared value counts as set,
+    # and so does one whose name a string constant uses for something else.
+    root = Path(__file__).parent.parent
+    files = sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    named = {node.value for path in files for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unset = [f"{name}.{key}" for name, declared in DECLARED.items()
+             for key in declared.params if key not in named]
+    assert not unset, "no script or benchmark sets " + ", ".join(unset)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,3 +79,15 @@ def test_reference_dispatch_and_domains():
         levy_half_cdf(-2.0)
     with pytest.raises(ParameterError):
         kappa_bm(-1.0, 0.0)
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # levy_half_cdf imports scipy.special when it is first called, so a
+    # fresh interpreter that only imports the command line never loads it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, fluctwalk.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

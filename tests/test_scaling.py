@@ -151,7 +151,7 @@ def test_first_ladder_pair_table_fair_walk():
 def test_fristedt_point_mass_collapses_to_geometric_series():
     law = IncrementLaw.lattice([1], [1])
     for a, b in ((0.5, 0.0), (1.0, 1.0), (2.0, 0.5)):
-        rep = fristedt_residual(law, a, b, K=50)
+        rep = fristedt_residual(law, a, b, K=50)[0]
         target = 1 - math.exp(-a - b)
         assert abs(rep.lhs - target) < 1e-12
         assert abs(rep.rhs - target) < 1e-12
@@ -162,7 +162,7 @@ def test_fristedt_spot_value_fair_walk():
     # E s^T = (1 - sqrt(1 - s^2)) / s
     s = math.exp(-1.0)
     target = 1 - (1 - math.sqrt(1 - s * s)) / s
-    rep = fristedt_residual(IncrementLaw.fair_pm1(), 1.0, 0.0, K=60)
+    rep = fristedt_residual(IncrementLaw.fair_pm1(), 1.0, 0.0, K=60)[0]
     assert abs(rep.lhs - target) < 1e-10
     assert abs(rep.rhs - target) < 1e-10
     assert rep.residual <= rep.tail_bound <= 1e-6
@@ -174,7 +174,7 @@ def test_fristedt_grid_reports_equal_one_point_reports(law):
     # the one-point call's, field by field, in (alpha, beta) order
     alphas, betas = _FRISTEDT_ALPHAS, _FRISTEDT_BETAS
     grid = fristedt_residual(law, alphas, betas, K=60)
-    points = [fristedt_residual(law, a, b, K=60) for a in alphas for b in betas]
+    points = [fristedt_residual(law, a, b, K=60)[0] for a in alphas for b in betas]
     assert len(grid) == len(points) == 9
     for g, p in zip(grid, points):
         for f in fields(FristedtReport):
@@ -183,7 +183,7 @@ def test_fristedt_grid_reports_equal_one_point_reports(law):
 
 
 def test_fristedt_large_alpha_pins_both_sides_near_one():
-    rep = fristedt_residual(IncrementLaw.fair_pm1(), 20.0, 0.0, K=40)
+    rep = fristedt_residual(IncrementLaw.fair_pm1(), 20.0, 0.0, K=40)[0]
     assert abs(rep.lhs - 1) <= math.exp(-20) * 1.01
     assert abs(rep.rhs - 1) <= math.exp(-20) * 1.01
 
