@@ -43,10 +43,6 @@ CONFIGS = {
     "meander": {
         "n_grid": [1024, 4096] if FULL else [256, 1024],
         "trials": 10_000 if FULL else 4_000,
-        "tolerances": {"endpoint_ks": 0.02 if FULL else 0.05,
-                       "cross_method_ks": 0.01 if FULL else 0.03},
-        "params": {"cross_check_n": 32,
-                   "cross_check_trials": 100_000 if FULL else 20_000},
         "seed": 23,
     },
     "harmonic": {

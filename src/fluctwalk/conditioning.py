@@ -27,7 +27,8 @@ batch by rejection from the walk's own trials, on any law.  The chains of
 (:func:`meander_weights`, the one place that knows this weight) have
 exactly the meander law, path by path on lattices; they reach the large
 horizons.  :func:`meander_endpoint_distribution` is the exact endpoint law
-on lattices, the reference the weighted chains are checked against.
+on lattices: ``converge meander`` checks the weighted chains against it at
+each horizon, and it against the Rayleigh limit.
 """
 
 from __future__ import annotations

@@ -96,7 +96,9 @@ def ks_statistic(sample: Sample, reference: Union[Sample, Callable]) -> KSReport
     """Sup-distance between ECDFs, or between an ECDF and a reference CDF.
 
     Against a CDF callable the sup is evaluated at sample breakpoints from
-    both sides of each jump, which is exact for step functions.  The
+    both sides of each jump, which is exact for a continuous reference CDF
+    against the step ECDF.  Two step laws on one lattice take the
+    two-sample form, the reference passed as a weighted Sample.  The
     envelope half-width uses the effective sample size, so weighted samples
     are handled uniformly.  The envelope is at confidence 0.99.
     """

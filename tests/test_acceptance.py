@@ -244,21 +244,19 @@ def test_a8_harmonic_limits():
 
 
 # ---------------------------------------------------------------------------
-# A9: meander endpoint law and cross-method agreement
+# A9: the meander chain sampler against the exact law, the exact law against
+# its Rayleigh limit
 
 
 def test_a9_meander_convergence():
-    cfg = ExperimentConfig(
-        "meander", FAIR, [4096], trials=10_000, seed=SEED_MEANDER,
-        tolerances={"endpoint_ks": 0.02, "cross_method_ks": 0.01},
-        params={"cross_check_n": 32, "cross_check_trials": 100_000})
+    cfg = ExperimentConfig("meander", FAIR, [4096], trials=10_000, seed=SEED_MEANDER)
     t0 = time.monotonic()
     rep = run_meander(cfg)
     elapsed = time.monotonic() - t0
-    vals = {x.cid: x.value for x in rep.criteria}
+    n, _, ks, band, limit = rep.tables["meander"][1]
     ok = rep.passed and elapsed < 600
-    _line("A9", ok, f"weighted endpoint KS {vals['weighted_endpoint_ks']:.4f} "
-          f"<= 0.02, cross-method KS {vals['cross_method_ks']:.4f} <= 0.01; "
+    _line("A9", ok, f"chain-vs-exact KS {ks:.4f} <= DKW band {band:.4f}; "
+          f"sqrt(n) KS(exact, Rayleigh) {limit:.4f} <= 2 e^(-1/2) at n = {n}; "
           f"{elapsed:.0f}s")
     assert rep.passed
     assert elapsed < 600
@@ -300,3 +298,19 @@ def test_a10_dkw_calibration():
           f"(allowing 5 at the 0.99 level); {elapsed:.0f}s")
     assert breaches["rayleigh"] <= 5
     assert breaches["ladder_time"] <= 5
+
+
+def test_a10_weighted_meander_band_calibration():
+    # the band of A9's sampler check at its stated level: over 100 seeds the
+    # KS distance of 500 weighted chains from the exact law at n = 64 may
+    # exceed the DKW half-width of their Kish effective size at most 5 times
+    t0 = time.monotonic()
+    breaches = 0
+    for seed in range(100):
+        rep = run_meander(ExperimentConfig("meander", FAIR, [64], trials=500, seed=seed))
+        _, _, ks, band, _ = rep.tables["meander"][1]
+        breaches += ks > band
+    elapsed = time.monotonic() - t0
+    _line("A10", breaches <= 5, f"weighted band breaches over 100 seeds: {breaches} "
+          f"(allowing 5 at the 0.99 level); {elapsed:.1f}s")
+    assert breaches <= 5

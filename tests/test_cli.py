@@ -155,15 +155,17 @@ def test_converge_harmonic_tolerance_failure_exits_one(tmp_path):
 def test_converge_meander_small_and_deterministic(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
-        "n_grid": [64, 128], "trials": 1000,
-        "tolerances": {"endpoint_ks": 0.2, "cross_method_ks": 0.2},
-        "params": {"cross_check_n": 8, "cross_check_trials": 2000}}))
+        "n_grid": [64, 128], "trials": 1000}))
     out1, out2 = str(tmp_path / "m1"), str(tmp_path / "m2")
     assert run(["--config", str(cfgfile), "--out", out1, "converge", "meander"]) == 0
     assert run(["--config", str(cfgfile), "--out", out2, "converge", "meander"]) == 0
     b1 = open(os.path.join(out1, "report.json"), "rb").read()
     b2 = open(os.path.join(out2, "report.json"), "rb").read()
     assert b1 == b2
+
+
+def test_converge_meander_defaults_pass(tmp_path):
+    assert run(["--out", str(tmp_path), "converge", "meander"]) == 0
 
 
 def test_converge_theorem1_small(tmp_path):
@@ -316,16 +318,28 @@ def test_converge_defaults_pass_config_validation(tmp_path, monkeypatch, name):
         run(["--out", str(tmp_path), "converge", name])
 
 
+def _validate_only(monkeypatch):
+    # every experiment stops after its config checks and reports no criteria
+    def validate_only(config):
+        config.validate(config.experiment)
+        return experiments.ExperimentReport(config.echo(), [], {})
+    for name in experiments.RUNS:
+        monkeypatch.setitem(experiments.RUNS, name, validate_only)
+
+
 @pytest.mark.parametrize("full", [False, True])
 def test_convergence_suite_configs_pass_validation(tmp_path, monkeypatch, full):
+    # every config of the script, run through the CLI's key checks: a key
+    # the experiment no longer declares fails here
     monkeypatch.setattr(sys, "argv", ["run_convergence_suite.py"] + ["--full"] * full)
     configs = runpy.run_path(os.path.join(SCRIPTS, "run_convergence_suite.py"))["CONFIGS"]
-    _stop_after_validation(monkeypatch)
-    for name in EXPERIMENTS:
+    _validate_only(monkeypatch)
+    assert sorted(configs) == sorted(EXPERIMENTS)
+    for name, config in configs.items():
         cfgfile = tmp_path / f"{name}.json"
-        cfgfile.write_text(json.dumps(configs[name]))
-        with pytest.raises(Validated):
-            run(["--config", str(cfgfile), "--out", str(tmp_path), "converge", name])
+        cfgfile.write_text(json.dumps(config))
+        assert run(["--config", str(cfgfile), "--out", str(tmp_path / name),
+                    "converge", name]) == 0, name
 
 
 def test_convergence_suite_leaves_no_config_files(monkeypatch):
@@ -470,12 +484,7 @@ def test_benchmark_configs_pass_the_cli_key_checks(tmp_path, monkeypatch, size):
     workloads = importlib.import_module("workloads")
     for suite in VERIFY:
         _stand_in_certificate(monkeypatch, suite)
-
-    def validate_only(config):
-        config.validate(config.experiment)
-        return experiments.ExperimentReport(config.echo(), [], {})
-    for name in experiments.RUNS:
-        monkeypatch.setitem(experiments.RUNS, name, validate_only)
+    _validate_only(monkeypatch)
     monkeypatch.setattr(cli, "meander_sample",
                         lambda law, k, count, seed: np.zeros((count, k + 1)))
     ran = []

@@ -13,7 +13,7 @@ from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
                                    run_theorem1,
                                    sample_ladder_times, universal_t1_tail)
 from fluctwalk.increments import IncrementLaw, _rng
-from fluctwalk.limit_laws import levy_half_cdf
+from fluctwalk.limit_laws import levy_half_cdf, rayleigh_cdf
 from fluctwalk.scaling import check_bilateral, norming_constant, positivity_rule
 from fluctwalk.stats import Sample, ks_statistic
 
@@ -225,35 +225,58 @@ def test_run_lemma1_cauchy_ratio_small():
     assert rep.passed
 
 
-def test_run_meander_small():
-    c = cfg("meander", FAIR, [64, 256], trials=2_000,
-            tolerances={"endpoint_ks": 0.08, "cross_method_ks": 0.05},
-            params={"cross_check_n": 16, "cross_check_trials": 4_000})
-    rep = run_meander(c)
-    assert rep.passed
-    assert rep.tables["meander"][0] == ["n", "P_Cn", "weighted_endpoint_ks"]
-
-
-def test_meander_cross_check_fails_on_unweighted_chains(monkeypatch):
-    # negative control: without the meander weights the chain endpoints have
-    # the conditioned law, not the meander law, and at the default
-    # cross-check size (n = 32, 20 000 chains) the KS distance to the exact
-    # meander law is far above its 0.02 bound
+def test_lemma1_refuses_other_tail_indices_before_drawing(monkeypatch):
     from fluctwalk import experiments
-    c = cfg("meander", FAIR, [64], trials=500, tolerances={"endpoint_ks": 1.0})
-    weighted = {x.cid: x for x in run_meander(c).criteria}["cross_method_ks"]
+
+    def no_draws(*args):
+        raise AssertionError("drew heights for a refused law")
+    monkeypatch.setattr(experiments, "first_passage_heights", no_draws)
+    with pytest.raises(ConfigError, match="tail index 1"):
+        run_lemma1(cfg("lemma1", IncrementLaw.heavy_tail(1.5), [512], trials=None))
+
+
+def test_run_meander_small():
+    rep = run_meander(cfg("meander", FAIR, [64, 256], trials=2_000))
+    assert rep.passed
+    assert rep.tables["meander"][0] == ["n", "P_Cn", "chain_exact_ks", "dkw_band",
+                                        "exact_rayleigh_ks_sqrt_n"]
+
+
+def test_meander_sampler_check_fails_on_unweighted_chains(monkeypatch):
+    # negative control: without the meander weights the chain endpoints have
+    # the conditioned law, not the meander law, and their KS distance to the
+    # exact meander law is several DKW bands
+    from fluctwalk import experiments
+    c = cfg("meander", FAIR, [256], trials=4_000)
+    weighted = {x.cid: x for x in run_meander(c).criteria}["chain_exact_ks_over_band"]
     monkeypatch.setattr(experiments, "meander_weights",
                         lambda law, n, levels, p_survival=None: np.ones(len(levels)))
-    unweighted = {x.cid: x for x in run_meander(c).criteria}["cross_method_ks"]
-    assert weighted.passed and weighted.threshold == 0.02
-    assert not unweighted.passed and unweighted.value > 0.1
+    unweighted = {x.cid: x for x in run_meander(c).criteria}["chain_exact_ks_over_band"]
+    assert weighted.passed and weighted.threshold == 1.0
+    assert unweighted.value > 5
+
+
+def test_meander_limit_check_fails_on_a_scaled_target(monkeypatch):
+    # negative control: against Rayleigh stretched by 5 % the exact law's
+    # sqrt(n) KS is past 2 e^{-1/2} already at n = 64
+    from fluctwalk import experiments
+    monkeypatch.setattr(experiments, "rayleigh_cdf", lambda x: rayleigh_cdf(x / 1.05))
+    rep = run_meander(cfg("meander", FAIR, [64], trials=500))
+    limit = {x.cid: x for x in rep.criteria}["exact_rayleigh_ks_sqrt_n"]
+    assert not limit.passed and limit.value > 1.35
+
+
+def test_exact_meander_law_stays_within_one_lattice_step_of_rayleigh():
+    # sqrt(n) KS of the exact law from Rayleigh stays below the lattice step
+    # 2 / sqrt(n) times the largest Rayleigh density e^{-1/2}, at every n
+    rep = run_meander(cfg("meander", FAIR, list(range(1, 41)) + [63, 64, 65], trials=100))
+    limit = {x.cid: x for x in rep.criteria}["exact_rayleigh_ks_sqrt_n"]
+    assert limit.threshold == 2 * math.exp(-0.5)
+    assert all(0 < row[4] < limit.threshold for row in rep.tables["meander"][1:])
 
 
 def test_report_write_and_exit_codes(tmp_path):
-    c = cfg("meander", FAIR, [64], trials=500,
-            tolerances={"endpoint_ks": 0.5, "cross_method_ks": 0.5},
-            params={"cross_check_n": 8, "cross_check_trials": 2_000})
-    rep = run_meander(c)
+    rep = run_meander(cfg("meander", FAIR, [64], trials=500))
     rep.write(str(tmp_path))
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["pass"] is True and rep.exit_code() == 0
@@ -317,8 +340,7 @@ FAIR_ENCODINGS = [FAIR, IncrementLaw.lattice(["-1/2", "1/2"], ["1/2", "1/2"]),
 @pytest.mark.parametrize("run,experiment,n_grid,trials,params", [
     (run_theorem1, "theorem1", [64, 128], 200, {}),
     (run_lemma1, "lemma1", [64, 128], None, {}),
-    (run_meander, "meander", [32, 64], 200,
-     {"cross_check_n": 8, "cross_check_trials": 500}),
+    (run_meander, "meander", [32, 64], 200, {}),
     (run_harmonic, "harmonic", [64, 128, 256], None, {}),
 ])
 def test_fair_walk_encodings_give_identical_reports(run, experiment, n_grid, trials,
