@@ -27,9 +27,7 @@ CONFIGS = {
     "localtime": {
         "n_grid": [2 ** q for q in range(8, 14)] if FULL
         else [2 ** q for q in range(6, 11)],
-        "tolerances": {"violations": 1, "ratio": 0.5 if FULL else 0.65},
-        "params": {"base_resolution": 2 ** 16 if FULL else 2 ** 13,
-                   "paths": 200 if FULL else 100},
+        "trials": 200 if FULL else 2_000,
         "seed": 211,
     },
     "lemma1": {

@@ -15,9 +15,9 @@ from .conditioning import (SurvivalEstimate, conditioned_states, harmonic_limits
                            meander_sample, meander_weights, renewal_function,
                            survival_probability)
 from .oracle import ExactDistribution, distribution_equality, exact_functional_distribution
-from .stats import Sample, ks_statistic, trend_test
+from .stats import Sample, ks_statistic
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf
 from .experiments import (ExperimentConfig, ExperimentReport, run_harmonic, run_lemma1,
-                          run_localtime_stability, run_meander, run_theorem1)
+                          run_localtime, run_meander, run_theorem1)
 
 __version__ = "0.1.0"

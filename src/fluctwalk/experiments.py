@@ -16,6 +16,10 @@ Sampling notes, load-bearing for honesty about what is exact:
   inverse CDF of the table, with the asymptotic inverse beyond it; every
   other law takes the windowed route.  Space is scaled by
   ``IncrementLaw.sigma``.
+* The same universality gives the strict record count of a symmetric walk
+  without ties a closed law (:func:`record_count_law`), so the local time
+  at the supremum is checked against its exact law and exact mean at every
+  n, and against its limit sqrt(2) M through a seed-free limit median.
 * Ladder heights are simulated by capped first-passage runs; the cap and
   the censoring rate are recorded.  Height and time marginals are sampled
   separately: every reported statistic is per-coordinate, so the joint
@@ -44,16 +48,15 @@ from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
 from .scaling import check_bilateral, norming_constant, positivity_rule
-from .stats import Sample, dkw_epsilon, ks_statistic, trend_test
+from .stats import Sample, dkw_epsilon, ks_statistic
 
 __all__ = [
     "DECLARED",
     "ExperimentConfig",
     "Criterion",
     "ExperimentReport",
-    "gaussian_norming",
     "run_theorem1",
-    "run_localtime_stability",
+    "run_localtime",
     "run_lemma1",
     "run_meander",
     "run_harmonic",
@@ -131,8 +134,7 @@ DECLARED = {c.experiment: c for c in (
                      {"ks": 0.03, "height_mean": 0.03, "height_sd": 0.12},
                      {"height_cap": 20_000}),
     ExperimentConfig("localtime", IncrementLaw.gaussian(), [2 ** q for q in range(6, 11)],
-                     None, None, {"violations": 1, "ratio": 0.6},
-                     {"base_resolution": 2 ** 13, "paths": 100}),
+                     2000, None),
     ExperimentConfig("lemma1", IncrementLaw.gaussian(), [512, 2048], None, None,
                      {"drift_rel": 0.05, "interval_mass": 0.03, "ratio_rel": 0.15},
                      {"height_samples": 50_000, "height_cap": 20_000}),
@@ -196,11 +198,6 @@ def write_rows(out_dir: str, name: str, rows: List[list]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def gaussian_norming(n: int) -> float:
-    """a_n for any symmetric diffuse law: (1 - e^{-1/n})^{-1/2}."""
-    return (1.0 - math.exp(-1.0 / n)) ** -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +350,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
 
     Per n: sup-distance of the n^{-1} T_{[a_n]} sample against the
     1/2-stable marginal CDF, and mean/stddev of the scaled height H_{[a_n]}
-    against the pure-drift target.  Criteria are evaluated at the largest n;
-    a trend row tracks the sup-distances across the grid.
+    against the pure-drift target.  Criteria are evaluated at the largest n.
 
     ``height_sd`` is a one-sided bound on a quantity that is not zero at
     finite n.  On the diffuse route the scaled height sums [a_n] independent
@@ -368,8 +364,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     symmetric lattice laws other than the simple symmetric walk) windows are
     ``_WINDOW_MULT`` = 64 times n steps long, and the notes record
     ``resampled_fraction_n{n}``, the share of windows read in trial order
-    without [a_n] ladder epochs (see :func:`windowed_ladder_pairs`).  On
-    every route a_n comes from :func:`~fluctwalk.scaling.positivity_rule`.
+    without [a_n] ladder epochs (see :func:`windowed_ladder_pairs`).  The
+    pairs come only from windows with T_{[a_n]} <= 64 n, so T / n is
+    compared with the limit law conditioned on [0, 64]: the CDF divided by
+    its value at 64 (P(tau > 64) = 0.0704).  On every route a_n comes from
+    :func:`~fluctwalk.scaling.positivity_rule`.
     """
     config.validate("theorem1")
     law = config.law
@@ -390,6 +389,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     notes: Dict[str, object] = {}
     a_ns = norming_constant(positivity_rule(law), config.n_grid)
     blocks = [int(a) for a in a_ns]
+    if closed is None:
+        kept = levy_half_cdf(_WINDOW_MULT)
+        target = lambda t: levy_half_cdf(t) / kept
+    else:
+        target = levy_half_cdf
 
     if closed is not None and law.is_diffuse():
         pool, cens = first_passage_heights(law, config.trials * max(blocks), cap,
@@ -398,7 +402,6 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         notes["height_censored_fraction"] = cens
 
     rows = [["n", "a_n", "ks_ladder_time", "height_mean", "height_sd"]]
-    ks_series = []
     for i, n in enumerate(config.n_grid):
         blk = blocks[i]
         c_n = 1.0 / (sigma * math.sqrt(n))  # variance-1 spatial rescale
@@ -421,9 +424,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
                     config.trials, blk).sum(axis=1) * c_n
                 h_mean = float(H.mean())
                 h_sd = float(H.std(ddof=1))
-        ks = ks_statistic(Sample(T), levy_half_cdf).statistic
-        rows.append([n, a_ns[i], ks, h_mean, h_sd])
-        ks_series.append((n, ks))
+        rows.append([n, a_ns[i], ks_statistic(Sample(T), target), h_mean, h_sd])
 
     tol = config.tolerances
     criteria = [
@@ -431,67 +432,109 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
         Criterion("height_mean_error", abs(rows[-1][3] - BROWNIAN_DRIFT), tol["height_mean"]),
         Criterion("height_sd", rows[-1][4], tol["height_sd"]),
     ]
-    if len(ks_series) >= 3:
-        tr = trend_test(ks_series)
-        notes["ks_trend"] = tr.to_json()
     return ExperimentReport(config=config.echo(), criteria=criteria,
                             tables={"theorem1": rows}, notes=notes)
 
 
 # ---------------------------------------------------------------------------
-# run_localtime_stability: nested skeletons
+# run_localtime: the local time at the supremum against its exact law and
+# against sqrt(2) M
 
 
-def run_localtime_stability(config: ExperimentConfig) -> ExperimentReport:
-    """Cauchy-style stability of normalized local times on nested skeletons.
+# the bound on every sampled-vs-exact distance over its 0.99 DKW band
+_BAND_RATIO = 1.0
+# standard errors allowed between the mean end gap and its exact value
+_GAP_Z = 4.0
+# the median of the limit law of n^{1/4} max_{k<=n} |gap_k|,
+# sqrt(v) (sqrt(2) |N|)^{1/2} K: v = 2 Var H_1 = 2 sqrt(2) rho - 1 with
+# rho = -zeta(1/2) / sqrt(2 pi), N standard normal, K = sup_{t<=1} |B_t|
+# independent of N.  The finite-n median approaches it from below.
+_SUP_GAP_MEDIAN = 0.8638926
 
-    A fine base walk is subsampled at every n of a dyadic grid; successive
-    normalized local-time curves are compared in sup norm on the shared
-    window.  The median discrepancy per comparison must trend down.  Counts
-    are verbatim, almost surely equal to strict ones on the Gaussian walk.
+
+def record_count_law(n: int) -> np.ndarray:
+    """P(R_n = r), r = 0..n, for the strict record count R_n of a symmetric
+    walk without ties: C(2n - r, n) 2^{r - 2n}, universal by Sparre
+    Andersen's theorem (Majumdar and Ziff, PRL 101, 050601, 2008).
+
+    P_0 = C(2n, n) 4^{-n}, then P_{r+1} = P_r 2 (n - r) / (2n - r), each step
+    a product taken in that order; atoms past the float range read 0.
+    """
+    r = np.arange(n, dtype=np.float64)
+    steps = 2.0 * (n - r) / (2 * n - r)
+    return np.multiply.accumulate(np.concatenate([[math.comb(2 * n, n) / 4 ** n], steps]))
+
+
+def run_localtime(config: ExperimentConfig) -> ExperimentReport:
+    """The local time at the supremum R_k / a_n against its Brownian limit
+    sqrt(2) M, on a centred Gaussian walk.
+
+    One pass of trials to the largest n: each trial's strict record counts
+    R_k and running maximum M_k (S_0 = 0 included), read on the prefix
+    0..n at every n of the grid, with gap_k = R_k / a_n - sqrt(2) M_k /
+    (sigma sqrt(n)).  Each criterion is its largest value over the grid.
+
+    * ``record_exact_ks_over_band``: the KS distance of the sampled R_n from
+      :func:`record_count_law`, passed as a weighted sample of its atoms,
+      over the 0.99 DKW half-width of the trials; at most 1.
+    * ``endpoint_gap_z``: |mean(gap_n) - E gap_n| in standard errors of the
+      mean, at most 4.  E gap_n is exact at every n: E R_n = sum_{k<=n}
+      C(2k, k) 4^{-k} = (2n + 1) C(2n, n) 4^{-n} - 1 (time reversal and
+      Sparre Andersen), and E M_n = sigma sum_{k<=n} (2 pi k)^{-1/2}
+      (Spitzer), so sigma cancels.
+    * ``sup_gap_excess_over_band``: the share of trials with n^{1/4}
+      max_{k<=n} |gap_k| above ``_SUP_GAP_MEDIAN``, less 1/2, over the DKW
+      half-width; at most 1.  M_k is the sum of the first R_k ladder
+      heights, so the sup gap is a walk of about sqrt(n) centred steps
+      (1 - sqrt(2) h_j / sigma) / a_n, whose n^{1/4}-scaled sup tends to
+      sqrt(v) (sqrt(2) |N|)^{1/2} K.  The check is one-sided.
     """
     config.validate("localtime")
     law = config.law
     if law.kind != "gaussian" or law.mean != 0.0:
-        raise ConfigError("skeleton stability uses a centred Gaussian base walk")
-    N = int(config.params["base_resolution"])
-    paths = int(config.params["paths"])
-    if N & (N - 1):
-        raise ConfigError("base resolution must be a power of two")
-    for n in config.n_grid:
-        if n & (n - 1) or N % n:
-            raise ConfigError("n grid must be dyadic and divide the base resolution")
-    if config.n_grid[-1] > N:
-        raise ConfigError("n grid exceeds the base resolution")
+        raise ConfigError("the local time at the supremum is checked on a centred "
+                          "Gaussian walk")
+    grid, trials = config.n_grid, config.trials
+    a_ns = norming_constant(positivity_rule(law), grid)
+    sigma = law.sigma()
+    records, end_gap, sup_gap = (np.empty((len(grid), trials)) for _ in range(3))
+    lo = 0
+    for S in iter_rows(law, grid[-1], config.seed, trials):
+        R = local_time_curve_np(S, "strict")
+        M = np.maximum.accumulate(S, axis=1)
+        hi = lo + len(S)
+        for i, n in enumerate(grid):
+            gap = (R[:, :n + 1] / a_ns[i]
+                   - math.sqrt(2.0) * M[:, :n + 1] / (sigma * math.sqrt(n)))
+            records[i, lo:hi] = R[:, n]
+            end_gap[i, lo:hi] = gap[:, n]
+            sup_gap[i, lo:hi] = np.abs(gap).max(axis=1)
+        lo = hi
 
-    discrepancies = {n: [] for n in config.n_grid if 2 * n in config.n_grid}
-    base_law = IncrementLaw.gaussian(0.0, 1.0 / math.sqrt(N))
-    for S in iter_rows(base_law, N, config.seed, paths):
-        lam = {n: local_time_curve_np(S[:, :: N // n]) for n in config.n_grid}
-        for n, found in discrepancies.items():
-            j = np.arange(2 * n + 1)
-            c1 = lam[n][:, j // 2] / gaussian_norming(n)
-            c2 = lam[2 * n] / gaussian_norming(2 * n)
-            found.extend(np.max(np.abs(c1 - c2), axis=1).tolist())
+    band = dkw_epsilon(trials)
+    rows = [["n", "a_n", "record_exact_ks", "dkw_band", "end_gap_mean", "end_gap_exact",
+             "end_gap_z", "sup_gap_share_above_median"]]
+    for i, (n, a_n) in enumerate(zip(grid, a_ns)):
+        p = record_count_law(n)
+        atoms = np.flatnonzero(p)
+        ks = ks_statistic(Sample(records[i]), Sample(atoms, weights=p[atoms]))
+        k = np.arange(1, n + 1, dtype=np.float64)
+        exact = (((2 * n + 1) * float(p[0]) - 1.0) / a_n
+                 - float(np.sum(k ** -0.5)) / math.sqrt(math.pi * n))
+        mean = float(end_gap[i].mean())
+        z = abs(mean - exact) / (float(end_gap[i].std(ddof=1)) / math.sqrt(trials))
+        share = float(np.mean(n ** 0.25 * sup_gap[i] > _SUP_GAP_MEDIAN))
+        rows.append([n, a_n, ks, band, mean, exact, z, share])
 
-    rows = [["n", "n_next", "median_sup_discrepancy"]]
-    series = []
-    for n, found in discrepancies.items():
-        if found:
-            med = float(np.median(found))
-            rows.append([n, 2 * n, med])
-            series.append((n, med))
-    if len(series) < 3:
-        raise ConfigError("need at least three dyadic comparisons for the trend")
-    tr = trend_test(series)
     criteria = [
-        Criterion("median_trend_violations", tr.violations,
-                  config.tolerances["violations"]),
-        Criterion("median_final_over_initial", tr.ratio, config.tolerances["ratio"]),
+        Criterion("record_exact_ks_over_band", max(r[2] / r[3] for r in rows[1:]),
+                  _BAND_RATIO),
+        Criterion("endpoint_gap_z", max(r[6] for r in rows[1:]), _GAP_Z),
+        Criterion("sup_gap_excess_over_band", max((r[7] - 0.5) / r[3] for r in rows[1:]),
+                  _BAND_RATIO),
     ]
     return ExperimentReport(config=config.echo(), criteria=criteria,
-                            tables={"localtime_stability": rows},
-                            notes={"trend": tr.to_json()})
+                            tables={"localtime": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +625,9 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
 # run_meander: the chains against the exact law, the exact law against Rayleigh
 
 
-# the bounds on the chain-vs-exact KS over its DKW band, and on sqrt(n) KS of
-# the exact law from Rayleigh: the lattice step 2 / sqrt(n) times the largest
-# Rayleigh density e^{-1/2}, approached from below (1.2087 at n = 4096)
-_BAND_RATIO = 1.0
+# the bound on sqrt(n) KS of the exact meander law from Rayleigh: the lattice
+# step 2 / sqrt(n) times the largest Rayleigh density e^{-1/2}, approached
+# from below (1.2087 at n = 4096); the chains take _BAND_RATIO
 _LATTICE_KS_BOUND = 2.0 * math.exp(-0.5)
 
 
@@ -623,9 +665,9 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
         ys, ps = np.array([(y, q) for y, p in meander_endpoint_distribution(law, n)
                            .atoms.items() if (q := float(p))]).T
         exact = Sample(ys / math.sqrt(n), weights=ps)
-        rows.append([n, float(surv[n]), ks_statistic(chains, exact).statistic,
+        rows.append([n, float(surv[n]), ks_statistic(chains, exact),
                      dkw_epsilon(chains.effective_size()),
-                     math.sqrt(n) * ks_statistic(exact, rayleigh_cdf).statistic])
+                     math.sqrt(n) * ks_statistic(exact, rayleigh_cdf)])
 
     criteria = [
         Criterion("chain_exact_ks_over_band", max(r[2] / r[3] for r in rows[1:]),
@@ -659,5 +701,5 @@ def run_harmonic(config: ExperimentConfig) -> ExperimentReport:
 
 
 # `fluctwalk converge <name>` runs RUNS[name], which validates against DECLARED[name]
-RUNS = {"theorem1": run_theorem1, "localtime": run_localtime_stability,
+RUNS = {"theorem1": run_theorem1, "localtime": run_localtime,
         "lemma1": run_lemma1, "meander": run_meander, "harmonic": run_harmonic}

@@ -180,12 +180,18 @@ def test_converge_theorem1_small(tmp_path):
 
 def test_converge_localtime_small(tmp_path):
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({
-        "n_grid": [32, 64, 128, 256],
-        "tolerances": {"violations": 2, "ratio": 0.95},
-        "params": {"base_resolution": 2048, "paths": 40}}))
+    cfgfile.write_text(json.dumps({"n_grid": [32, 64, 128, 256], "trials": 300}))
     out = str(tmp_path / "lt")
     assert run(["--config", str(cfgfile), "--out", out, "converge", "localtime"]) == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["config"]["trials"] == 300
+    assert report["config"]["tolerances"] == {} == report["config"]["params"]
+    rows = open(os.path.join(out, "localtime.csv")).read().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["32", "64", "128", "256"]
+
+
+def test_converge_localtime_defaults_pass(tmp_path):
+    assert run(["--out", str(tmp_path), "converge", "localtime"]) == 0
 
 
 def test_converge_lemma1_small(tmp_path):
@@ -405,7 +411,7 @@ def test_malformed_n_grid_is_a_usage_error(tmp_path, capsys):
     (["verify", "idloc"], "gausian_paths"),
     (["converge", "theorem1"], "n_gird"),
     (["converge", "harmonic"], "trials"),
-    (["converge", "localtime"], "trials"),
+    (["simulate"], "trials"),
     (["converge", "lemma1"], "trials"),
     (["converge", "theorem1"], "params.tail_table"),
     (["verify", "idloc"], "max_length"),

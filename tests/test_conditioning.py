@@ -15,7 +15,6 @@ from fluctwalk.increments import IncrementLaw, _rng, derive_seed, sample_walk
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
 from fluctwalk.scaling import _split_at_zero, required_truncation
-from fluctwalk.stats import dkw_epsilon
 from fluctwalk.transforms import tanaka_transform
 
 F = Fraction
@@ -114,7 +113,7 @@ def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, 
                          ids=["fair", "biased", "uniform3"])
 def test_conditioned_states_endpoint_law_in_dkw_band(law):
     trials = 20_000
-    eps = dkw_epsilon(trials, confidence=0.999)
+    eps = math.sqrt(math.log(2000) / (2 * trials))  # the DKW half-width at 0.999
     for k, x in enumerate(conditioned_states(law, 8, trials, 31), start=1):
         exact = hchain_endpoint_distribution(law, k).atoms
         cum = np.cumsum([float(exact[y]) for y in sorted(exact)])

@@ -7,11 +7,11 @@ import pytest
 
 from fluctwalk.errors import ConfigError, HypothesisViolationError
 from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
-                                   first_passage_heights, gaussian_norming,
-                                   pm1_t1_tail, run_harmonic, run_lemma1,
-                                   run_localtime_stability, run_meander,
-                                   run_theorem1,
+                                   first_passage_heights, pm1_t1_tail,
+                                   record_count_law, run_harmonic, run_lemma1,
+                                   run_localtime, run_meander, run_theorem1,
                                    sample_ladder_times, universal_t1_tail)
+from fluctwalk.fluctuation import local_time_curve_np
 from fluctwalk.increments import IncrementLaw, _rng
 from fluctwalk.limit_laws import levy_half_cdf, rayleigh_cdf
 from fluctwalk.scaling import check_bilateral, norming_constant, positivity_rule
@@ -42,7 +42,7 @@ def test_config_validation():
     (run_theorem1, "params", "resample"),
     (run_meander, "tolerances", "resample"),
     (run_lemma1, "params", "windw_mult"),
-    (run_localtime_stability, "tolerances", "resample"),
+    (run_localtime, "tolerances", "resample"),
     (run_harmonic, "tolerances", "product_rell"),
 ])
 def test_unknown_config_keys_rejected(run, kind, key):
@@ -124,12 +124,6 @@ def test_first_passage_heights_gaussian_mean():
     assert cens < 0.02
 
 
-def test_gaussian_norming_closed_form():
-    rule = positivity_rule(GAUSS)
-    for n in (16, 256, 4096):
-        assert gaussian_norming(n) == pytest.approx(norming_constant(rule, [n])[0])
-
-
 def test_run_theorem1_small_gaussian():
     c = cfg("theorem1", GAUSS, [64, 256], trials=400,
             tolerances={"ks": 0.2, "height_mean": 0.2, "height_sd": 0.5},
@@ -182,29 +176,127 @@ def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
         run_theorem1(c)
 
 
+def test_windowed_route_targets_the_law_conditioned_on_its_window(monkeypatch):
+    # the route keeps only pairs with T <= 64 n, so its target is the limit
+    # CDF over its value at 64.  Pairs drawn exactly from that conditioned
+    # law sit inside the DKW band; against the unconditioned CDF their KS
+    # distance would be P(tau > 64) = 0.0704
+    from scipy.special import erfcinv
+    from fluctwalk import experiments
+    from fluctwalk.stats import dkw_epsilon
+    trials, n = 4000, 64
+    u = _rng(5).random(trials) * levy_half_cdf(64.0)
+    s = 1.0 / (4.0 * erfcinv(u) ** 2)
+    monkeypatch.setattr(experiments, "windowed_ladder_pairs",
+                        lambda law, n, block, count, seed, mult: (n * s, np.ones(count), 0.0))
+    rep = run_theorem1(cfg("theorem1", IncrementLaw.uniform3(), [n], trials=trials))
+    ks = rep.tables["theorem1"][1][2]
+    assert ks <= dkw_epsilon(trials) < 1 - levy_half_cdf(64.0)
+    assert ks_statistic(Sample(s), levy_half_cdf) > 0.07
+
+
 def test_run_theorem1_reports_are_byte_identical():
     c1 = cfg("theorem1", GAUSS, [64], trials=200, params={"height_cap": 5_000})
     c2 = cfg("theorem1", GAUSS, [64], trials=200, params={"height_cap": 5_000})
     assert run_theorem1(c1).to_json() == run_theorem1(c2).to_json()
 
 
-def test_run_localtime_stability_small():
-    c = cfg("localtime", GAUSS, [2 ** q for q in range(5, 10)], trials=None,
-            tolerances={"violations": 2, "ratio": 0.9},
-            params={"base_resolution": 2 ** 12, "paths": 60})
-    rep = run_localtime_stability(c)
-    meds = [r[2] for r in rep.tables["localtime_stability"][1:]]
-    assert meds[-1] < meds[0]
+def _fraction_record_law(n):
+    # P(R_n = r) = sum_j P(T_r = j) P(T_1 > n - j): the r-th strict ladder
+    # epoch T_r is a sum of r independent first-ascent times, whose tail is
+    # P(T_1 > k) = C(2k, k) 4^-k on a symmetric walk without ties
+    tail = [Fraction(math.comb(2 * k, k), 4 ** k) for k in range(n + 1)]
+    first = [Fraction(0)] + [tail[k - 1] - tail[k] for k in range(1, n + 1)]
+    t_r = [Fraction(1)] + [Fraction(0)] * n          # law of T_0 = 0
+    law = []
+    for _ in range(n + 1):
+        law.append(sum(t_r[j] * tail[n - j] for j in range(n + 1)))
+        t_r = [sum(t_r[i] * first[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    return law
+
+
+def test_record_count_law_matches_the_renewal_route():
+    # float law within its a-priori bound: C(2n, n) / 4^n rounds once, and
+    # each of the r steps rounds the ratio and the product once
+    for n in range(1, 13):
+        exact = _fraction_record_law(n)
+        p = record_count_law(n)
+        assert len(p) == n + 1 and sum(exact) == 1
+        for r in range(n + 1):
+            assert abs(Fraction(p[r]) - exact[r]) <= exact[r] * (2 * r + 2) * Fraction(1, 2 ** 53)
+        assert exact[n] == Fraction(1, 2 ** n)
+        mean = sum(r * q for r, q in enumerate(exact))
+        assert mean == Fraction((2 * n + 1) * math.comb(2 * n, n), 4 ** n) - 1
+        assert mean == sum(Fraction(math.comb(2 * k, k), 4 ** k) for k in range(1, n + 1))
+
+
+def test_sup_gap_median_is_the_limit_law_median():
+    # the median of sqrt(v) (sqrt(2) |N|)^(1/2) K, K = sup_{t<=1} |B_t|,
+    # from the series of P(K <= x) (theta form below 1, its reflection form
+    # from 1 on; the two agree to 1e-15 there) integrated against |N|
+    import mpmath
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+    from scipy.special import erfc
+    from fluctwalk.experiments import _SUP_GAP_MEDIAN
+
+    rho = -float(mpmath.zeta(0.5)) / math.sqrt(2 * math.pi)
+    v = 2 * math.sqrt(2) * rho - 1
+    assert v == pytest.approx(0.647834, abs=1e-6)
+
+    def k_cdf(x):
+        if x < 1:
+            return 4 / math.pi * sum((-1) ** j / (2 * j + 1)
+                                     * math.exp(-(2 * j + 1) ** 2 * math.pi ** 2 / (8 * x * x))
+                                     for j in range(20))
+        return 1 - 2 * sum((-1) ** j * erfc((2 * j + 1) * x / math.sqrt(2)) for j in range(20))
+
+    def z_cdf(z):
+        def f(u):
+            return (math.sqrt(2 / math.pi) * math.exp(-u * u / 2)
+                    * k_cdf(z / math.sqrt(v * math.sqrt(2) * u)))
+        return quad(f, 0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    median = brentq(lambda z: z_cdf(z) - 0.5, 0.5, 1.5, xtol=1e-12)
+    assert median == pytest.approx(_SUP_GAP_MEDIAN, abs=1e-7)
+
+
+def test_run_localtime_small():
+    rep = run_localtime(cfg("localtime", GAUSS, [16, 64, 256], trials=400))
     assert rep.passed
+    assert [c.cid for c in rep.criteria] == ["record_exact_ks_over_band", "endpoint_gap_z",
+                                             "sup_gap_excess_over_band"]
+    rows = rep.tables["localtime"]
+    assert [r[0] for r in rows[1:]] == [16, 64, 256]
+    assert [r[1] for r in rows[1:]] == norming_constant(positivity_rule(GAUSS), [16, 64, 256])
+    # any sigma: the gaps are in units of sigma, the record counts unscaled
+    wide = run_localtime(cfg("localtime", IncrementLaw.gaussian(0.0, 3.0), [16, 64, 256],
+                             trials=400))
+    assert [r[2] for r in wide.tables["localtime"][1:]] == [r[2] for r in rows[1:]]
+    assert wide.passed
 
 
-def test_run_localtime_stability_rejects_bad_grids():
-    with pytest.raises(ConfigError):
-        run_localtime_stability(cfg("lt", GAUSS, [48, 96, 192], trials=None,
-                                    params={"base_resolution": 2 ** 12, "paths": 8}))
-    with pytest.raises(ConfigError):
-        run_localtime_stability(cfg("lt", FAIR, [32, 64, 128], trials=None,
-                                    params={"base_resolution": 2 ** 12, "paths": 8}))
+def test_run_localtime_takes_any_increasing_grid_and_only_a_centred_gaussian():
+    rep = run_localtime(cfg("localtime", GAUSS, [48, 96, 100, 192], trials=200))
+    assert [r[0] for r in rep.tables["localtime"][1:]] == [48, 96, 100, 192]
+    for law in (FAIR, IncrementLaw.gaussian(0.5)):
+        with pytest.raises(ConfigError, match="centred Gaussian"):
+            run_localtime(cfg("localtime", law, [32, 64], trials=200))
+
+
+@pytest.mark.parametrize("mutation,failing", [
+    (lambda R: R + 1, {"record_exact_ks_over_band", "endpoint_gap_z"}),
+    (lambda R: R / 1.05, {"record_exact_ks_over_band", "endpoint_gap_z"}),
+], ids=["index0-counted", "an-times-1.05"])
+def test_localtime_checks_fail_on_mutated_counts(monkeypatch, mutation, failing):
+    # negative controls at the CLI defaults: counting index 0 as a record,
+    # and record counts over 1.05 (a_n 5 % too large in the gap only)
+    from fluctwalk import experiments
+    monkeypatch.setattr(experiments, "local_time_curve_np",
+                        lambda S, variant: mutation(local_time_curve_np(S, variant)))
+    rep = run_localtime(cfg("localtime", GAUSS, [2 ** q for q in range(6, 11)],
+                            trials=2000, seed=20240808))
+    assert {c.cid for c in rep.criteria if not c.passed} == failing
 
 
 def test_run_lemma1_gaussian_small():
@@ -298,15 +390,15 @@ def test_joint_records_marginals_against_limits():
     rec_up = ((np.diff(S, axis=1) > 0) & (S[:, 1:] == M[:, 1:])).sum(axis=1)
     Mn = np.maximum.accumulate(-S, axis=1)
     rec_dn = ((np.diff(-S, axis=1) > 0) & (-S[:, 1:] == Mn[:, 1:])).sum(axis=1)
-    a = gaussian_norming(n)
+    a = norming_constant(positivity_rule(GAUSS), [n])[0]
     from scipy.special import erf
     # endpoint ~ standard normal
     d1 = ks_statistic(Sample(S[:, -1]),
-                      lambda x: 0.5 * (1 + erf(x / math.sqrt(2)))).statistic
+                      lambda x: 0.5 * (1 + erf(x / math.sqrt(2))))
     # normalized record counts ~ sqrt(2) |endpoint| in law
     half_normal = lambda x: erf(np.maximum(x, 0) / math.sqrt(2) / math.sqrt(2))
-    d2 = ks_statistic(Sample(rec_up / a), lambda x: half_normal(x * 1.0)).statistic
-    d3 = ks_statistic(Sample(rec_dn / a), lambda x: half_normal(x * 1.0)).statistic
+    d2 = ks_statistic(Sample(rec_up / a), lambda x: half_normal(x * 1.0))
+    d3 = ks_statistic(Sample(rec_dn / a), lambda x: half_normal(x * 1.0))
     assert d1 < 0.05
     assert d2 < 0.08 and d3 < 0.08
 
@@ -320,15 +412,16 @@ def test_quadrivariate_ladder_marginals_stable_across_n():
     trials = 3_000
     prev = None
     dists = []
-    for n in (64, 256, 1024):
-        a = int(gaussian_norming(n))
+    for n, a_n in zip((64, 256, 1024), norming_constant(positivity_rule(GAUSS),
+                                                        [64, 256, 1024])):
+        a = int(a_n)
         T = sample_ladder_times(rng, (trials, a), tail, 1.0).sum(axis=1) / n
         cur = Sample(T)
         if prev is not None:
-            dists.append(ks_statistic(prev, cur).statistic)
+            dists.append(ks_statistic(prev, cur))
         prev = cur
     assert dists[-1] < 0.08
-    d_limit = ks_statistic(prev, levy_half_cdf).statistic
+    d_limit = ks_statistic(prev, levy_half_cdf)
     assert d_limit < 0.05
 
 

@@ -76,7 +76,7 @@ def test_empirical_frequencies_within_dkw_band_of_oracle():
     ends = np.array([sample_walk(law, 6, derive_seed(5150, t)).values[-1]
                      for t in range(n)])
     emp = np.array([(ends <= x).mean() for x in xs])
-    assert np.max(np.abs(emp - cdf_exact)) <= dkw_epsilon(n, 0.99)
+    assert np.max(np.abs(emp - cdf_exact)) <= dkw_epsilon(n)
 
 
 ZERO_ATOM = IncrementLaw.lattice([-1, 0, 2], [F(2, 5), 0, F(3, 5)],
