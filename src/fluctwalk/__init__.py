@@ -10,7 +10,7 @@ limit targets.
 from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk
 from .fluctuation import last_max_index, local_time_strict, local_time_verbatim
 from .transforms import future_min_local_time, tanaka_transform
-from .scaling import FristedtReport, fristedt_residual, norming_constant
+from .scaling import FristedtReport, fristedt_residual, norming_constant, wiener_hopf_factor
 from .conditioning import (SurvivalEstimate, conditioned_states, harmonic_limits,
                            meander_sample, meander_weights, renewal_function,
                            survival_probability)

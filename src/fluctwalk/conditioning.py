@@ -27,8 +27,8 @@ batch by rejection from the walk's own trials, on any law.  The chains of
 (:func:`meander_weights`, the one place that knows this weight) have
 exactly the meander law, path by path on lattices; they reach the large
 horizons.  :func:`meander_endpoint_distribution` is the exact endpoint law
-on lattices: ``converge meander`` checks the weighted chains against it at
-each horizon, and it against the Rayleigh limit.
+on lattices and :func:`meander_endpoint_floats` that law in float: ``converge
+meander`` checks the chains against the float law, and it against Rayleigh.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (BudgetError, DegenerateStateError, ParameterError,
                      UnsupportedModeError)
 from .increments import IncrementLaw, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
-from .scaling import check_bilateral, norming_constant, positivity_rule
+from .scaling import check_bilateral, norming_constant
 
 __all__ = [
     "renewal_function",
@@ -57,6 +57,7 @@ __all__ = [
     "survival_probability",
     "survival_sequence",
     "meander_endpoint_distribution",
+    "meander_endpoint_floats",
     "hchain_path_distribution",
     "hchain_endpoint_distribution",
     "HarmonicReport",
@@ -231,6 +232,26 @@ def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistributio
     return dist
 
 
+def meander_endpoint_floats(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, tuple]:
+    """{k: (P(C_k), levels, probabilities)} of the k-step meander endpoint
+    law for every k in ks, in float off one level sweep to the largest k.
+
+    The levels are those >= 0 with a float weight other than 0.  All weights
+    are nonnegative, so with r atoms and L levels summed, P(C_k) is within
+    relative (r + 1) k u + (L - 1) u of its exact value and each probability
+    within 2 (r + 1) k u + L u (u = 2**-53), plus at most L 2**-1074 of
+    underflow.  :func:`meander_endpoint_distribution` is the exact law.
+    """
+    wanted = {int(k) for k in ks}
+    out = {}
+    for k, lo, w, _ in lattice_sweep(law, max(wanted), keep=+1, exact=False):
+        if k in wanted:
+            w = w[max(0, -lo):]
+            live = np.flatnonzero(w)
+            out[k] = (float(w.sum()), max(0, lo) + live, w[live] / w.sum())
+    return out
+
+
 def survival_probability(law: IncrementLaw, k: int, mode: str = "exact",
                          budget: int = 200_000, seed: int = 0) -> SurvivalEstimate:
     """P(C_k) = P(S_1 >= 0, ..., S_k >= 0), exact (lattice) or Monte Carlo."""
@@ -375,19 +396,12 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
                     n_grid: Sequence[int]) -> HarmonicReport:
     """Track a_hat_n P(C_n) and P(C_n) V_n(x) across n.
 
-    Lattice route: survival P(C_n) by the float form of the level sweep
-    (:func:`~fluctwalk.oracle.lattice_sweep` with ``exact=False``), V by
-    the skip-free closed form evaluated at x / c_n with c_n =
-    1 / (sigma sqrt(n)), and a_hat_n from the positivity rule of -S
-    (:func:`~fluctwalk.scaling.positivity_rule`): closed on the simple
-    symmetric walk, one float sweep for the whole grid, within that rule's
-    stated bound, on every other law.
-
-    The survival numbers carry an a-priori bound, not a certificate: every
-    level weight is nonnegative, so with r atoms P(C_n) is within relative
-    (r + 1) n u + (L - 1) u of the exact value (u = 2**-53, L <= n * max
-    up-step + 1 levels summed), below 4e-12 on the fair walk at n = 8192.
-    The exact Fractions remain :func:`survival_sequence`'s.
+    Lattice route: survival P(C_n) by the float level sweep
+    (:func:`meander_endpoint_floats`), V by the skip-free closed form
+    evaluated at x / c_n with c_n = 1 / (sigma sqrt(n)), and a_hat_n, the
+    norming constant of -S, from the Wiener-Hopf roots of -X
+    (:func:`~fluctwalk.scaling.norming_constant`), each with its stated
+    bound, not a certificate (P(C_n) within 4e-12 on fair +-1 at n = 8192).
 
     Laws without sign changes are rejected: without descents the descending
     ladder structure the limits describe does not exist.
@@ -400,15 +414,10 @@ def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
     check_bilateral(law)
     sigma = law.sigma()
 
-    # a_hat_n is the norming constant of -S: its positivity is P(S_k < 0)
-    rule = positivity_rule(IncrementLaw.lattice([-s for s in law.support], law.probs))
-    a_hat = norming_constant(rule, n_grid)
-
-    # P(C_n) is read only as a float: the float form of the level sweep
-    wanted = set(n_grid)
-    p_surv = [float(w[max(0, -lo):].sum() / D ** k)
-              for k, lo, w, D in lattice_sweep(law, n_grid[-1], keep=+1, exact=False)
-              if k in wanted]
+    negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
+    a_hat = norming_constant(negated, n_grid)
+    floats = meander_endpoint_floats(law, n_grid)
+    p_surv = [floats[n][0] for n in n_grid]
     product = [a * p for a, p in zip(a_hat, p_surv)]
 
     V = renewal_function(law)

@@ -1,16 +1,14 @@
-"""Norming constants, positivity probabilities and the ladder-pair identity.
+"""Norming constants, the Wiener-Hopf factor and the ladder-pair identity.
 
 The scale that turns record counts into a convergent local time is
 
-    a_n = exp( sum_{k>=1} k^{-1} e^{-k/n} P(S_k > 0) ),
+    a_n = exp( sum_{k>=1} k^{-1} e^{-k/n} P(S_k > 0) ) = 1 / (1 - E e^{-T_1/n}),
 
-an infinite sum truncated here at a K chosen from the analytic tail bound
-sum_{k>K} k^{-1} e^{-k/n} <= (n/K) e^{-K/n}, never at a fixed constant.
-Strict positivity P(S_k > 0) is used exactly as written; the weak version is
-not substituted even on lattices.  :func:`positivity_rule` is the one source
-of P(S_k > 0): a closed form for the simple symmetric walk and symmetric
-diffuse laws, the float level sweep with its stated error bound for every
-other lattice law.
+with T_1 the first strict ascent epoch (Sparre Andersen).  Strict
+positivity is used exactly as written, even on lattices.
+:func:`norming_constant` reads a_n in closed form on symmetric diffuse
+laws, where P(S_k > 0) = 1/2, and on lattice laws from the Wiener-Hopf
+roots of :func:`wiener_hopf_factor`, so no series is summed or truncated.
 
 The module also evaluates both sides of the first-ladder-pair identity
 
@@ -25,105 +23,95 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (HypothesisViolationError, ParameterError, UnboundedTailError,
                      UnsupportedModeError)
 from .increments import IncrementLaw
-from .oracle import lattice_sweep
+from .oracle import integer_law, lattice_sweep
 
 __all__ = [
     "norming_constant",
-    "required_truncation",
-    "positivity_rule",
+    "wiener_hopf_factor",
     "check_bilateral",
     "FristedtReport",
     "fristedt_residual",
 ]
 
 
-# relative tail bound of every a_n sum
-_REL_TOL = 1e-9
+def wiener_hopf_factor(law: IncrementLaw, s: float, z: float) -> Tuple[float, float]:
+    """(value, bound): 1 - E(s^{T_1} z^{H_1}) on a lattice law, within
+    relative ``bound`` of ``value``, at the floats 0 < s < 1, -1 <= z <= 1.
+
+    T_1 is the first strict ascent epoch and H_1 = S_{T_1} in lattice units.
+    For integer steps in [-d, u] the factor is prod_j (1 - z / zeta_j) over
+    the u roots outside the unit circle of z^d (1 - s E z^X), which has d
+    roots inside and none on it (Spitzer; Feller Vol. II, XII; Rouche); a
+    law that never steps up gives 1.  The roots are taken as w = zeta - 1,
+    by np.roots and two Newton steps, on Q(w) = (1 + w)^d (1 - s E (1 + w)^X)
+    of degree m = u + d.  Its coefficients C(d, k) (1 - s) - s B_k / D, with
+    probabilities a_j / D and the integer B_k = sum_j a_j (C(j + d, k) -
+    C(d, k)), do not cancel as s -> 1, so the root near 1 keeps its relative
+    accuracy (in z it would lose a factor 1 / (1 - s)).  Q'/Q = sum_i
+    1 / (w - w_i), so a root of Q lies within rho = m |Q(w)| / |Q'(w)| of
+    each w, with |Q| raised and |Q'| lowered by 8 (m + 1) eps times their
+    sums over |q_k| |w|^k for rounding (eps = 2**-53).  The u discs must be
+    disjoint and outside the circle, else a ParameterError.  Then
+    bound = prod_j (1 + (rho_j + e_j) / |zeta_j - z|)
+    (1 + rho_j / (|zeta_j| - rho_j)) (1 + 6 eps) - 1, with
+    e_j = eps (|1 - z| + |w_j|) for rounding zeta_j - z; below 2e-12 on
+    the laws of the tests for s = e^{-1/n}, n <= 2^20.
+    """
+    if law.kind != "lattice":
+        raise UnsupportedModeError("the Wiener-Hopf factor is computed for lattice laws")
+    if not (0 < s < 1 and -1 <= z <= 1):
+        raise ParameterError("need 0 < s < 1 and -1 <= z <= 1")
+    _, live, D = integer_law(law)
+    d = max(0, -min(j for _, j, _ in live))
+    u = max(0, max(j for _, j, _ in live))
+    if u == 0:
+        return 1.0, 0.0
+    m, eps = u + d, 2.0 ** -53
+    B = [sum(a * (math.comb(j + d, k) - math.comb(d, k)) for _, j, a in live)
+         for k in range(m, -1, -1)]
+    q = np.array([math.comb(d, m - i) * (1 - s) - s * (b / D) for i, b in enumerate(B)])
+    size = np.array([math.comb(d, m - i) * (1 - s) + s * abs(b / D) for i, b in enumerate(B)])
+    dq = np.polyder(q)
+    w = np.roots(q).astype(complex)
+    for _ in range(2):
+        w = w - np.polyval(q, w) / np.polyval(dq, w)
+    w = w[np.abs(1 + w) > 1]
+    slack = 8 * (m + 1) * eps
+    rho = m * ((np.abs(np.polyval(q, w)) + slack * np.polyval(size, np.abs(w)))
+               / (np.abs(np.polyval(dq, w)) - slack * np.polyval(np.polyder(size), np.abs(w))))
+    zeta = 1 + w
+    apart = np.abs(w[:, None] - w[None, :]) > rho[:, None] + rho[None, :]
+    np.fill_diagonal(apart, True)
+    if len(w) != u or not (np.all(rho >= 0) and np.all(np.abs(zeta) - rho > 1) and apart.all()):
+        raise ParameterError(f"the outer roots of 1 - s E z^X are not separated at s = {s!r}")
+    grow = ((1 + (rho + eps * (abs(1 - z) + np.abs(w))) / np.abs(zeta - z))
+            * (1 + rho / (np.abs(zeta) - rho)) * (1 + 6 * eps))
+    return float(np.prod((1 - z + w) / zeta).real), float(np.prod(grow) - 1)
 
 
-def required_truncation(n: int) -> int:
-    """Smallest K with (n/K) e^{-K/n} <= 1e-9 (tail bound of the a_n sum)."""
-    K = max(1, int(n))
-    while (n / K) * math.exp(-K / n) > _REL_TOL:
-        K *= 2
-    lo, hi = K // 2, K
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if (n / mid) * math.exp(-mid / n) <= _REL_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def norming_constant(rule, n_grid: Sequence[int]) -> List[float]:
+def norming_constant(law: IncrementLaw, n_grid: Sequence[int]) -> List[float]:
     """a_n = exp(sum k^{-1} e^{-k/n} P(S_k > 0)) for every n of ``n_grid``.
 
-    ``rule`` is a :func:`positivity_rule` (a map from the int64 array of k
-    to the array of P(S_k > 0)), called once out to the largest truncation;
-    each a_n sums its own prefix, truncated by the tail bound, so it is the
-    same number bit for bit whatever else the grid holds.  The companion
-    constant for -S is the same call with P(S_k < 0).
+    Lattice laws: 1 / (1 - E s^{T_1}) at s = e^{-1/n}, within relative the
+    bound of :func:`wiener_hopf_factor` plus (n + 1) 2**-53 for rounding s.
+    Symmetric diffuse laws: (1 - e^{-1/n})^{-1/2}, as P(S_k > 0) = 1/2.
+    Other laws raise an UnsupportedModeError.  Each a_n is computed on its
+    own; the constant a_hat_n of -S is the same call on the negated law.
     """
     if not n_grid or min(n_grid) < 1:
         raise ParameterError("n must be a positive integer")
-    truncations = [required_truncation(n) for n in n_grid]
-    p = np.asarray(rule(np.arange(1, max(truncations) + 1)), dtype=np.float64)
-    if np.any((p < 0) | (p > 1)):
-        raise ParameterError("positivity probabilities must lie in [0, 1]")
-    out = []
-    for n, K in zip(n_grid, truncations):
-        ks = np.arange(1, K + 1, dtype=np.float64)
-        out.append(float(math.exp(np.sum(np.exp(-ks / n) / ks * p[:K]))))
-    return out
-
-
-def positivity_rule(law: IncrementLaw):
-    """Rule k -> P(S_k > 0) on int64 arrays of k; None off the lattice.
-
-    Symmetric diffuse laws give 1/2 identically.  The simple symmetric walk
-    gives 1/2 at odd k and (1 - C(k, k/2) 2^{-k})/2 at even k.  Both laws
-    are symmetric, so their rule is also k -> P(S_k < 0).  Every other
-    lattice law reads the levels above 0 of one float level sweep
-    (:func:`~fluctwalk.oracle.lattice_sweep` with ``exact=False``) out to
-    the largest k asked for.  With r atoms, each such P(S_k > 0) is within
-    relative (r + 1) k u + (L - 1) u of the exact value (u = 2**-53, L the
-    number of levels above 0 summed), plus at most L 2**-1074 from
-    underflow; a value that rounding lifts past 1 reads 1.  The sweep costs
-    K steps of r vector updates over up to K * span + 1 levels, about
-    r * span * K**2 / 2 operations for K = max k and span the largest step
-    minus the smallest.  Laws off the lattice without a closed form give
-    None.
-    """
+    if law.kind == "lattice":
+        return [1.0 / wiener_hopf_factor(law, math.exp(-1.0 / n), 1.0)[0] for n in n_grid]
     if law.is_diffuse() and law.is_symmetric():
-        return lambda ks: np.full(ks.shape, 0.5)
-    if law.kind != "lattice":
-        return None
-    if not law.is_simple_symmetric():
-        def swept(ks):
-            p = np.empty(int(ks.max()))
-            for k, lo, w, _ in lattice_sweep(law, len(p), exact=False):
-                p[k - 1] = w[max(0, 1 - lo):].sum()
-            return np.minimum(p, 1.0)[ks - 1]
-        return swept
-
-    def rule(ks):
-        out = np.full(ks.shape, 0.5)
-        ev = ks % 2 == 0
-        ke = ks[ev].astype(np.float64)
-        # log C(k, k/2) 2^-k via lgamma
-        lg = (np.vectorize(math.lgamma)(ke + 1)
-              - 2 * np.vectorize(math.lgamma)(ke / 2 + 1) - ke * math.log(2))
-        out[ev] = 0.5 - 0.5 * np.exp(lg)
-        return out
-    return rule
+        return [(-math.expm1(-1.0 / n)) ** -0.5 for n in n_grid]
+    raise UnsupportedModeError(f"no norming constant for law {law.description or law.kind!r}")
 
 
 def check_bilateral(law: IncrementLaw) -> None:

@@ -7,14 +7,14 @@ import pytest
 from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_endpoint_distribution,
-                                    meander_sample, meander_weights, renewal_function, survival_probability,
+                                    meander_endpoint_floats, meander_sample, meander_weights, renewal_function, survival_probability,
                                     survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed, sample_walk
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
-from fluctwalk.scaling import _split_at_zero, required_truncation
+from fluctwalk.scaling import _split_at_zero, wiener_hopf_factor
 from fluctwalk.transforms import tanaka_transform
 
 F = Fraction
@@ -259,6 +259,28 @@ def test_meander_endpoint_distribution_matches_enumeration():
     assert meander_endpoint_distribution(FAIR, 2).atoms == {0: F(1, 2), 2: F(1, 2)}
 
 
+@pytest.mark.parametrize("law", [FAIR, IncrementLaw.uniform3(),
+                                 IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)])],
+                         ids=["fair", "uniform3", "skip-up"])
+def test_float_meander_law_within_its_bound_of_the_exact_law(law):
+    # one float sweep for the grid: P(C_n) within (r + 1) n u + (L - 1) u and
+    # each endpoint probability within 2 (r + 1) n u + L u of the exact law,
+    # with r atoms and L <= n * max step + 1 levels; nothing underflows here
+    grid = [1, 7, 64, 256]
+    u, r, top = 2.0 ** -53, len(law.support), max(law.lattice_integer_form()[1])
+    floats = meander_endpoint_floats(law, grid)
+    surv = survival_sequence(law, grid)
+    assert sorted(floats) == grid
+    for n in grid:
+        p, levels, probs = floats[n]
+        L = n * top + 1
+        assert abs(F(p) - surv[n]) <= ((r + 1) * n * u + (L - 1) * u) * surv[n]
+        exact = meander_endpoint_distribution(law, n).atoms
+        assert levels.tolist() == sorted(exact)
+        for x, q in zip(levels.tolist(), probs):
+            assert abs(F(q) - exact[x]) <= (2 * (r + 1) * n * u + L * u) * exact[x]
+
+
 def test_exact_meander_endpoint_approaches_limit_law():
     # sup-distance of the exact scaled endpoint staircase to its limit CDF
     # shrinks as the horizon doubles (the cross-check behind the Monte Carlo
@@ -310,20 +332,38 @@ def test_harmonic_survival_is_the_central_binomial_within_the_float_bound():
 
 
 def test_harmonic_limits_norming_on_a_law_without_closed_form():
-    # {-1, +2} has no closed positivity rule: a_hat_n, the constant of -S,
-    # comes from the float sweep and matches the sum over the exact
-    # P(S_k < 0); n = 256 needs positivity out to K = 4568
+    # {-1, +2} has no closed form: a_hat_n, the constant of -S, is read off
+    # the Wiener-Hopf roots of -X.  log a_hat_n lies above the sum over the
+    # exact P(S_k < 0) out to K = 1152 by at most the tail
+    # sum_{k>K} e^{-k/n} / k <= e^{-(K+1)/n} / ((K + 1)(1 - e^{-1/n})), plus
+    # rounding
     law = IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)])
     negated = IncrementLaw.lattice([1, -2], [F(2, 3), F(1, 3)])
-    grid = [16, 32, 64]
+    grid, K = [16, 32, 64], 1152
     exact = [F(int(above.sum()), Dk) for _, Dk, _, above, _ in
-             _split_at_zero(negated, required_truncation(grid[-1]), keep=0)]
+             _split_at_zero(negated, K, keep=0)]
     rep = harmonic_limits(law, [1.0], grid)
     for n, a in zip(grid, rep.a_hat):
-        ks = range(1, required_truncation(n) + 1)
-        a_exact = math.exp(math.fsum(math.exp(-k / n) / k * float(exact[k - 1]) for k in ks))
-        assert a == pytest.approx(a_exact, rel=1e-12)
+        assert a == 1 / wiener_hopf_factor(negated, math.exp(-1 / n), 1.0)[0]
+        partial = math.fsum(math.exp(-k / n) / k * float(exact[k - 1]) for k in range(1, K + 1))
+        tail = math.exp(-(K + 1) / n) / ((K + 1) * -math.expm1(-1 / n))
+        assert -1e-14 <= math.log(a) - partial <= tail + 1e-14
     assert harmonic_limits(law, [1.0], [256]).a_hat[0] > rep.a_hat[-1]
+
+
+def test_harmonic_limits_reach_n_8192_on_uniform3():
+    # the roots serve every n at once: uniform3 out to n = 8192, where a
+    # positivity sweep would run to 144 000 steps.  sqrt(n) (a_hat_n P(C_n) /
+    # P(tau > 1) - 1) rises across the grid (0.8047 at n = 64, 0.8611 at
+    # 8192) and stays below 1 / (sigma sqrt 2) = 0.866
+    law = IncrementLaw.uniform3()
+    grid = [2 ** q for q in range(6, 14)]
+    rep = harmonic_limits(law, [1.0], grid)
+    assert rep.a_hat == [1 / wiener_hopf_factor(law, math.exp(-1 / n), 1.0)[0] for n in grid]
+    scaled = [math.sqrt(n) * (p / half_stable_tau_tail(1.0) - 1)
+              for n, p in zip(grid, rep.product)]
+    assert all(b > a for a, b in zip(scaled, scaled[1:]))
+    assert 0.80 < scaled[0] and scaled[-1] < 1 / (law.sigma() * math.sqrt(2))
 
 
 def test_harmonic_limits_product_tracks_target():

@@ -14,7 +14,7 @@ from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
 from fluctwalk.fluctuation import local_time_curve_np
 from fluctwalk.increments import IncrementLaw, _rng
 from fluctwalk.limit_laws import levy_half_cdf, rayleigh_cdf
-from fluctwalk.scaling import check_bilateral, norming_constant, positivity_rule
+from fluctwalk.scaling import check_bilateral, norming_constant
 from fluctwalk.stats import Sample, ks_statistic
 
 GAUSS = IncrementLaw.gaussian()
@@ -155,11 +155,11 @@ def test_run_theorem1_windowed_route_for_general_lattice():
     by_id = {x.cid: x.value for x in rep.criteria}
     assert by_id["ladder_time_ks"] < 0.15
     # a_n draws no random numbers: the same at another seed, and the
-    # positivity rule's constant
+    # Wiener-Hopf constant
     other = run_theorem1(cfg("theorem1", law, [64, 128], trials=400, seed=8))
     a_n = [row[1] for row in rep.tables["theorem1"][1:]]
     assert a_n == [row[1] for row in other.tables["theorem1"][1:]]
-    assert a_n == norming_constant(positivity_rule(law), [64, 128])
+    assert a_n == norming_constant(law, [64, 128])
 
 
 def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
@@ -268,7 +268,7 @@ def test_run_localtime_small():
                                              "sup_gap_excess_over_band"]
     rows = rep.tables["localtime"]
     assert [r[0] for r in rows[1:]] == [16, 64, 256]
-    assert [r[1] for r in rows[1:]] == norming_constant(positivity_rule(GAUSS), [16, 64, 256])
+    assert [r[1] for r in rows[1:]] == norming_constant(GAUSS, [16, 64, 256])
     # any sigma: the gaps are in units of sigma, the record counts unscaled
     wide = run_localtime(cfg("localtime", IncrementLaw.gaussian(0.0, 3.0), [16, 64, 256],
                              trials=400))
@@ -390,7 +390,7 @@ def test_joint_records_marginals_against_limits():
     rec_up = ((np.diff(S, axis=1) > 0) & (S[:, 1:] == M[:, 1:])).sum(axis=1)
     Mn = np.maximum.accumulate(-S, axis=1)
     rec_dn = ((np.diff(-S, axis=1) > 0) & (-S[:, 1:] == Mn[:, 1:])).sum(axis=1)
-    a = norming_constant(positivity_rule(GAUSS), [n])[0]
+    a = norming_constant(GAUSS, [n])[0]
     from scipy.special import erf
     # endpoint ~ standard normal
     d1 = ks_statistic(Sample(S[:, -1]),
@@ -412,8 +412,7 @@ def test_quadrivariate_ladder_marginals_stable_across_n():
     trials = 3_000
     prev = None
     dists = []
-    for n, a_n in zip((64, 256, 1024), norming_constant(positivity_rule(GAUSS),
-                                                        [64, 256, 1024])):
+    for n, a_n in zip((64, 256, 1024), norming_constant(GAUSS, [64, 256, 1024])):
         a = int(a_n)
         T = sample_ladder_times(rng, (trials, a), tail, 1.0).sum(axis=1) / n
         cur = Sample(T)

@@ -38,6 +38,8 @@ UNCALLED_EXPORTS = {
     "future_min_local_time": "scalar reference for the batched future_min_local_time_np",
     "survival_probability": "library entry point the benchmark calls",
     "sample_walk": "per-row reference that `sample_rows` is tested against",
+    "meander_endpoint_distribution": "exact law that `meander_endpoint_floats` is "
+                                     "tested against",
 }
 
 
