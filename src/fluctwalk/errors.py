@@ -17,10 +17,6 @@ class UnboundedTailError(FluctwalkError):
     """Truncation tail cannot be bounded for the given exponents."""
 
 
-class InsufficientLadderError(FluctwalkError):
-    """The path does not realize enough ladder epochs in its window."""
-
-
 class DegenerateStateError(FluctwalkError):
     """The harmonic function vanishes at the requested state."""
 

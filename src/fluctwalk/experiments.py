@@ -8,22 +8,24 @@ master seed; re-running a config reproduces byte-identical numbers.
 
 Sampling notes, load-bearing for honesty about what is exact:
 
-* :func:`first_ascent_tail` is the one place that decides which laws have
-  a closed first-ascent law: symmetric diffuse laws have the universal tail
+* :func:`first_ascent_tail` is the one place that decides the first-ascent
+  law of a symmetric law: symmetric diffuse laws have the universal tail
   P(T_1 > k) = C(2k, k) 4^{-k} (Sparre Andersen), the simple symmetric walk
   +-u (``IncrementLaw.is_simple_symmetric``, at any u) the tail
-  C(k, floor(k/2)) 2^{-k}.  Ladder times of those laws are sampled by exact
-  inverse CDF of the table, with the asymptotic inverse beyond it; every
-  other law takes the windowed route.  Space is scaled by
-  ``IncrementLaw.sigma``.
+  C(k, floor(k/2)) 2^{-k}, and every other symmetric lattice law the float
+  mass of one level sweep (:func:`swept_t1_tail`).  Ladder times are
+  sampled by inverse CDF of the table, with the asymptotic inverse beyond
+  it.  Space is scaled by ``IncrementLaw.sigma``.
 * The same universality gives the strict record count of a symmetric walk
   without ties a closed law (:func:`record_count_law`), so the local time
   at the supremum is checked against its exact law and exact mean at every
   n, and against its limit sqrt(2) M through a seed-free limit median.
-* Ladder heights are simulated by capped first-passage runs; the cap and
-  the censoring rate are recorded.  Height and time marginals are sampled
-  separately: every reported statistic is per-coordinate, so the joint
-  dependence of (time, height) is never claimed.
+* Ladder heights are one lattice unit on a lattice law whose largest
+  integer step is 1; on every other law they are simulated by capped
+  first-passage runs, and the cap and the censoring rate are recorded.
+  Height and time marginals are sampled separately: every reported
+  statistic is per-coordinate, so the joint dependence of (time, height) is
+  never claimed.
 * Walks that cannot both rise and fall are rejected up front with a
   hypothesis violation: the limits being tested do not exist for them.
 """
@@ -41,11 +43,12 @@ import numpy as np
 
 from .conditioning import (conditioned_states, harmonic_limits,
                            meander_endpoint_floats, meander_weights)
-from .errors import ConfigError, InsufficientLadderError
+from .errors import ConfigError
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
+from .oracle import lattice_sweep
 from .scaling import check_bilateral, norming_constant
 from .stats import Sample, dkw_epsilon, ks_statistic
 
@@ -218,29 +221,56 @@ def pm1_t1_tail(kmax: int) -> np.ndarray:
     return odd[np.arange(kmax) // 2]
 
 
-# entries of every first-ascent tail table
+# entries of the closed first-ascent tail tables
 _TAIL_TABLE = 1_000_000
+# steps of the swept first-ascent tail table
+_SWEPT_STEPS = 4096
+
+
+def swept_t1_tail(law: IncrementLaw) -> np.ndarray:
+    """P(T_1 > k), k = 1..4096, on a lattice law: the float mass left at
+    levels <= 0 after step k of one ``lattice_sweep(law, 4096, keep=-1,
+    exact=False)``.
+
+    By the bound of :func:`~fluctwalk.oracle.lattice_sweep`, with r atoms and
+    L levels summed (L <= d k + 1, d the largest integer down-step), entry k
+    is within relative (r + 1) k u + (L - 1) u of the exact P(T_1 > k)
+    (u = 2**-53), plus L 2**-1074 of underflow.
+    """
+    table = np.empty(_SWEPT_STEPS)
+    for k, lo, w, _ in lattice_sweep(law, _SWEPT_STEPS, keep=-1, exact=False):
+        table[k - 1] = w[:max(0, 1 - lo)].sum()
+    return table
 
 
 def first_ascent_tail(law: IncrementLaw) -> Optional[tuple]:
-    """The closed law of the first strict ascent time T_1: (table, c) or None.
+    """The law of the first strict ascent time T_1 of a symmetric law:
+    (table, c), or None on an asymmetric law.
 
-    ``table[k - 1]`` is P(T_1 > k) for k <= 1 000 000; beyond the table
-    P(T_1 > k) ~ sqrt(c / (pi k)).  Symmetric diffuse laws have Sparre
-    Andersen's universal tail C(2k, k) 4^{-k} (c = 1), the simple symmetric
-    walk the reflection-principle tail C(k, floor(k/2)) 2^{-k} (c = 2).
-    Every other law gives None.
+    ``table[k - 1]`` is P(T_1 > k); beyond the table P(T_1 > k) ~
+    sqrt(c / (pi k)).  The simple symmetric walk has the reflection-principle
+    tail C(k, floor(k/2)) 2^{-k} (c = 2) and symmetric diffuse laws Sparre
+    Andersen's universal tail C(2k, k) 4^{-k} (c = 1), each for k <= 10^6.
+    Every other symmetric lattice law takes :func:`swept_t1_tail` (k <= 4096)
+    with c = pi K q(K)^2 read off its last entry q(K), K = 4096.  That c is
+    low by O(1/K): on uniform3, F = E s^{T_1} solves s F^2 + (s - 3) F + s = 0,
+    so sum_k P(T_1 > k) s^k = sqrt(3) ((1 - s)^{-1/2} + (7/8) (1 - s)^{1/2})
+    plus terms that do not change the asymptotics, and c = 3 (1 - 9 / (8K))
+    to first order, against 2 / sigma^2 = 3.
     """
     if law.is_simple_symmetric():
         return pm1_t1_tail(_TAIL_TABLE), 2.0
-    if law.is_diffuse() and law.is_symmetric():
+    if not law.is_symmetric():
+        return None
+    if law.is_diffuse():
         return universal_t1_tail(_TAIL_TABLE), 1.0
-    return None
+    table = swept_t1_tail(law)
+    return table, math.pi * table.size * float(table[-1]) ** 2
 
 
 def sample_ladder_times(rng, shape, table: np.ndarray, c: float) -> np.ndarray:
-    """Inverse-CDF samples of T_1 from a :func:`first_ascent_tail` pair:
-    exact inside the table, ceil(c / (pi u^2)) beyond it."""
+    """Inverse-CDF samples of T_1 from a :func:`first_ascent_tail` pair: the
+    law of the table inside it, ceil(c / (pi u^2)) beyond it."""
     u = rng.random(shape)
     q_full = np.concatenate([[1.0], table])
     idx = np.searchsorted(-q_full, -u, side="right")
@@ -251,50 +281,14 @@ def sample_ladder_times(rng, shape, table: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-# windowed_ladder_pairs reads at most 8 * count + 32 windows: failure rates
-# up to about 7/8 pass.  run_theorem1's windows are 64 n steps long.
-_WINDOWS_PER_PAIR = 8
-_SPARE_WINDOWS = 32
-_WINDOW_MULT = 64
-
-
-def windowed_ladder_pairs(law: IncrementLaw, n: int, block: int, count: int,
-                          seed: int, window_mult: int) -> tuple:
-    """(T_block, H_block) read off simulated windows of length window_mult * n.
-
-    Window t is trial t of ``seed``; windows are read in order, a pair comes
-    from each window that realizes ``block`` ladder epochs, the windows that
-    do not are skipped, and reading stops at the window that delivers the
-    ``count``-th pair.  At most 8 * count + 32 windows are read, so window
-    failure rates up to about 7/8 pass at any count; the 32 spare windows
-    keep a small count from failing on noise.  A shortfall raises.  The
-    third value, the resampled fraction, is the share of failed windows
-    among those read (the induced conditioning).  This is the generic route
-    for lattice laws without a closed ladder-time law; it is windowed, so the
-    heavy right tail of the ladder time is truncated at window_mult in scaled
-    units.
-    """
-    width = window_mult * n
-    Ts: List[np.ndarray] = []
-    Hs: List[np.ndarray] = []
-    got = 0
-    read = 0
-    for S in iter_rows(law, width, seed, _WINDOWS_PER_PAIR * count + _SPARE_WINDOWS):
-        cnt = local_time_curve_np(S, "strict")
-        ok = np.flatnonzero(cnt[:, -1] >= block)[: count - got]
-        idx = np.argmax(cnt[ok] >= block, axis=1)
-        Ts.append(idx)
-        Hs.append(S[ok, idx])
-        got += ok.size
-        if got == count:
-            read += int(ok[-1]) + 1
-            break
-        read += len(S)
-    if got < count:
-        raise InsufficientLadderError(
-            f"only {got}/{count} windows realized {block} ladder epochs "
-            f"(window {window_mult}n, {read} windows read)")
-    return np.concatenate(Ts), np.concatenate(Hs), (read - count) / read
+def _ladder_unit(law: IncrementLaw) -> Optional[float]:
+    """The one value of H_1 when every first ascent lands one lattice unit
+    above 0 (a lattice law whose largest integer step is 1), else None: then
+    ladder heights are drawn by :func:`first_passage_heights`."""
+    if law.kind != "lattice":
+        return None
+    unit, steps, _ = law.lattice_integer_form()
+    return float(unit) if max(steps) == 1 else None
 
 
 def first_passage_heights(law: IncrementLaw, count: int, cap: int,
@@ -345,29 +339,25 @@ def first_passage_heights(law: IncrementLaw, count: int, cap: int,
 
 
 def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
-    """Scaled ladder pair against its subordinator limit.
+    """Scaled ladder pair against its subordinator limit, on a symmetric
+    finite-variance law.
 
     Per n: sup-distance of the n^{-1} T_{[a_n]} sample against the
     1/2-stable marginal CDF, and mean/stddev of the scaled height H_{[a_n]}
     against the pure-drift target.  Criteria are evaluated at the largest n.
+    T_{[a_n]} sums [a_n] inverse-CDF draws of T_1 from the
+    :func:`first_ascent_tail` pair of the law; a_n comes from
+    :func:`~fluctwalk.scaling.norming_constant`.  H_{[a_n]} is [a_n] lattice
+    units when every first ascent lands on level 1, and a sum of [a_n]
+    :func:`first_passage_heights` draws on every other law.
 
     ``height_sd`` is a one-sided bound on a quantity that is not zero at
-    finite n.  On the diffuse route the scaled height sums [a_n] independent
+    finite n.  With drawn heights the scaled height sums [a_n] independent
     first ladder heights, so its standard deviation is about
-    0.569 [a_n]^{1/2} / sqrt(n) ~ 0.569 n^{-1/4} whatever sigma is (0.569^2
-    is the variance of the first ladder height of the standard Gaussian
-    walk); on the simple symmetric walk it is exactly 0.  A threshold below
-    that value at the largest n of the grid cannot pass.
-
-    On the windowed route (laws without a :func:`first_ascent_tail`: the
-    symmetric lattice laws other than the simple symmetric walk) windows are
-    ``_WINDOW_MULT`` = 64 times n steps long, and the notes record
-    ``resampled_fraction_n{n}``, the share of windows read in trial order
-    without [a_n] ladder epochs (see :func:`windowed_ladder_pairs`).  The
-    pairs come only from windows with T_{[a_n]} <= 64 n, so T / n is
-    compared with the limit law conditioned on [0, 64]: the CDF divided by
-    its value at 64 (P(tau > 64) = 0.0704).  On every route a_n comes from
-    :func:`~fluctwalk.scaling.norming_constant`.
+    0.569 [a_n]^{1/2} / sqrt(n) ~ 0.569 n^{-1/4} on a Gaussian walk whatever
+    sigma is (0.569^2 is the variance of the first ladder height of the
+    standard Gaussian walk); with unit heights it is exactly 0.  A threshold
+    below that value at the largest n of the grid cannot pass.
     """
     config.validate("theorem1")
     law = config.law
@@ -377,24 +367,15 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
                           "heavy-tailed ratio checks")
     if not law.is_symmetric():
         raise ConfigError("asymmetric laws are out of calibrated scope")
-    # three sampling routes: T by inverse CDF of the closed first-ascent law
-    # with H = [a_n] units (simple symmetric walk) or from first passages
-    # (symmetric diffuse laws); windowed simulation for other symmetric
-    # lattices (failed windows skipped, truncation recorded)
     sigma = law.sigma()
-    closed = first_ascent_tail(law)
+    tail, c = first_ascent_tail(law)
+    unit = _ladder_unit(law)
     cap = int(config.params["height_cap"])
 
     notes: Dict[str, object] = {}
     a_ns = norming_constant(law, config.n_grid)
     blocks = [int(a) for a in a_ns]
-    if closed is None:
-        kept = levy_half_cdf(_WINDOW_MULT)
-        target = lambda t: levy_half_cdf(t) / kept
-    else:
-        target = levy_half_cdf
-
-    if closed is not None and law.is_diffuse():
+    if unit is None:
         pool, cens = first_passage_heights(law, config.trials * max(blocks), cap,
                                            derive_seed(config.seed, 1))
         notes["height_cap"] = cap
@@ -404,26 +385,16 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     for i, n in enumerate(config.n_grid):
         blk = blocks[i]
         c_n = 1.0 / (sigma * math.sqrt(n))  # variance-1 spatial rescale
-        if closed is None:
-            T_raw, H_raw, resampled = windowed_ladder_pairs(
-                law, n, blk, config.trials, derive_seed(config.seed, 100 + i), _WINDOW_MULT)
-            T = T_raw / n
-            H = H_raw * c_n
+        rng = _rng(derive_seed(config.seed, 100 + i))
+        T = sample_ladder_times(rng, (config.trials, blk), tail, c).sum(axis=1) / n
+        if unit is None:
+            H = pool[: config.trials * blk].reshape(config.trials, blk).sum(axis=1) * c_n
             h_mean = float(H.mean())
             h_sd = float(H.std(ddof=1))
-            notes[f"resampled_fraction_n{n}"] = resampled
         else:
-            rng = _rng(derive_seed(config.seed, 100 + i))
-            T = sample_ladder_times(rng, (config.trials, blk), *closed).sum(axis=1) / n
-            if law.kind == "lattice":
-                h_mean = blk * float(law.lattice_integer_form()[0]) * c_n
-                h_sd = 0.0
-            else:
-                H = pool[: config.trials * blk].reshape(
-                    config.trials, blk).sum(axis=1) * c_n
-                h_mean = float(H.mean())
-                h_sd = float(H.std(ddof=1))
-        rows.append([n, a_ns[i], ks_statistic(Sample(T), target), h_mean, h_sd])
+            h_mean = blk * unit * c_n
+            h_sd = 0.0
+        rows.append([n, a_ns[i], ks_statistic(Sample(T), levy_half_cdf), h_mean, h_sd])
 
     tol = config.tolerances
     criteria = [
@@ -548,9 +519,12 @@ _TIME_TAIL_CUTOFF = 1.0
 
 def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
     """Tail index 1: the ratio of the scaled ladder-height masses on the
-    ``_RATIO_INTERVALS``.  Finite variance: the drift constant, the a_n-scaled
-    height mass on ``_HEIGHT_INTERVAL`` and, in the notes, a_n P(T_1 > n)
-    against the ladder-time tail beyond ``_TIME_TAIL_CUTOFF`` = 1."""
+    ``_RATIO_INTERVALS``.  Finite variance, on a symmetric law: the drift
+    constant, the a_n-scaled height mass on ``_HEIGHT_INTERVAL`` and, in the
+    notes, a_n P(T_1 > n) from the :func:`first_ascent_tail` pair against
+    the ladder-time tail beyond ``_TIME_TAIL_CUTOFF`` = 1.  Heights are one
+    lattice unit or :func:`first_passage_heights` draws, as in
+    :func:`run_theorem1`."""
     config.validate("lemma1")
     law = config.law
     notes: Dict[str, object] = {}
@@ -581,11 +555,10 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
                                 tables={"lemma1_ratios": rows}, notes=notes)
 
     # finite-variance families: drift constant, vanishing height tail, time tail
-    closed = first_ascent_tail(law)
-    if closed is None:
-        raise ConfigError("lemma1 is implemented for the simple symmetric walk "
-                          "and symmetric diffuse laws")
-    tail, c = closed
+    if not law.is_symmetric():
+        raise ConfigError("lemma1's finite-variance targets are checked on symmetric laws")
+    tail, c = first_ascent_tail(law)
+    unit = _ladder_unit(law)
     sigma = law.sigma()
     a_ns = norming_constant(law, config.n_grid)
 
@@ -593,8 +566,8 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
              "time_tail_target"]]
     for i, (n, a_n) in enumerate(zip(config.n_grid, a_ns)):
         c_n = 1.0 / (sigma * math.sqrt(n))
-        if law.kind == "lattice":
-            mh = a_n * float(law.lattice_integer_form()[0]) * c_n
+        if unit is not None:
+            mh = a_n * unit * c_n
             mass = 0.0
             notes.setdefault("height_model", "deterministic unit ladder heights")
         else:

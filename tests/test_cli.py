@@ -178,6 +178,25 @@ def test_converge_theorem1_small(tmp_path):
     assert run(["--config", str(cfgfile), "--out", out, "converge", "theorem1"]) == 0
 
 
+FIVE_ATOM = ('{"kind": "lattice", "support": [-2, -1, 0, 1, 2], '
+             '"probs": ["1/10", "1/5", "2/5", "1/5", "1/10"]}')
+
+
+@pytest.mark.parametrize("name,law", [("theorem1", "uniform3"), ("lemma1", "uniform3"),
+                                      ("theorem1", FIVE_ATOM)],
+                         ids=["theorem1-uniform3", "lemma1-uniform3", "theorem1-five-atom"])
+def test_converge_lattice_laws_pass_at_defaults(tmp_path, name, law):
+    # symmetric lattice laws other than the fair walk draw ladder times from
+    # the swept first-ascent table; the five-atom law can ascend to level 2,
+    # so its ladder heights are drawn and their spread is not zero
+    out = str(tmp_path / name)
+    assert run(["--out", out, "converge", name, "--law", law]) == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    if name == "theorem1":
+        sd = {c["id"]: c["value"] for c in report["criteria"]}["height_sd"]
+        assert (sd > 0) is (law == FIVE_ATOM)
+
+
 def test_converge_localtime_small(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"n_grid": [32, 64, 128, 256], "trials": 300}))

@@ -10,16 +10,24 @@ from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
                                    first_passage_heights, pm1_t1_tail,
                                    record_count_law, run_harmonic, run_lemma1,
                                    run_localtime, run_meander, run_theorem1,
-                                   sample_ladder_times, universal_t1_tail)
+                                   sample_ladder_times, swept_t1_tail,
+                                   universal_t1_tail)
 from fluctwalk.fluctuation import local_time_curve_np
 from fluctwalk.increments import IncrementLaw, _rng
 from fluctwalk.limit_laws import levy_half_cdf, rayleigh_cdf
-from fluctwalk.scaling import check_bilateral, norming_constant
+from fluctwalk.scaling import (_split_at_zero, check_bilateral, norming_constant,
+                               wiener_hopf_factor)
 from fluctwalk.stats import Sample, ks_statistic
 
 GAUSS = IncrementLaw.gaussian()
 FAIR = IncrementLaw.fair_pm1()
 RAMP = IncrementLaw.lattice([1], [1])
+U3 = IncrementLaw.uniform3()
+FIVE = IncrementLaw.lattice([-2, -1, 0, 1, 2], [Fraction(1, 10), Fraction(1, 5),
+                                                Fraction(2, 5), Fraction(1, 5),
+                                                Fraction(1, 10)])
+U = 2.0 ** -53
+K0 = 4096
 
 
 def cfg(experiment, law, n_grid, trials=200, tolerances=None, params=None, seed=7):
@@ -94,13 +102,78 @@ def test_first_ascent_tail_decided_by_law():
     for law in (GAUSS, IncrementLaw.heavy_tail(1.0)):
         table, c = first_ascent_tail(law)
         assert c == 1.0 and np.array_equal(table, universal_t1_tail(table.size))
-    for law in (IncrementLaw.uniform3(), IncrementLaw.biased_pm1(Fraction(3, 4)),
-                IncrementLaw.gaussian(0.5)):
+    for law in (U3, FIVE):
+        table, c = first_ascent_tail(law)
+        assert np.array_equal(table, swept_t1_tail(law)) and table.size == K0
+        assert c == math.pi * K0 * table[-1] ** 2
+    for law in (IncrementLaw.biased_pm1(Fraction(3, 4)), IncrementLaw.gaussian(0.5)):
         assert first_ascent_tail(law) is None
     # both asymptotes: the table's last entry is close to sqrt(c / (pi k))
     for law in (FAIR, GAUSS):
         table, c = first_ascent_tail(law)
         assert table[-1] == pytest.approx(math.sqrt(c / (math.pi * table.size)), rel=1e-6)
+
+
+def _swept_bound(law, k):
+    """The stated relative bound of swept_t1_tail's entry k: (r + 1) k u for
+    r atoms, and (L - 1) u for the L <= d k + 1 levels summed."""
+    steps = law.lattice_integer_form()[1]
+    return (len(steps) + 1) * k * U + -min(steps) * k * U
+
+
+def test_swept_t1_tail_equals_the_fair_reflection_tail():
+    # pm1_t1_tail is within relative k u of the exact tail, so the two
+    # tables differ by at most the sum of both bounds.  Reading a weak ascent
+    # (the levels < 0), keep=+1 or keep=0 in the sweep fails it
+    table, closed = swept_t1_tail(FAIR), pm1_t1_tail(K0)
+    k = np.arange(1, K0 + 1)
+    bound = closed * (np.array([_swept_bound(FAIR, j) for j in k]) + k * U)
+    assert np.all(np.abs(table - closed) <= bound)
+
+
+@pytest.mark.parametrize("law", [U3, FIVE], ids=["uniform3", "five-atom"])
+def test_swept_t1_tail_within_its_bound_of_the_exact_first_ascent_mass(law):
+    # exact P(T_1 > k): the integer weights left at levels <= 0 of the exact
+    # sweep killed above 0, over D^k.  Reading a weak ascent, keep=+1 or
+    # keep=0 fails it
+    table = swept_t1_tail(law)
+    for k, Dk, _, _, below in _split_at_zero(law, 64, keep=-1):
+        exact = Fraction(int(below.sum()), Dk)
+        err = abs(Fraction(float(table[k - 1])) - exact)
+        assert err <= exact * Fraction(_swept_bound(law, k)) + len(below) * Fraction(2) ** -1074
+
+
+@pytest.mark.parametrize("law", [U3, FIVE], ids=["uniform3", "five-atom"])
+def test_swept_t1_tail_is_a_decreasing_tail(law):
+    # a tail of a law on 1, 2, ...: below 1 and strictly decreasing, since
+    # every step k has a first ascent.  Reading a weak ascent (the levels
+    # < 0) fails it on both laws, the unkilled sweep (keep=0) on uniform3
+    table = swept_t1_tail(law)
+    assert 0 < table[-1] and table[0] < 1
+    assert np.all(np.diff(table) < 0)
+
+
+def _wiener_hopf_tail_constant(law):
+    """lim (1 - E s^{T_1})^2 / (1 - s) as s -> 1, the c of P(T_1 > k) ~
+    sqrt(c / (pi k)): the ratio is c (1 + O(sqrt(1 - s))), so two points
+    whose sqrt(1 - s) differ by a factor 2 extrapolate the first order away."""
+    def ratio(e):
+        return wiener_hopf_factor(law, 1.0 - e, 1.0)[0] ** 2 / e
+    return 2 * ratio(2.0 ** -36) - ratio(2.0 ** -34)
+
+
+def test_swept_tail_constant_against_its_limit():
+    # uniform3: sum_k P(T_1 > k) s^k = (sqrt(3 (3 + s) / (1 - s)) - 3) / (2 s),
+    # whose expansion at s = 1 gives pi K P(T_1 > K)^2 = 3 (1 - 9 / (8 K)
+    # + 167 / (128 K^2) + O(K^-3)), with 3 = 2 / sigma^2: the table's c sits
+    # 9 / (8 K) below 3, within 2 / K^2 of that first-order value.  The
+    # five-atom law has no closed form: its c is within 1 / K of the
+    # Wiener-Hopf limit.  Reading a weak ascent, keep=+1 or keep=0 fails it
+    _, c = first_ascent_tail(U3)
+    assert 2 / U3.sigma() ** 2 == pytest.approx(3.0, rel=1e-15)
+    assert abs(c / 3 - 1 + 9 / (8 * K0)) <= 2 / K0 ** 2
+    _, c = first_ascent_tail(FIVE)
+    assert abs(c / _wiener_hopf_tail_constant(FIVE) - 1) <= 1 / K0
 
 
 def test_ladder_time_sampler_matches_tail_law():
@@ -144,55 +217,42 @@ def test_run_theorem1_fair_lattice_heights_deterministic():
     assert rep.passed
 
 
-def test_run_theorem1_windowed_route_for_general_lattice():
-    # symmetric three-point lattice: no closed ladder-time law, so the walk
-    # is simulated on windows; scaled marginals still approach the limits
-    law = IncrementLaw.uniform3()
-    c = cfg("theorem1", law, [64, 128], trials=400,
+def test_run_theorem1_swept_table_route_for_general_lattice():
+    # symmetric three-point lattice: ladder times from the swept table,
+    # unit ladder heights; scaled marginals still approach the limits
+    c = cfg("theorem1", U3, [64, 128], trials=400,
             tolerances={"ks": 0.25, "height_mean": 0.25, "height_sd": 0.6})
     rep = run_theorem1(c)
     assert rep.passed
     by_id = {x.cid: x.value for x in rep.criteria}
-    assert by_id["ladder_time_ks"] < 0.15
+    assert by_id["ladder_time_ks"] < 0.15 and by_id["height_sd"] == 0.0
+    assert rep.notes == {}
     # a_n draws no random numbers: the same at another seed, and the
     # Wiener-Hopf constant
-    other = run_theorem1(cfg("theorem1", law, [64, 128], trials=400, seed=8))
+    other = run_theorem1(cfg("theorem1", U3, [64, 128], trials=400, seed=8))
     a_n = [row[1] for row in rep.tables["theorem1"][1:]]
     assert a_n == [row[1] for row in other.tables["theorem1"][1:]]
-    assert a_n == norming_constant(law, [64, 128])
+    assert a_n == norming_constant(U3, [64, 128])
 
 
-def test_run_theorem1_windowed_route_fail_mode(monkeypatch):
-    # a block of 4097 ladder epochs fits in no window of 64 * 64 steps, so
-    # every window fails and the route gives up after 8 * 200 + 32 windows
-    from fluctwalk import experiments
-    from fluctwalk.errors import InsufficientLadderError
-    monkeypatch.setattr(experiments, "norming_constant",
-                        lambda rule, n_grid: [4097.0] * len(n_grid))
-    law = IncrementLaw.uniform3()
-    c = cfg("theorem1", law, [64], trials=200)
-    with pytest.raises(InsufficientLadderError,
-                       match=r"only 0/200 windows .* 1632 windows read"):
-        run_theorem1(c)
-
-
-def test_windowed_route_targets_the_law_conditioned_on_its_window(monkeypatch):
-    # the route keeps only pairs with T <= 64 n, so its target is the limit
-    # CDF over its value at 64.  Pairs drawn exactly from that conditioned
-    # law sit inside the DKW band; against the unconditioned CDF their KS
-    # distance would be P(tau > 64) = 0.0704
-    from scipy.special import erfcinv
-    from fluctwalk import experiments
-    from fluctwalk.stats import dkw_epsilon
-    trials, n = 4000, 64
-    u = _rng(5).random(trials) * levy_half_cdf(64.0)
-    s = 1.0 / (4.0 * erfcinv(u) ** 2)
-    monkeypatch.setattr(experiments, "windowed_ladder_pairs",
-                        lambda law, n, block, count, seed, mult: (n * s, np.ones(count), 0.0))
-    rep = run_theorem1(cfg("theorem1", IncrementLaw.uniform3(), [n], trials=trials))
-    ks = rep.tables["theorem1"][1][2]
-    assert ks <= dkw_epsilon(trials) < 1 - levy_half_cdf(64.0)
-    assert ks_statistic(Sample(s), levy_half_cdf) > 0.07
+def test_run_theorem1_draws_ladder_heights_on_a_lattice_with_two_up_steps():
+    # the five-atom law can ascend to level 2, so heights are first passages:
+    # H_1 is 1 or 2, with P(H_1 = 1) = lim (1 - E s^{T_1} (-1)^{H_1}) / 2 as
+    # s -> 1 (the Wiener-Hopf factor at z = -1).  The mean and the standard
+    # deviation of the scaled sum of [a_n] heights sit within four standard
+    # errors of [a_n] E H_1 c_n and sqrt([a_n] Var H_1) c_n
+    trials = 2000
+    rep = run_theorem1(cfg("theorem1", FIVE, [64, 256], trials=trials,
+                           tolerances={"ks": 0.1, "height_mean": 0.2, "height_sd": 0.5}))
+    assert rep.passed and rep.notes["height_cap"] == 20_000
+    assert 0 < rep.notes["height_censored_fraction"] < 0.01
+    p1 = wiener_hopf_factor(FIVE, 1.0 - 2.0 ** -40, -1.0)[0] / 2
+    mean_h, var_h = 2 - p1, p1 * (1 - p1)
+    for n, a_n, _, h_mean, h_sd in rep.tables["theorem1"][1:]:
+        c_n = 1 / (FIVE.sigma() * math.sqrt(n))
+        sd = math.sqrt(int(a_n) * var_h) * c_n
+        assert abs(h_mean - int(a_n) * mean_h * c_n) <= 4 * sd / math.sqrt(trials)
+        assert abs(h_sd - sd) <= 4 * sd / math.sqrt(2 * trials)
 
 
 def test_run_theorem1_reports_are_byte_identical():
@@ -315,6 +375,32 @@ def test_run_lemma1_cauchy_ratio_small():
             params={"height_samples": 60_000, "height_cap": 4_000})
     rep = run_lemma1(c)
     assert rep.passed
+
+
+@pytest.mark.parametrize("law", [U3, FIVE], ids=["uniform3", "five-atom"])
+def test_run_lemma1_on_symmetric_lattice_laws(law):
+    # unit heights on uniform3, first-passage draws on the five-atom law;
+    # the time tail a_n P(T_1 > n) reads the swept table
+    rep = run_lemma1(cfg("lemma1", law, [256, 1024], trials=None,
+                         params={"height_samples": 20_000, "height_cap": 10_000}))
+    assert rep.passed
+    assert ("height_censored_fraction" in rep.notes) is (law is FIVE)
+    table, _ = first_ascent_tail(law)
+    assert [r[4] for r in rep.tables["lemma1"][1:]] == [
+        a_n * float(table[n - 1]) for n, a_n in zip([256, 1024], norming_constant(law, [256, 1024]))]
+    assert rep.notes["time_tail_rel_error"] < 0.05
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.biased_pm1(Fraction(3, 4)),
+                                 IncrementLaw.gaussian(0.5)], ids=["biased", "drifting"])
+def test_lemma1_refuses_asymmetric_laws_before_drawing(monkeypatch, law):
+    from fluctwalk import experiments
+
+    def no_draws(*args):
+        raise AssertionError("drew heights for a refused law")
+    monkeypatch.setattr(experiments, "first_passage_heights", no_draws)
+    with pytest.raises(ConfigError, match="symmetric laws"):
+        run_lemma1(cfg("lemma1", law, [512], trials=None))
 
 
 def test_lemma1_refuses_other_tail_indices_before_drawing(monkeypatch):
