@@ -31,7 +31,6 @@ than approximations:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List
@@ -41,8 +40,8 @@ import numpy as np
 from .conditioning import (conditioned_states, h_kernel_row,
                            hchain_endpoint_distribution, hchain_path_distribution,
                            meander_weights, renewal_function)
-from .fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
-                          local_time_strict)
+from .errors import ParameterError
+from .fluctuation import local_time_curve_np
 from .increments import IncrementLaw, derive_seed, iter_rows
 from .oracle import (distribution_equality, exact_functional_distribution,
                      integer_law, iter_paths)
@@ -72,6 +71,12 @@ class CheckResult:
     passed: bool
     detail: str
     rows: List[list] = field(default_factory=list)
+
+
+def _check_max_length(max_length: int) -> None:
+    # a certificate over no window length would pass having compared nothing
+    if max_length < 1:
+        raise ParameterError(f"max_length must be >= 1, got {max_length}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +110,30 @@ def certify_fristedt(truncation: int = 60) -> CheckResult:
 # time reversal at ladder epochs and at the last maximum
 
 
+def _segment_marks(lam: np.ndarray) -> np.ndarray:
+    """Marks of the rebuilt path: segment starts strictly before each index.
+
+    With lam the strict local time (one path per row), index 0 has no start
+    before it and index i >= 1 has T_0 = 0 plus the lam[i - 1] ladder epochs
+    in 1..i-1.
+    """
+    marks = np.zeros_like(lam)
+    np.add(lam[:, :-1], 1, out=marks[:, 1:])
+    return marks
+
+
+def _last_max_ladder(P: np.ndarray) -> tuple:
+    """(T_last, last-maximum rule) for each row of P.
+
+    T_last, the last strict ladder epoch, is the first index at the row's
+    maximum.  The last contact with the running maximum is the last index at
+    that maximum, so the rule "the last contact is T_last" holds exactly when
+    the row touches its maximum once.
+    """
+    at_max = P == P.max(axis=-1, keepdims=True)
+    return at_max.argmax(axis=-1), np.count_nonzero(at_max, axis=-1) == 1
+
+
 def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
     """Signed differences of every reversal comparison at length m, one pass.
 
@@ -118,33 +147,55 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
     is the total-variation distance between its two laws; atoms of zero
     difference are not stored.  Differences are integer weights over D**m
     (:func:`~fluctwalk.oracle.iter_paths`).
+
+    The m-step paths are one integer matrix, one row per path.  At each
+    index t the rows with a ladder epoch there (labelled k = lam_t) and the
+    last-maximum rows with T_last = t (labelled 0) give two key rows each:
+    the marked reversed path (S_t - S_{t-i}, lam_t - lam_{t-i})_{i<=t} with
+    weight +c and the marked rebuilt path (up_i, marks_i)_{i<=t} with weight
+    -c, both led by the label.  One lexicographic sort of the keys and one
+    int64 sum per run of equal keys give every atom's difference at t; keys
+    of different t have different lengths, so no atom spans two indices.
     """
+    _, live, D = integer_law(law)
+    if 2 * D ** m >= 2 ** 63:
+        raise ParameterError(f"weights over {D}**{m} overflow int64 differences")
+    # the narrowest integer type that holds every |S_i|, up_i, lam_i and mark
+    bound = max(m * max(abs(s) for _, s, _ in live), m + 1)
+    key_type = np.min_scalar_type(-bound - 1)
+    # one record per path, filled as the paths stream: no tuple is kept
+    paths = np.fromiter(((vals, c) for _, vals, c in iter_paths(law, m)),
+                        dtype=[("S", key_type, (m + 1,)), ("c", np.int64)],
+                        count=len(live) ** m)
+    P, c = paths["S"], paths["c"]
+    lam = local_time_curve_np(P, "strict")
+    up = tanaka_transform_np(P)
+    marks = _segment_marks(lam)
+    epoch = np.diff(lam, prepend=0) > 0
+    t_last, last_max_rule = _last_max_ladder(P)
+
     diffs: List[Dict] = [{} for _ in range(m + 1)]
-
-    def add(k, rev_key, fwd_key, c):
-        # atoms whose difference returns to zero are dropped, which keeps
-        # the m + 1 live maps small
-        d = diffs[k]
-        for key, p in ((rev_key, c), (fwd_key, -c)):
-            v = d.pop(key, 0) + p
-            if v:
-                d[key] = v
-
-    for _, vals, c in iter_paths(law, m):
-        T = ladder_epochs(vals)
-        lam = local_time_strict(vals)
-        up = tanaka_transform(vals)
-        # segment starts strictly before i, for i = 0..T_last
-        marks = [bisect_left(T, i) for i in range(T[-1] + 1)]
-        # per epoch t: the marked reversed pre-t path and the marked rebuilt
-        # path truncated at t (lam[t] = k at t = T_k)
-        keys = [((tuple(vals[t] - vals[t - i] for i in range(t + 1)),
-                  tuple(lam[t] - lam[t - i] for i in range(t + 1))),
-                 (tuple(up[: t + 1]), tuple(marks[: t + 1]))) for t in T]
-        for k in range(1, len(T)):
-            add(k, *keys[k], c)
-        if last_max_index(vals) == T[-1]:
-            add(0, *keys[-1], c)
+    for t in range(m + 1):
+        ladder = np.flatnonzero(epoch[:, t])
+        rows = np.concatenate([ladder, np.flatnonzero(last_max_rule & (t_last == t))])
+        keys = np.empty((2, rows.size, 2 * t + 3), dtype=key_type)
+        keys[:, :, 0] = 0
+        keys[:, :ladder.size, 0] = lam[ladder, t]
+        keys[0, :, 1:t + 2] = P[rows, t:t + 1] - P[rows, t::-1]
+        keys[0, :, t + 2:] = lam[rows, t:t + 1] - lam[rows, t::-1]
+        keys[1, :, 1:t + 2] = up[rows, :t + 1]
+        keys[1, :, t + 2:] = marks[rows, :t + 1]
+        keys = keys.reshape(2 * rows.size, -1)
+        # any order that brings equal keys together will do
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        starts = np.ones(len(keys), dtype=bool)
+        np.any(keys[1:] != keys[:-1], axis=1, out=starts[1:])
+        starts = np.flatnonzero(starts)
+        sums = np.add.reduceat(np.concatenate([c[rows], -c[rows]])[order], starts)
+        for j in np.flatnonzero(sums):
+            label, *key = keys[starts[j]].tolist()
+            diffs[label][tuple(key[:t + 1]), tuple(key[t + 1:])] = int(sums[j])
     return diffs
 
 
@@ -154,6 +205,7 @@ def _total_variation(diff: Dict, Dm: int) -> Fraction:
 
 
 def certify_reversal(max_length: int = 8) -> CheckResult:
+    _check_max_length(max_length)
     rows = [["law", "length", "check", "k", "tv"]]
     ok = True
     for law in DEFAULT_LAWS():
@@ -186,8 +238,7 @@ def _idloc_violations(V: np.ndarray, variant: str) -> tuple:
     fut = future_min_local_time_np(tanaka_transform_np(V), variant)
     differ = local_time_curve_np(V, variant) != fut
     del fut
-    # the last strict ladder epoch is the first index at the overall maximum
-    t_last = np.argmax(V == V.max(axis=-1, keepdims=True), axis=-1)
+    t_last = _last_max_ladder(V)[0]
     first = np.where(differ.any(axis=-1), differ.argmax(axis=-1), V.shape[-1])
     return int(np.count_nonzero(t_last)), int(np.count_nonzero(first < t_last))
 
@@ -218,6 +269,7 @@ def certify_idloc(enum_length: int = 8, gaussian_paths: int = 2000,
 def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
                        weight_trials: int = 20_000,
                        seed: int = 20240808) -> CheckResult:
+    _check_max_length(max_length)
     law = IncrementLaw.fair_pm1()
     D = integer_law(law)[2]
     V = renewal_function(law)
@@ -266,6 +318,7 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
 
 
 def certify_h_kernel(max_length: int = 8) -> CheckResult:
+    _check_max_length(max_length)
     law = IncrementLaw.fair_pm1()
     V = renewal_function(law)
     rows = [["check", "value", "pass"]]

@@ -16,9 +16,10 @@ use either.
 
 The scalar counts take a sequence of path values S_0..S_m and return the
 tuple of counts Lambda_0..Lambda_m, with Lambda_0 = 0.  They are the
-references that the batched :func:`local_time_curve_np` is tested against;
-the reversal certificate reads :func:`ladder_epochs`,
-:func:`local_time_strict` and :func:`last_max_index`.
+references that the batched :func:`local_time_curve_np` is tested against,
+and :func:`last_max_index` is the reference for the reversal certificate's
+batched last-maximum rule; the certificate itself reads
+:func:`local_time_curve_np` on its whole path matrix.
 """
 
 from __future__ import annotations

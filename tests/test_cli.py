@@ -54,6 +54,18 @@ def test_verify_reversal_small(tmp_path):
     assert run(["--out", out, "verify", "reversal", "--max-length", "4"]) == 0
 
 
+@pytest.mark.parametrize("suite,length", [("reversal", "0"), ("reversal", "-3"),
+                                          ("h-kernel", "0"), ("meander-ac", "0")])
+def test_verify_over_no_window_length_is_one_error_line(tmp_path, capsys, suite, length):
+    # a certificate that compares nothing must not report a pass
+    out = str(tmp_path / "v")
+    assert run(["--out", out, "verify", suite, "--max-length", length]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_length" in err
+    assert not os.path.exists(out)
+
+
 def test_verify_idloc_small(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"gaussian_paths": 200, "gaussian_length": 120,

@@ -35,6 +35,8 @@ def test_every_name_the_package_imports_resolves():
 # each kept on purpose
 UNCALLED_EXPORTS = {
     "local_time_verbatim": "scalar reference for the batched local_time_curve_np",
+    "local_time_strict": "scalar reference for the batched local_time_curve_np",
+    "last_max_index": "scalar reference for the reversal certificate's last-maximum rule",
     "future_min_local_time": "scalar reference for the batched future_min_local_time_np",
     "survival_probability": "library entry point the benchmark calls",
     "sample_walk": "per-row reference that `sample_rows` is tested against",

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluctwalk import certify
 from fluctwalk.errors import ParameterError
-from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
+from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_strict,
+                                   local_time_verbatim)
 from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
 from fluctwalk.oracle import distribution_equality, exact_functional_distribution, iter_paths
 from fluctwalk.transforms import (future_min_local_time, future_min_local_time_np,
@@ -204,13 +207,10 @@ def test_reversed_ladder_segment_law_equals_rebuilt_segment_law():
 
 
 def test_reversal_certificate_reports_nonzero_tv_exactly(monkeypatch):
-    # marks counted at the segment start instead of strictly before it break
-    # the identity; the certificate must then fail and report each total
-    # variation exactly, with the right denominator and every atom
-    from bisect import bisect_right
-
-    from fluctwalk import certify
-    monkeypatch.setattr(certify, "bisect_left", bisect_right)
+    # marks counted at the segment start (1 + lam_i) instead of strictly
+    # before it break the identity; the certificate must then fail and report
+    # each total variation exactly, with the right denominator and every atom
+    monkeypatch.setattr(certify, "_segment_marks", lambda lam: 1 + lam)
     res = certify.certify_reversal(max_length=3)
     assert res.passed is False
     tv = {(law, m, check, k): value for law, m, check, k, value in res.rows[1:]}
@@ -218,6 +218,83 @@ def test_reversal_certificate_reports_nonzero_tv_exactly(monkeypatch):
     assert tv[(fair, 3, "ladder_segment", 1)] == "5/8"
     assert tv[(fair, 3, "ladder_segment", 2)] == "1/4"
     assert tv[(fair, 3, "ladder_segment", 3)] == "1/8"
+    # the windows whose only maximum is S_0 count here: without them it is 1/2
     assert tv[(fair, 3, "last_maximum", "")] == "3/4"
     assert tv[(biased, 3, "ladder_segment", 1)] == "57/64"
     assert tv[(uniform, 3, "ladder_segment", 1)] == "14/27"
+
+
+def reversal_differences_per_path(law, m, segment_starts=bisect_left):
+    """Per-path reference for ``certify._reversal_differences``.
+
+    The same nonzero signed differences, one dict per entry (entry 0 the
+    last maximum), built path by path from the scalar functionals.
+    ``segment_starts(T, i)`` counts the marks at index i from the ladder
+    epochs T: ``bisect_left`` counts starts strictly before i.
+    """
+    diffs = [{} for _ in range(m + 1)]
+
+    def add(k, rev_key, fwd_key, c):
+        d = diffs[k]
+        for key, p in ((rev_key, c), (fwd_key, -c)):
+            v = d.pop(key, 0) + p
+            if v:
+                d[key] = v
+
+    for _, vals, c in iter_paths(law, m):
+        T = ladder_epochs(vals)
+        lam = local_time_strict(vals)
+        up = tanaka_transform(vals)
+        marks = [segment_starts(T, i) for i in range(T[-1] + 1)]
+        keys = [((tuple(vals[t] - vals[t - i] for i in range(t + 1)),
+                  tuple(lam[t] - lam[t - i] for i in range(t + 1))),
+                 (tuple(up[: t + 1]), tuple(marks[: t + 1]))) for t in T]
+        for k in range(1, len(T)):
+            add(k, *keys[k], c)
+        if last_max_index(vals) == T[-1]:
+            add(0, *keys[-1], c)
+    return diffs
+
+
+SKIP_UP = IncrementLaw.lattice([-1, 2], [Fraction(2, 3), Fraction(1, 3)])
+FIVE_ATOM = IncrementLaw.lattice([-2, -1, 0, 1, 2], [Fraction(1, 10), Fraction(1, 5),
+                                                     Fraction(2, 5), Fraction(1, 5),
+                                                     Fraction(1, 10)])
+REVERSAL_LAWS = [(law, 7) for law in certify.DEFAULT_LAWS()] + [(SKIP_UP, 5), (FIVE_ATOM, 5)]
+REVERSAL_IDS = ["fair_pm1", "biased_pm1", "uniform3", "skip-up", "five-atom"]
+
+
+@pytest.mark.parametrize("law,max_length", REVERSAL_LAWS, ids=REVERSAL_IDS)
+@pytest.mark.parametrize("rule", ["strictly_before", "at_start"])
+def test_reversal_differences_equal_the_per_path_reference(monkeypatch, law, max_length,
+                                                           rule):
+    # atom by atom, so also the total |difference| of every entry; under the
+    # correct mark rule every entry is empty (the identity holds), under the
+    # rule "at the segment start" the atoms are many and must still agree
+    if rule == "at_start":
+        monkeypatch.setattr(certify, "_segment_marks", lambda lam: 1 + lam)
+    starts = bisect_left if rule == "strictly_before" else bisect_right
+    nonzero = 0
+    for m in range(1, max_length + 1):
+        reference = reversal_differences_per_path(law, m, starts)
+        assert certify._reversal_differences(law, m) == reference
+        nonzero += sum(map(len, reference))
+    assert (nonzero > 0) == (rule == "at_start")
+
+
+@pytest.mark.parametrize("law,m", ENUMERATED, ids=ENUMERATED_IDS)
+def test_last_max_rule_matches_last_max_index_row_by_row(law, m):
+    for n in range(m + 1):
+        paths = [vals for _, vals, _ in iter_paths(law, n)]
+        t_last, rule = certify._last_max_ladder(np.array(paths))
+        epochs = [ladder_epochs(vals)[-1] for vals in paths]
+        assert t_last.tolist() == epochs
+        assert rule.tolist() == [last_max_index(vals) == t for vals, t in zip(paths, epochs)]
+
+
+def test_reversal_differences_refuse_weights_that_overflow_int64():
+    # D = 2**31: the signed sums are int64, so 2 D**m must stay below 2**63
+    law = IncrementLaw.lattice([-1, 1], [Fraction(1, 2 ** 31), 1 - Fraction(1, 2 ** 31)])
+    assert certify._reversal_differences(law, 1) == [{}, {}]
+    with pytest.raises(ParameterError, match="int64"):
+        certify._reversal_differences(law, 2)
