@@ -270,15 +270,17 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
                        weight_trials: int = 20_000,
                        seed: int = 20240808) -> CheckResult:
     _check_max_length(max_length)
+    if weight_trials < 2:  # one weight has no standard error
+        raise ParameterError(f"weight_trials must be >= 2, got {weight_trials}")
     law = IncrementLaw.fair_pm1()
     D = integer_law(law)[2]
     V = renewal_function(law)
+    v_end = [V(Fraction(x)) for x in range(max_length + 1)]
     rows = [["length", "paths_checked", "mismatches"]]
     ok = True
-    for m in range(1, max_length + 1):
-        chain = hchain_path_distribution(law, m)
-        mism = 0
-        total = 0
+    for m, chain in enumerate(hchain_path_distribution(law, max_length), start=1):
+        Dm = D ** m
+        mism = total = 0
         seen = set()
         for _, vals, c in iter_paths(law, m):
             if min(vals[1:]) < 0:
@@ -287,14 +289,12 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
             seen.add(vals)
             # meander mass of this path times P(C_m) V(endpoint) must equal
             # the conditioned-chain mass, path by path
-            lhs = Fraction(c, D ** m) * V(Fraction(vals[-1]))
+            lhs = Fraction(c, Dm) * v_end[vals[-1]]
             rhs = chain.atoms.get(tuple(vals), Fraction(0))
             if lhs != rhs:
                 mism += 1
         # the chain must place no mass outside the surviving paths
-        extra = [k for k in chain.atoms if k not in seen]
-        if extra:
-            mism += len(extra)
+        mism += sum(k not in seen for k in chain.atoms)
         ok = ok and mism == 0
         rows.append([m, total, mism])
 
@@ -344,9 +344,8 @@ def certify_h_kernel(max_length: int = 8) -> CheckResult:
     # endpoint law of the excursion rebuild equals the kernel-chain endpoint law
     endpoint_ok = True
     worst = Fraction(0)
-    for m in range(1, max_length + 1):
+    for m, chain_end in enumerate(hchain_endpoint_distribution(law, max_length), start=1):
         td_end = exact_functional_distribution(law, m, lambda v: tanaka_transform(v)[-1])
-        chain_end = hchain_endpoint_distribution(law, m)
         tv = distribution_equality(td_end, chain_end)
         worst = max(worst, tv)
         endpoint_ok = endpoint_ok and tv == 0

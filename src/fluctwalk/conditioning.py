@@ -29,6 +29,9 @@ exactly the meander law, path by path on lattices; they reach the large
 horizons.  :func:`meander_endpoint_distribution` is the exact endpoint law
 on lattices and :func:`meander_endpoint_floats` that law in float: ``converge
 meander`` checks the chains against the float law, and it against Rayleigh.
+
+The ``hchain_*`` exact laws (the chain side of the h-kernel and meander-ac certificates)
+multiply :func:`h_kernel_row` rows, one per reachable level; one pass yields every length.
 """
 
 from __future__ import annotations
@@ -331,40 +334,40 @@ def meander_weights(law: IncrementLaw, n: int, levels,
 # exact conditioned-walk distributions (certification helpers)
 
 
-def hchain_path_distribution(law: IncrementLaw, length: int) -> ExactDistribution:
-    """Exact law of the kernel chain over integer-lattice paths."""
+def _level_rows(law: IncrementLaw, length: int) -> List[List[Tuple[int, Fraction]]]:
+    """Kernel rows [(level, p)], one :func:`h_kernel_row` call for each level
+    0..length * max(up-step, 0) that a ``length``-step chain can reach."""
     V = renewal_function(law)
-    unit, _, _ = law.lattice_integer_form()
-    atoms: Dict[tuple, Fraction] = {}
-
-    def rec(prefix, x, prob):
-        if len(prefix) == length + 1:
-            atoms[tuple(prefix)] = atoms.get(tuple(prefix), Fraction(0)) + prob
-            return
-        for y, p in h_kernel_row(x * unit, law, V):
-            rec(prefix + [int(y / unit)], int(y / unit), prob * p)
-
-    rec([0], 0, Fraction(1))
-    dist = ExactDistribution(atoms=atoms)
-    dist.validate()
-    return dist
+    unit, steps, _ = law.lattice_integer_form()
+    return [[(int(y / unit), p) for y, p in h_kernel_row(x * unit, law, V)]
+            for x in range(length * max(max(steps), 0) + 1)]
 
 
-def hchain_endpoint_distribution(law: IncrementLaw, length: int) -> ExactDistribution:
-    """Exact law of the kernel chain's endpoint, by forward recursion."""
-    V = renewal_function(law)
-    unit, _, _ = law.lattice_integer_form()
-    cur = {0: Fraction(1)}
+def hchain_path_distribution(law: IncrementLaw, length: int) -> Iterator[ExactDistribution]:
+    """Yield the validated exact law of the kernel chain's m-step paths (integer
+    levels) for m = 1..length, breadth first over one kernel row per level."""
+    rows = _level_rows(law, length)
+    dist = ExactDistribution({(0,): Fraction(1)})
+    for _ in range(length):
+        dist = ExactDistribution({path + (y,): prob * p for path, prob in dist.atoms.items()
+                                  for y, p in rows[path[-1]]})
+        dist.validate()
+        yield dist
+
+
+def hchain_endpoint_distribution(law: IncrementLaw, length: int) -> Iterator[ExactDistribution]:
+    """Yield the validated exact law of the kernel chain's m-step endpoint for
+    m = 1..length, by one forward recursion over one kernel row per level."""
+    rows = _level_rows(law, length)
+    dist = ExactDistribution({0: Fraction(1)})
     for _ in range(length):
         nxt: Dict[int, Fraction] = {}
-        for x, px in cur.items():
-            for y, p in h_kernel_row(x * unit, law, V):
-                yi = int(y / unit)
-                nxt[yi] = nxt.get(yi, Fraction(0)) + px * p
-        cur = nxt
-    dist = ExactDistribution(atoms=cur)
-    dist.validate()
-    return dist
+        for x, px in dist.atoms.items():
+            for y, p in rows[x]:
+                nxt[y] = nxt.get(y, Fraction(0)) + px * p
+        dist = ExactDistribution(nxt)
+        dist.validate()
+        yield dist
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import runpy
 import sys
+import warnings
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_verify_over_no_window_length_is_one_error_line(tmp_path, capsys, suite,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "max_length" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("trials", [1, 0])
+def test_verify_meander_ac_without_weight_spread_is_one_error_line(tmp_path, capsys, trials):
+    # one weight has no standard error: the input is rejected, not certified
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"weight_trials": trials, "max_length": 2}))
+    out = str(tmp_path / "v")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(cfgfile), "--out", out, "verify", "meander-ac"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "weight_trials" in err
     assert not os.path.exists(out)
 
 

@@ -114,8 +114,9 @@ def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, 
 def test_conditioned_states_endpoint_law_in_dkw_band(law):
     trials = 20_000
     eps = math.sqrt(math.log(2000) / (2 * trials))  # the DKW half-width at 0.999
-    for k, x in enumerate(conditioned_states(law, 8, trials, 31), start=1):
-        exact = hchain_endpoint_distribution(law, k).atoms
+    for k, (x, dist) in enumerate(zip(conditioned_states(law, 8, trials, 31),
+                                      hchain_endpoint_distribution(law, 8)), start=1):
+        exact = dist.atoms
         cum = np.cumsum([float(exact[y]) for y in sorted(exact)])
         emp = np.array([np.count_nonzero(x <= y) for y in sorted(exact)]) / trials
         assert np.abs(emp - cum).max() <= eps, (law.description, k)
@@ -141,13 +142,15 @@ def test_conditioned_walk_point_mass_is_ramp():
 def test_conditioned_methods_share_endpoint_law_exactly():
     # full path laws differ on lattice windows (zero-boundary effect), but
     # endpoint laws coincide exactly; both facts are pinned here
+    chain_paths_by_m = list(hchain_path_distribution(FAIR, 8))
+    chain_end_by_m = list(hchain_endpoint_distribution(FAIR, 8))
     for m in (3, 5, 8):
         td_paths = exact_functional_distribution(FAIR, m,
                                                  lambda v: tuple(tanaka_transform(v)))
-        chain_paths = hchain_path_distribution(FAIR, m)
+        chain_paths = chain_paths_by_m[m - 1]
         td_end = exact_functional_distribution(FAIR, m,
                                                lambda v: tanaka_transform(v)[-1])
-        chain_end = hchain_endpoint_distribution(FAIR, m)
+        chain_end = chain_end_by_m[m - 1]
         assert distribution_equality(td_end, chain_end) == 0
         if m == 3:
             assert distribution_equality(td_paths, chain_paths) == F(1, 8)
@@ -210,8 +213,8 @@ def test_meander_reweight_weights_average_to_one():
                          ids=["fair", "biased", "uniform3"])
 def test_meander_weights_carry_chain_endpoints_to_meander_endpoints(law):
     # chain endpoint mass times its weight is the meander endpoint mass
-    for n in range(1, 7):
-        chain = hchain_endpoint_distribution(law, n).atoms
+    for n, dist in enumerate(hchain_endpoint_distribution(law, 6), start=1):
+        chain = dist.atoms
         meander = meander_endpoint_distribution(law, n).atoms
         assert set(chain) == set(meander)
         levels = sorted(chain)
@@ -227,8 +230,9 @@ def test_chain_and_meander_absolute_continuity_exact():
     # every nonnegative path; equivalently the reweighted chain is the
     # meander law
     V = renewal_function(FAIR)
+    chains = list(hchain_path_distribution(FAIR, 6))
     for m in (2, 4, 6):
-        chain = hchain_path_distribution(FAIR, m)
+        chain = chains[m - 1]
         total = F(0)
         from fluctwalk.oracle import iter_paths
         for _, vals, c in iter_paths(FAIR, m):
@@ -238,6 +242,70 @@ def test_chain_and_meander_absolute_continuity_exact():
             assert prob * V(F(vals[-1])) == chain.atoms[tuple(vals)]
             total += prob
         assert total == survival_probability(FAIR, m).probability
+
+
+def reference_hchain_paths(law, length):
+    """Kernel-chain path law by a recursion over the path tree, one
+    h_kernel_row call per node: the scalar reference."""
+    V = renewal_function(law)
+    unit = law.lattice_integer_form()[0]
+    atoms = {}
+
+    def rec(prefix, prob):
+        if len(prefix) == length + 1:
+            atoms[tuple(prefix)] = prob
+            return
+        for y, p in h_kernel_row(prefix[-1] * unit, law, V):
+            rec(prefix + [int(y / unit)], prob * p)
+
+    rec([0], F(1))
+    return atoms
+
+
+def reference_hchain_endpoints(law, length):
+    """Kernel-chain endpoint law by a forward recursion that asks
+    h_kernel_row for the row of every occupied level at every step."""
+    V = renewal_function(law)
+    unit = law.lattice_integer_form()[0]
+    cur = {0: F(1)}
+    for _ in range(length):
+        nxt = {}
+        for x, px in cur.items():
+            for y, p in h_kernel_row(x * unit, law, V):
+                nxt[int(y / unit)] = nxt.get(int(y / unit), F(0)) + px * p
+        cur = nxt
+    return cur
+
+
+CHAIN_LAWS = [FAIR, IncrementLaw.biased_pm1(F(3, 4)), IncrementLaw.uniform3(),
+              IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)])]
+
+
+@pytest.mark.parametrize("law", CHAIN_LAWS, ids=["fair", "biased", "uniform3", "m1p2"])
+def test_hchain_passes_match_the_scalar_recursions_atom_by_atom(law):
+    paths = list(hchain_path_distribution(law, 6))
+    assert len(paths) == 6
+    for m, dist in enumerate(paths, start=1):
+        assert dist.atoms == reference_hchain_paths(law, m), (law.description, m)
+    ends = list(hchain_endpoint_distribution(law, 8))
+    assert len(ends) == 8
+    for m, dist in enumerate(ends, start=1):
+        assert dist.atoms == reference_hchain_endpoints(law, m), (law.description, m)
+
+
+def test_hchain_passes_ask_for_one_kernel_row_per_reachable_level(monkeypatch):
+    import fluctwalk.conditioning as conditioning
+    calls = []
+
+    def counted(x, law, V):
+        calls.append(x)
+        return h_kernel_row(x, law, V)
+
+    monkeypatch.setattr(conditioning, "h_kernel_row", counted)
+    for chain in (hchain_path_distribution, hchain_endpoint_distribution):
+        calls.clear()
+        assert len(list(chain(FAIR, 10))) == 10
+        assert sorted(calls) == list(range(11)), chain.__name__
 
 
 def test_meander_endpoint_distribution_matches_enumeration():
