@@ -5,9 +5,9 @@
 
 Measures, in one process:
 
-* the enumeration rate of ``iter_paths`` in paths per second: one full pass
-  over the 3^10 paths of the uniform {-1, 0, +1} law (the median of five
-  passes);
+* the enumeration rate of ``path_matrix`` in paths per second: one call
+  that builds the 3^10 paths of the uniform {-1, 0, +1} law (the median of
+  five calls);
 * the seconds of ``certify_reversal`` at ``max_length`` 8 (the benchmark's
   ``exact-enum`` size) and 10 (the acceptance size): the median of five
   runs after one warm-up.
@@ -27,7 +27,7 @@ from time import perf_counter
 from bench_norming import ROOT, provenance
 from fluctwalk.certify import certify_reversal
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.oracle import iter_paths
+from fluctwalk.oracle import path_matrix
 
 ENUM_LAW, ENUM_LENGTH = IncrementLaw.uniform3(), 10
 MAX_LENGTHS = (8, 10)
@@ -38,7 +38,7 @@ def paths_per_second():
     rates = []
     for _ in range(REPS):
         t0 = perf_counter()
-        n = sum(1 for _ in iter_paths(ENUM_LAW, ENUM_LENGTH))
+        n = len(path_matrix(ENUM_LAW, ENUM_LENGTH)[0])
         rates.append(n / (perf_counter() - t0))
     return statistics.median(rates)
 

@@ -44,7 +44,7 @@ from .errors import ParameterError
 from .fluctuation import local_time_curve_np
 from .increments import IncrementLaw, derive_seed, iter_rows
 from .oracle import (distribution_equality, exact_functional_distribution,
-                     integer_law, iter_paths)
+                     integer_law, path_matrix)
 from .scaling import fristedt_residual
 from .transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
 
@@ -146,9 +146,10 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
     so those windows add nothing.  Half the total absolute mass of an entry
     is the total-variation distance between its two laws; atoms of zero
     difference are not stored.  Differences are integer weights over D**m
-    (:func:`~fluctwalk.oracle.iter_paths`).
+    (:func:`~fluctwalk.oracle.path_matrix`).
 
-    The m-step paths are one integer matrix, one row per path.  At each
+    The m-step paths are the oracle's integer matrix, one row per path, cast
+    to the narrowest integer type that holds every key entry.  At each
     index t the rows with a ladder epoch there (labelled k = lam_t) and the
     last-maximum rows with T_last = t (labelled 0) give two key rows each:
     the marked reversed path (S_t - S_{t-i}, lam_t - lam_{t-i})_{i<=t} with
@@ -161,13 +162,10 @@ def _reversal_differences(law: IncrementLaw, m: int) -> List[Dict]:
     if 2 * D ** m >= 2 ** 63:
         raise ParameterError(f"weights over {D}**{m} overflow int64 differences")
     # the narrowest integer type that holds every |S_i|, up_i, lam_i and mark
-    bound = max(m * max(abs(s) for _, s, _ in live), m + 1)
+    bound = max(m * max(abs(s) for s, _ in live), m + 1)
     key_type = np.min_scalar_type(-bound - 1)
-    # one record per path, filled as the paths stream: no tuple is kept
-    paths = np.fromiter(((vals, c) for _, vals, c in iter_paths(law, m)),
-                        dtype=[("S", key_type, (m + 1,)), ("c", np.int64)],
-                        count=len(live) ** m)
-    P, c = paths["S"], paths["c"]
+    P, c = path_matrix(law, m)
+    P = P.astype(key_type)
     lam = local_time_curve_np(P, "strict")
     up = tanaka_transform_np(P)
     marks = _segment_marks(lam)
@@ -245,9 +243,11 @@ def _idloc_violations(V: np.ndarray, variant: str) -> tuple:
 
 def certify_idloc(enum_length: int = 8, gaussian_paths: int = 2000,
                   gaussian_length: int = 500, seed: int = 20240808) -> CheckResult:
+    if min(enum_length, gaussian_paths) < 1:  # an empty family compares nothing
+        raise ParameterError("enum_length and gaussian_paths must be >= 1, got "
+                             f"{enum_length} and {gaussian_paths}")
     law = IncrementLaw.fair_pm1()
-    paths = np.array([vals for _, vals, _ in iter_paths(law, enum_length)])
-    checked, violations = _idloc_violations(paths, "strict")
+    checked, violations = _idloc_violations(path_matrix(law, enum_length)[0], "strict")
 
     glaw = IncrementLaw.gaussian(0.0, 1.0)
     g_viol = sum(_idloc_violations(V, "verbatim")[1]
@@ -280,23 +280,17 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
     ok = True
     for m, chain in enumerate(hchain_path_distribution(law, max_length), start=1):
         Dm = D ** m
-        mism = total = 0
-        seen = set()
-        for _, vals, c in iter_paths(law, m):
-            if min(vals[1:]) < 0:
-                continue
-            total += 1
-            seen.add(vals)
-            # meander mass of this path times P(C_m) V(endpoint) must equal
-            # the conditioned-chain mass, path by path
-            lhs = Fraction(c, Dm) * v_end[vals[-1]]
-            rhs = chain.atoms.get(tuple(vals), Fraction(0))
-            if lhs != rhs:
-                mism += 1
+        P, c = path_matrix(law, m)
+        alive = P[:, 1:].min(axis=1) >= 0
+        paths = list(map(tuple, P[alive].tolist()))
+        # meander mass of this path times P(C_m) V(endpoint) must equal
+        # the conditioned-chain mass, path by path
+        mism = sum(Fraction(w, Dm) * v_end[vals[-1]] != chain.atoms.get(vals, Fraction(0))
+                   for vals, w in zip(paths, c[alive].tolist()))
         # the chain must place no mass outside the surviving paths
-        mism += sum(k not in seen for k in chain.atoms)
+        mism += len(chain.atoms.keys() - set(paths))
         ok = ok and mism == 0
-        rows.append([m, total, mism])
+        rows.append([m, len(paths), mism])
 
     # weight normalization: mean of the meander weights over chain samples
     for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7)):

@@ -2,14 +2,15 @@
 
 Enumerates all increment sequences of a lattice walk with exact
 probabilities, and pushes any path functional forward to its exact
-distribution.  Floating point never enters: outcome keys are increment index
-sequences (not real values), path values are integers on the lattice spanned
-by the support, and every returned mass is a :class:`fractions.Fraction`.
+distribution.  Floating point never enters: path values are integers on the
+lattice spanned by the support, and every returned mass is a
+:class:`fractions.Fraction`.
 
 Internally a lattice law's exact mass is an integer numerator over D**k
-(:func:`integer_law`); the path DFS (:func:`iter_paths`) and the level sweep
-(:func:`lattice_sweep`) behind every exact lattice recursion in the package
-yield those integers, and Fractions are built only in returned values.
+(:func:`integer_law`); the path matrix (:func:`path_matrix`, every path one
+int64 row) and the level sweep (:func:`lattice_sweep`) behind every exact
+lattice recursion in the package hold those integers, and Fractions are
+built only in returned values.
 
 This module is the certification substrate for the package's identity
 checks: a total-variation distance of exactly zero between two enumerated
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterator, Tuple
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ __all__ = [
     "ExactDistribution",
     "integer_law",
     "lattice_sweep",
-    "iter_paths",
+    "path_matrix",
     "exact_functional_distribution",
     "distribution_equality",
 ]
@@ -60,15 +61,15 @@ class ExactDistribution:
 def integer_law(law: IncrementLaw):
     """Integer form of a lattice law's exact mass: (unit, live, D).
 
-    ``live`` lists (support index, integer step, numerator) for every atom,
-    with P(step) = numerator / D and D the least common denominator; k steps
-    then carry integer weights over D**k.
+    ``live`` lists (integer step, numerator) for every atom, with
+    P(step) = numerator / D and D the least common denominator; k steps then
+    carry integer weights over D**k.
     """
     if law.kind != "lattice":
         raise ParameterError("exact enumeration requires a finite-support lattice law")
     unit, steps, probs = law.lattice_integer_form()
     D = math.lcm(*(p.denominator for p in probs))
-    live = [(i, s, int(p * D)) for i, (s, p) in enumerate(zip(steps, probs))]
+    live = [(s, int(p * D)) for s, p in zip(steps, probs)]
     return unit, live, D
 
 
@@ -92,16 +93,16 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0, exact: bool = Tru
     """
     _, live, D = integer_law(law)
     if not exact:
-        live = [(i, s, a / D) for i, s, a in live]
+        live = [(s, a / D) for s, a in live]
         D = 1
-    smin = min(s for _, s, _ in live)
-    span = max(s for _, s, _ in live) - smin
+    smin = min(s for s, _ in live)
+    span = max(s for s, _ in live) - smin
     w = np.ones(1, dtype=object if exact else np.float64)
     lo = 0
     for k in range(1, kmax + 1):
         n = len(w)
         nw = np.zeros(n + span, dtype=w.dtype)
-        for _, s, a in live:
+        for s, a in live:
             nw[s - smin: s - smin + n] += w if a == 1 else w * a
         w, lo = nw, lo + smin
         yield k, lo, w, D
@@ -111,60 +112,59 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0, exact: bool = Tru
             w = w[:max(0, 1 - lo)]
 
 
-def iter_paths(law: IncrementLaw, length: int) -> Iterator[Tuple[tuple, tuple, int]]:
-    """Yield (increment index key, integer path values, integer weight).
+def path_matrix(law: IncrementLaw, length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every length-step path as one int64 matrix: (P, c).
 
-    A path has probability weight / D**length, with D from
-    :func:`integer_law` (the D that :func:`lattice_sweep` yields).
-    Depth-first over increment choices in lexicographic order, so functionals
-    can stream without all paths being materialized.  Prefixes are shared:
-    a choice change at depth j recomputes the values and weights from depth j
-    on only.  Path values are on the integer lattice of the law's support;
-    multiply by the unit from ``lattice_integer_form`` to recover rational
-    values.  More than ``DEFAULT_BUDGET`` paths raise a BudgetError.
+    Row i of ``P`` is a path S_0..S_length and ``c[i]`` its int64 weight over
+    D**length, with D from :func:`integer_law` (the D that
+    :func:`lattice_sweep` yields).  Rows come in lexicographic order of the
+    increment choices, the first step most significant.  Path values are on
+    the integer lattice of the law's support; multiply by the unit from
+    ``lattice_integer_form`` to recover rational values.
+
+    More than ``DEFAULT_BUDGET`` cells, rows * (length + 1), raise a
+    BudgetError: at the budget ``P`` takes 128 MiB and ``c`` at most 64 MiB,
+    and the peak memory of a call is those two arrays (columns are filled in
+    place).  A D**length that does not
+    fit in int64 raises a ParameterError.
     """
     if length < 0:
         raise ParameterError("length must be >= 0")
-    _, live, _ = integer_law(law)
+    _, live, D = integer_law(law)
+    if D ** length >= 2 ** 63:
+        raise ParameterError(f"weights over {D}**{length} overflow int64")
     r = len(live)
-    n_paths = r ** length
-    if n_paths > DEFAULT_BUDGET:
-        raise BudgetError(f"{n_paths} paths exceed the enumeration budget {DEFAULT_BUDGET}")
-    choice = [0] * length
-    keys = [0] * length
-    vals = [0] * (length + 1)
-    nums = [1] * (length + 1)
-    j = 0
-    while True:
-        for d in range(j, length):
-            keys[d], s, a = live[choice[d]]
-            vals[d + 1] = vals[d] + s
-            nums[d + 1] = nums[d] * a
-        yield tuple(keys), tuple(vals), nums[length]
-        j = length - 1
-        while j >= 0 and choice[j] == r - 1:
-            choice[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        choice[j] += 1
+    rows = r ** length
+    cells = rows * (length + 1)
+    if cells > DEFAULT_BUDGET:
+        raise BudgetError(f"{cells} path cells exceed the enumeration budget {DEFAULT_BUDGET}")
+    steps, nums = np.array(live, dtype=np.int64).T
+    P = np.zeros((rows, length + 1), dtype=np.int64)
+    c = np.ones(rows, dtype=np.int64)
+    # one axis per step in C order, so the first choice varies slowest
+    grid, weights = P.reshape((r,) * length + (-1,)), c.reshape((r,) * length)
+    for j in range(length):
+        axis = (r,) + (1,) * (length - j - 1)
+        np.add(grid[..., j], steps.reshape(axis), out=grid[..., j + 1])
+        weights *= nums.reshape(axis)
+    return P, c
 
 
 def exact_functional_distribution(law: IncrementLaw, length: int,
                                   functional) -> ExactDistribution:
     """Exact pushforward of the law of the length-step path under ``functional``.
 
-    The functional receives the integer path values of each enumerated path
-    and must return a hashable result.  Paths stream without being stored;
-    their integer weights are summed per result and divided once by
-    D**length.
+    The functional receives each row of :func:`path_matrix` as a tuple of
+    Python ints and must return a hashable result.  The rows' integer
+    weights are summed per result and divided once by D**length.
     """
+    P, c = path_matrix(law, length)
     out: Dict[Hashable, int] = {}
-    for _, vals, c in iter_paths(law, length):
+    for vals, w in zip(map(tuple, P.tolist()), c.tolist()):
         y = functional(vals)
-        out[y] = out.get(y, 0) + c
+        out[y] = out.get(y, 0) + w
     Dm = integer_law(law)[2] ** length
-    result = ExactDistribution({y: Fraction(c, Dm) for y, c in out.items()})
+    result = ExactDistribution({y: Fraction(w, Dm) for y, w in out.items()})
     result.validate()
     return result
 

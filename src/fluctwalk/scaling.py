@@ -69,12 +69,12 @@ def wiener_hopf_factor(law: IncrementLaw, s: float, z: float) -> Tuple[float, fl
     if not (0 < s < 1 and -1 <= z <= 1):
         raise ParameterError("need 0 < s < 1 and -1 <= z <= 1")
     _, live, D = integer_law(law)
-    d = max(0, -min(j for _, j, _ in live))
-    u = max(0, max(j for _, j, _ in live))
+    d = max(0, -min(j for j, _ in live))
+    u = max(0, max(j for j, _ in live))
     if u == 0:
         return 1.0, 0.0
     m, eps = u + d, 2.0 ** -53
-    B = [sum(a * (math.comb(j + d, k) - math.comb(d, k)) for _, j, a in live)
+    B = [sum(a * (math.comb(j + d, k) - math.comb(d, k)) for j, a in live)
          for k in range(m, -1, -1)]
     q = np.array([math.comb(d, m - i) * (1 - s) - s * (b / D) for i, b in enumerate(B)])
     size = np.array([math.comb(d, m - i) * (1 - s) + s * abs(b / D) for i, b in enumerate(B)])
@@ -173,6 +173,8 @@ def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[Frist
     e^{-alpha t}, in the same operation order as a one-point call, so a grid
     report equals the one-point report bit for bit.
     """
+    if K < 1:  # no term of either side: the residual would compare nothing
+        raise ParameterError(f"truncation K must be >= 1, got {K}")
     alphas = [float(a) for a in np.atleast_1d(alpha)]
     betas = [float(b) for b in np.atleast_1d(beta)]
     if not all(a > 0 for a in alphas):

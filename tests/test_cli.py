@@ -82,6 +82,26 @@ def test_verify_meander_ac_without_weight_spread_is_one_error_line(tmp_path, cap
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("suite, config, name", [
+    ("idloc", {"enum_length": 0}, "enum_length"),
+    ("idloc", {"gaussian_paths": 0}, "gaussian_paths"),
+    ("fristedt", {"truncation": 0}, "truncation"),
+    ("fristedt", {"truncation": -2}, "truncation"),
+])
+def test_verify_over_an_empty_family_is_one_error_line(tmp_path, capsys, suite, config,
+                                                       name):
+    # no enumerated window, no sampled path or no truncation term: the input
+    # is rejected, not certified
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = str(tmp_path / "v")
+    assert run(["--config", str(cfgfile), "--out", out, "verify", suite]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert not os.path.exists(out)
+
+
 def test_verify_idloc_small(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"gaussian_paths": 200, "gaussian_length": 120,

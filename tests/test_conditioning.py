@@ -234,8 +234,9 @@ def test_chain_and_meander_absolute_continuity_exact():
     for m in (2, 4, 6):
         chain = chains[m - 1]
         total = F(0)
-        from fluctwalk.oracle import iter_paths
-        for _, vals, c in iter_paths(FAIR, m):
+        from fluctwalk.oracle import path_matrix
+        P, W = path_matrix(FAIR, m)
+        for vals, c in zip(map(tuple, P.tolist()), W.tolist()):
             if min(vals[1:]) < 0:
                 continue
             prob = F(c, 2 ** m)
@@ -309,14 +310,15 @@ def test_hchain_passes_ask_for_one_kernel_row_per_reachable_level(monkeypatch):
 
 
 def test_meander_endpoint_distribution_matches_enumeration():
-    from fluctwalk.oracle import integer_law, iter_paths
+    from fluctwalk.oracle import integer_law, path_matrix
     for law in (FAIR, IncrementLaw.uniform3()):
         D = integer_law(law)[2]
         for k in (2, 5):
             dp = meander_endpoint_distribution(law, k)
             direct = {}
             surv = F(0)
-            for _, vals, c in iter_paths(law, k):
+            P, W = path_matrix(law, k)
+            for vals, c in zip(map(tuple, P.tolist()), W.tolist()):
                 if min(vals[1:]) < 0:
                     continue
                 prob = F(c, D ** k)

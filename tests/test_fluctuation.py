@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
                                    local_time_strict, local_time_verbatim)
 from fluctwalk.increments import IncrementLaw, iter_rows, sample_walk
-from fluctwalk.oracle import iter_paths
+from fluctwalk.oracle import path_matrix
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=40)
 
@@ -95,7 +95,7 @@ def test_variant_agreement_on_diffuse_paths():
 @pytest.mark.parametrize("law, max_length", ENUMERATED, ids=ENUMERATED_IDS)
 def test_batched_counts_match_scalar_on_every_lattice_path(law, max_length):
     for m in range(max_length + 1):
-        paths = [vals for _, vals, _ in iter_paths(law, m)]
+        paths = list(map(tuple, path_matrix(law, m)[0].tolist()))
         V = np.array(paths)
         for variant, scalar in (("strict", local_time_strict),
                                 ("verbatim", local_time_verbatim)):

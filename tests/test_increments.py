@@ -12,7 +12,7 @@ from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_v
 from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
                                   sample_rows, sample_walk)
-from fluctwalk.oracle import iter_paths
+from fluctwalk.oracle import path_matrix
 from fluctwalk.transforms import future_min_local_time, tanaka_transform
 
 
@@ -298,7 +298,7 @@ def _idloc_with_weak(monkeypatch, weak):
     res = certify.certify_idloc(enum_length=6, gaussian_paths=20, gaussian_length=30,
                                 seed=8)
     offsets = []
-    for _, vals, _ in iter_paths(IncrementLaw.fair_pm1(), 6):
+    for vals in map(tuple, path_matrix(IncrementLaw.fair_pm1(), 6)[0].tolist()):
         a = local(vals)
         b = future_min_local_time(tanaka_transform(vals), variant=future)
         t_last = ladder_epochs(vals)[-1]

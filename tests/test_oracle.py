@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,9 @@ from fluctwalk.conditioning import meander_endpoint_distribution, survival_seque
 from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.fluctuation import local_time_strict, local_time_verbatim
 from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
-from fluctwalk.oracle import (ExactDistribution, distribution_equality,
-                              exact_functional_distribution, integer_law, iter_paths,
-                              lattice_sweep)
+from fluctwalk.oracle import (DEFAULT_BUDGET, ExactDistribution, distribution_equality,
+                              exact_functional_distribution, integer_law, lattice_sweep,
+                              path_matrix)
 from fluctwalk.scaling import _split_at_zero
 from fluctwalk.stats import dkw_epsilon
 
@@ -63,7 +65,7 @@ def test_mass_conservation_validated():
 
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetError):
-        list(iter_paths(IncrementLaw.uniform3(), 30))
+        path_matrix(IncrementLaw.uniform3(), 30)
 
 
 def test_empirical_frequencies_within_dkw_band_of_oracle():
@@ -93,7 +95,8 @@ def test_iter_paths_weights_are_the_integer_sweep(law):
     for m, lo, w, Ds in lattice_sweep(law, 6):
         ends = {}
         n = 0
-        for _, vals, c in iter_paths(law, m):
+        P, W = path_matrix(law, m)
+        for vals, c in zip(map(tuple, P.tolist()), W.tolist()):
             assert type(c) is int and c > 0
             ends[vals[-1]] = ends.get(vals[-1], 0) + c
             n += 1
@@ -140,7 +143,8 @@ def test_level_sweeps_match_path_enumeration(law):
     for k in range(1, K + 1):
         table, meander = {}, {}
         survivor = alive = F(0)
-        for _, vals, c in iter_paths(law, k):
+        P, W = path_matrix(law, k)
+        for vals, c in zip(map(tuple, P.tolist()), W.tolist()):
             prob = F(c, D ** k)
             t = next((j for j in range(1, k + 1) if vals[j] > 0), None)
             if t is None:
@@ -155,3 +159,39 @@ def test_level_sweeps_match_path_enumeration(law):
         assert surv[k] == alive
         assert meander_endpoint_distribution(law, k).atoms == {
             y: p / alive for y, p in meander.items()}
+
+
+FIVE_ATOM = IncrementLaw.lattice([-2, -1, 0, 1, 2], [F(1, 10), F(1, 5), F(2, 5), F(1, 5),
+                                                     F(1, 10)], description="five-atom")
+
+
+@pytest.mark.parametrize("law", DEFAULT_LAWS() + [UP_TWO, ZERO_ATOM, FIVE_ATOM],
+                         ids=lambda law: law.description)
+def test_path_matrix_is_the_product_enumeration_row_by_row(law):
+    # rows in lexicographic order of the increment choices, first step
+    # slowest, each weighing the product of its steps' numerators over D**m;
+    # m = 0 is the single row [0] of weight 1
+    _, live, D = integer_law(law)
+    for m in range(7):
+        P, c = path_matrix(law, m)
+        assert P.dtype == c.dtype == np.int64
+        choices = list(itertools.product(live, repeat=m))
+        assert P.tolist() == [list(itertools.accumulate((s for s, _ in ch), initial=0))
+                              for ch in choices]
+        assert c.tolist() == [math.prod(a for _, a in ch) for ch in choices]
+        assert int(c.sum()) == D ** m
+
+
+def test_path_matrix_refuses_weights_that_overflow_int64():
+    # D = 2**31: eight rows fit the budget, but D**3 = 2**93 does not fit int64
+    law = IncrementLaw.lattice([-1, 1], [F(1, 2 ** 31), 1 - F(1, 2 ** 31)])
+    assert path_matrix(law, 2)[1].tolist() == [1, 2 ** 31 - 1, 2 ** 31 - 1, (2 ** 31 - 1) ** 2]
+    with pytest.raises(ParameterError, match="int64"):
+        path_matrix(law, 3)
+
+
+def test_path_matrix_budget_counts_cells():
+    # 3**14 rows fit the budget alone; with their 15 values each they do not
+    assert 3 ** 14 <= DEFAULT_BUDGET < 3 ** 14 * 15
+    with pytest.raises(BudgetError, match="cells"):
+        path_matrix(IncrementLaw.uniform3(), 14)

@@ -12,7 +12,7 @@ from fluctwalk.errors import ParameterError
 from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_strict,
                                    local_time_verbatim)
 from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
-from fluctwalk.oracle import distribution_equality, exact_functional_distribution, iter_paths
+from fluctwalk.oracle import distribution_equality, exact_functional_distribution, path_matrix
 from fluctwalk.transforms import (future_min_local_time, future_min_local_time_np,
                                   tanaka_transform, tanaka_transform_np)
 
@@ -80,7 +80,7 @@ def _assert_batched_forms_match_scalar(rows):
 def test_batched_rebuild_and_future_min_match_scalar_on_every_lattice_path(
         law, max_length):
     for m in range(max_length + 1):
-        _assert_batched_forms_match_scalar([vals for _, vals, _ in iter_paths(law, m)])
+        _assert_batched_forms_match_scalar(list(map(tuple, path_matrix(law, m)[0].tolist())))
 
 
 @given(float_rows)
@@ -241,7 +241,8 @@ def reversal_differences_per_path(law, m, segment_starts=bisect_left):
             if v:
                 d[key] = v
 
-    for _, vals, c in iter_paths(law, m):
+    P, W = path_matrix(law, m)
+    for vals, c in zip(map(tuple, P.tolist()), W.tolist()):
         T = ladder_epochs(vals)
         lam = local_time_strict(vals)
         up = tanaka_transform(vals)
@@ -285,7 +286,7 @@ def test_reversal_differences_equal_the_per_path_reference(monkeypatch, law, max
 @pytest.mark.parametrize("law,m", ENUMERATED, ids=ENUMERATED_IDS)
 def test_last_max_rule_matches_last_max_index_row_by_row(law, m):
     for n in range(m + 1):
-        paths = [vals for _, vals, _ in iter_paths(law, n)]
+        paths = list(map(tuple, path_matrix(law, n)[0].tolist()))
         t_last, rule = certify._last_max_ladder(np.array(paths))
         epochs = [ladder_epochs(vals)[-1] for vals in paths]
         assert t_last.tolist() == epochs
