@@ -7,9 +7,8 @@ scaling behavior is checked by Monte Carlo experiments against closed-form
 limit targets.
 """
 
-from .increments import IncrementLaw, WalkPath, derive_seed, sample_walk
-from .fluctuation import last_max_index, local_time_strict, local_time_verbatim
-from .transforms import future_min_local_time, tanaka_transform
+from .increments import IncrementLaw, derive_seed
+from .transforms import tanaka_transform
 from .scaling import FristedtReport, fristedt_residual, norming_constant, wiener_hopf_factor
 from .conditioning import (SurvivalEstimate, conditioned_states, harmonic_limits,
                            meander_sample, meander_weights, renewal_function,

@@ -43,8 +43,8 @@ from .conditioning import (conditioned_states, h_kernel_row,
 from .errors import ParameterError
 from .fluctuation import local_time_curve_np
 from .increments import IncrementLaw, derive_seed, iter_rows
-from .oracle import (distribution_equality, exact_functional_distribution,
-                     integer_law, path_matrix)
+from .oracle import (check_path_matrix, distribution_equality,
+                     exact_functional_distribution, integer_law, path_matrix)
 from .scaling import fristedt_residual
 from .transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
 
@@ -73,10 +73,13 @@ class CheckResult:
     rows: List[list] = field(default_factory=list)
 
 
-def _check_max_length(max_length: int) -> None:
+def _check_max_length(max_length: int, laws: List[IncrementLaw]) -> None:
     # a certificate over no window length would pass having compared nothing
     if max_length < 1:
         raise ParameterError(f"max_length must be >= 1, got {max_length}")
+    # refused before any length runs: what fits at max_length fits below it
+    for law in laws:
+        check_path_matrix(law, max_length)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +206,11 @@ def _total_variation(diff: Dict, Dm: int) -> Fraction:
 
 
 def certify_reversal(max_length: int = 8) -> CheckResult:
-    _check_max_length(max_length)
+    laws = DEFAULT_LAWS()
+    _check_max_length(max_length, laws)
     rows = [["law", "length", "check", "k", "tv"]]
     ok = True
-    for law in DEFAULT_LAWS():
+    for law in laws:
         D = integer_law(law)[2]
         for m in range(1, max_length + 1):
             diffs = _reversal_differences(law, m)
@@ -269,10 +273,10 @@ def certify_idloc(enum_length: int = 8, gaussian_paths: int = 2000,
 def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
                        weight_trials: int = 20_000,
                        seed: int = 20240808) -> CheckResult:
-    _check_max_length(max_length)
+    law = IncrementLaw.fair_pm1()
+    _check_max_length(max_length, [law])
     if weight_trials < 2:  # one weight has no standard error
         raise ParameterError(f"weight_trials must be >= 2, got {weight_trials}")
-    law = IncrementLaw.fair_pm1()
     D = integer_law(law)[2]
     V = renewal_function(law)
     v_end = [V(Fraction(x)) for x in range(max_length + 1)]
@@ -312,8 +316,8 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
 
 
 def certify_h_kernel(max_length: int = 8) -> CheckResult:
-    _check_max_length(max_length)
     law = IncrementLaw.fair_pm1()
+    _check_max_length(max_length, [law])
     V = renewal_function(law)
     rows = [["check", "value", "pass"]]
     ok = True

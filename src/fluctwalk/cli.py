@@ -140,6 +140,9 @@ def main(argv=None) -> int:
         out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
         seed = overrides.get("seed", args.seed)
         reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))
+        # every stream hashes the seed as non-negative uint32 words (derive_seed)
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if args.command == "verify":
             return _cmd_verify(args, overrides, out_dir, seed, p_verify.error)
         if args.command == "converge":

@@ -26,9 +26,10 @@ batch by rejection from the walk's own trials, on any law.  The chains of
 :func:`conditioned_states` weighted by 1 / (P(C_k) V(endpoint))
 (:func:`meander_weights`, the one place that knows this weight) have
 exactly the meander law, path by path on lattices; they reach the large
-horizons.  :func:`meander_endpoint_distribution` is the exact endpoint law
-on lattices and :func:`meander_endpoint_floats` that law in float: ``converge
-meander`` checks the chains against the float law, and it against Rayleigh.
+horizons.  :func:`meander_endpoint_floats` is the endpoint law on lattices,
+in float with a stated error bound against the exact law that the tests
+hold: ``converge meander`` checks the chains against the float law, and it
+against Rayleigh.
 
 The ``hchain_*`` exact laws (the chain side of the h-kernel and meander-ac certificates)
 multiply :func:`h_kernel_row` rows, one per reachable level; one pass yields every length.
@@ -59,7 +60,6 @@ __all__ = [
     "SurvivalEstimate",
     "survival_probability",
     "survival_sequence",
-    "meander_endpoint_distribution",
     "meander_endpoint_floats",
     "hchain_path_distribution",
     "hchain_endpoint_distribution",
@@ -214,27 +214,6 @@ class SurvivalEstimate:
     error: float
 
 
-def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistribution:
-    """Exact endpoint law of the k-step meander, on the integer lattice.
-
-    Forward recursion over nonnegative levels conditioned on survival;
-    the independent route to the same law is rejection over the enumeration
-    oracle, which tests compare against.
-    """
-    if law.kind != "lattice":
-        raise UnsupportedModeError("exact meander endpoints require a lattice law")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    for _, lo, w, _ in lattice_sweep(law, k, keep=+1):
-        pass  # only the last step's levels are needed
-    start = max(0, -lo)
-    total = int(w[start:].sum())
-    dist = ExactDistribution({lo + j: Fraction(w[j], total)
-                              for j in range(start, len(w)) if w[j]})
-    dist.validate()
-    return dist
-
-
 def meander_endpoint_floats(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, tuple]:
     """{k: (P(C_k), levels, probabilities)} of the k-step meander endpoint
     law for every k in ks, in float off one level sweep to the largest k.
@@ -243,7 +222,7 @@ def meander_endpoint_floats(law: IncrementLaw, ks: Sequence[int]) -> Dict[int, t
     are nonnegative, so with r atoms and L levels summed, P(C_k) is within
     relative (r + 1) k u + (L - 1) u of its exact value and each probability
     within 2 (r + 1) k u + L u (u = 2**-53), plus at most L 2**-1074 of
-    underflow.  :func:`meander_endpoint_distribution` is the exact law.
+    underflow.  :func:`survival_sequence` gives the exact P(C_k).
     """
     wanted = {int(k) for k in ks}
     out = {}

@@ -14,12 +14,9 @@ epoch equals k on every path).  Exact certification work therefore uses the
 strict variant on lattice laws; convergence experiments on diffuse laws may
 use either.
 
-The scalar counts take a sequence of path values S_0..S_m and return the
-tuple of counts Lambda_0..Lambda_m, with Lambda_0 = 0.  They are the
-references that the batched :func:`local_time_curve_np` is tested against,
-and :func:`last_max_index` is the reference for the reversal certificate's
-batched last-maximum rule; the certificate itself reads
-:func:`local_time_curve_np` on its whole path matrix.
+:func:`local_time_curve_np` is the one form of both counts: it maps rows of
+path values S_0..S_m (a 1-D array is one path) to their counts
+Lambda_0..Lambda_m, Lambda_0 = 0.  The tests hold the single-path references.
 """
 
 from __future__ import annotations
@@ -29,48 +26,15 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "local_time_verbatim",
-    "local_time_strict",
     "local_time_curve_np",
     "ladder_epochs",
-    "last_max_index",
 ]
-
-
-def local_time_verbatim(vals) -> tuple:
-    """Count up-steps landing on the running maximum (weak records)."""
-    counts = [0]
-    mx = vals[0]
-    c = 0
-    prev = vals[0]
-    for v in vals[1:]:
-        if v > mx:
-            mx = v
-        if prev < v and v == mx:
-            c += 1
-        counts.append(c)
-        prev = v
-    return tuple(counts)
-
-
-def local_time_strict(vals) -> tuple:
-    """Count strict running-max records; inverse of the ladder epochs."""
-    counts = [0]
-    mx = vals[0]
-    c = 0
-    for v in vals[1:]:
-        if v > mx:
-            c += 1
-            mx = v
-        counts.append(c)
-    return tuple(counts)
 
 
 def local_time_curve_np(values: np.ndarray, variant: str = "verbatim") -> np.ndarray:
     """Vectorized local-time counts along the last axis (one path per row).
 
-    Equivalent row by row to the scalar functions above; cross-checked in
-    tests.
+    Equivalent row by row to the single-path counts of the tests.
     """
     v = np.asarray(values)
     m = np.maximum.accumulate(v, axis=-1)
@@ -97,15 +61,3 @@ def ladder_epochs(vals) -> list:
             epochs.append(j)
             mx = vals[j]
     return epochs
-
-
-def last_max_index(vals) -> int:
-    """Last index at which the path touches its running maximum."""
-    mx = vals[0]
-    last = 0
-    for j in range(1, len(vals)):
-        if vals[j] > mx:
-            mx = vals[j]
-        if vals[j] == mx:
-            last = j
-    return last

@@ -10,19 +10,20 @@ A walk is S_0 = 0, S_k = Y_1 + ... + Y_k with i.i.d. steps Y drawn from an
 * symmetric heavy-tailed steps with a prescribed tail index, used for
   stable-limit ratio checks.
 
-Sampling is a pure function of (law, length, seed): identical inputs give
-bit-identical paths.  Per-trial streams derive from a master seed via
-:func:`derive_seed`, so embarrassingly parallel Monte Carlo stays
-reproducible regardless of scheduling.
+Sampling is a pure function of (law, length, master seed, trial):
+identical inputs give bit-identical paths.  Per-trial streams derive from a
+master seed via :func:`derive_seed`, so embarrassingly parallel Monte Carlo
+stays reproducible regardless of scheduling.
 
 Monte Carlo loops draw their trials with :func:`iter_rows`, as batches of
 walks of at most ``_BATCH_STEPS`` steps made by :func:`sample_rows`: the
 per-trial seeds and PCG64 states of a batch come from one vectorized pass of
 numpy's ``SeedSequence`` hash, and row i of a batch, S_0 = 0, ..., S_m, is
-bit-identical to ``sample_walk(law, m, derive_seed(master, first + i)).values``,
-so no result depends on the batch size.  :func:`sample_rows` is the one map
-from a batch of trials to walks, and :func:`draw_steps` the one map from a
-law and a generator to steps.
+bit-identical to the cumulative sum of m steps drawn from a fresh
+``PCG64(SeedSequence(derive_seed(master, first + i)))``, so no result depends
+on the batch size.  :func:`sample_rows` is the one map from a batch of
+trials to walks, and :func:`draw_steps` the one map from a law and a
+generator to steps.
 """
 
 from __future__ import annotations
@@ -39,13 +40,10 @@ from .errors import ParameterError
 
 __all__ = [
     "IncrementLaw",
-    "WalkPath",
     "derive_seed",
     "draw_steps",
     "iter_rows",
     "sample_rows",
-    "sample_steps",
-    "sample_walk",
 ]
 
 
@@ -231,17 +229,6 @@ class IncrementLaw:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"not a law: {text!r} ({exc!r})") from None
         raise ParameterError(f"unknown law kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """A finite walk S_0 = 0, ..., S_m."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) == 0 or self.values[0] != 0:
-            raise ParameterError("a walk path must start at 0")
 
 
 # numpy's SeedSequence (O'Neill's seed_seq hash for PCG) on uint32 words
@@ -431,23 +418,16 @@ def draw_steps(law: IncrementLaw, rng: np.random.Generator, out: np.ndarray) -> 
     return _to_steps(law, out, negative)
 
 
-def sample_steps(law: IncrementLaw, length: int, seed: int) -> np.ndarray:
-    """Raw i.i.d. steps as a float array; deterministic in (law, length, seed)."""
-    if length < 1:
-        raise ParameterError("length must be >= 1")
-    return draw_steps(law, _rng(seed), np.empty(length))
-
-
 def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
                 count: int) -> np.ndarray:
     """Walks of trials first .. first + count - 1 of ``master_seed``, one row each.
 
-    Row i holds S_0 = 0, ..., S_length and equals
-    ``sample_walk(law, length, derive_seed(master_seed, first + i)).values``
-    bit for bit.  The seeds and PCG64 states of the whole batch are derived
-    at once; one generator is re-seeded per row through its state and draws
-    the row's steps into columns 1.., the whole batch is mapped to steps in
-    one pass and summed along each row in place.
+    Row i holds S_0 = 0, ..., S_length and equals, bit for bit, the walk of
+    the steps that ``PCG64(SeedSequence(derive_seed(master_seed, first + i)))``
+    draws for ``law``.  The seeds and PCG64 states of the whole batch are
+    derived at once; one generator is re-seeded per row through its state
+    and draws the row's steps into columns 1.., the whole batch is mapped to
+    steps in one pass and summed along each row in place.
     """
     if length < 1 or count < 0:
         raise ParameterError("length must be >= 1 and count >= 0")
@@ -488,11 +468,3 @@ def iter_rows(law: IncrementLaw, length: int, master_seed: int,
         yield sample_rows(law, length, master_seed, lo, step)
         lo += step
         rows *= 2
-
-
-def sample_walk(law: IncrementLaw, length: int, seed: int) -> WalkPath:
-    """Sample a walk of the given length; pure in (law, length, seed)."""
-    steps = sample_steps(law, length, seed)
-    vals = np.zeros(length + 1)
-    np.cumsum(steps, out=vals[1:])
-    return WalkPath(values=tuple(vals.tolist()))

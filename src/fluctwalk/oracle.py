@@ -34,6 +34,7 @@ __all__ = [
     "ExactDistribution",
     "integer_law",
     "lattice_sweep",
+    "check_path_matrix",
     "path_matrix",
     "exact_functional_distribution",
     "distribution_equality",
@@ -112,6 +113,26 @@ def lattice_sweep(law: IncrementLaw, kmax: int, keep: int = 0, exact: bool = Tru
             w = w[:max(0, 1 - lo)]
 
 
+def check_path_matrix(law: IncrementLaw, length: int) -> list:
+    """Refuse a :func:`path_matrix` call before it builds anything.
+
+    A negative length or a D**length that does not fit in int64 raises a
+    ParameterError, and more than ``DEFAULT_BUDGET`` cells, rows * (length +
+    1), a BudgetError.  Both grow with length, so a length that passes
+    passes at every smaller length too.  Returns ``live`` of :func:`integer_law`.
+    """
+    if length < 0:
+        raise ParameterError("length must be >= 0")
+    _, live, D = integer_law(law)
+    if D ** length >= 2 ** 63:
+        raise ParameterError(f"weights over {D}**{length} overflow int64")
+    cells = len(live) ** length * (length + 1)
+    if cells > DEFAULT_BUDGET:
+        raise BudgetError(f"{cells} path cells at length {length} exceed the enumeration "
+                          f"budget {DEFAULT_BUDGET}")
+    return live
+
+
 def path_matrix(law: IncrementLaw, length: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every length-step path as one int64 matrix: (P, c).
 
@@ -122,22 +143,13 @@ def path_matrix(law: IncrementLaw, length: int) -> Tuple[np.ndarray, np.ndarray]
     the integer lattice of the law's support; multiply by the unit from
     ``lattice_integer_form`` to recover rational values.
 
-    More than ``DEFAULT_BUDGET`` cells, rows * (length + 1), raise a
-    BudgetError: at the budget ``P`` takes 128 MiB and ``c`` at most 64 MiB,
-    and the peak memory of a call is those two arrays (columns are filled in
-    place).  A D**length that does not
-    fit in int64 raises a ParameterError.
+    Inputs that :func:`check_path_matrix` refuses raise its errors.  At the
+    budget ``P`` takes 128 MiB and ``c`` at most 64 MiB, and the peak memory
+    of a call is those two arrays (columns are filled in place).
     """
-    if length < 0:
-        raise ParameterError("length must be >= 0")
-    _, live, D = integer_law(law)
-    if D ** length >= 2 ** 63:
-        raise ParameterError(f"weights over {D}**{length} overflow int64")
+    live = check_path_matrix(law, length)
     r = len(live)
     rows = r ** length
-    cells = rows * (length + 1)
-    if cells > DEFAULT_BUDGET:
-        raise BudgetError(f"{cells} path cells exceed the enumeration budget {DEFAULT_BUDGET}")
     steps, nums = np.array(live, dtype=np.int64).T
     P = np.zeros((rows, length + 1), dtype=np.int64)
     c = np.ones(rows, dtype=np.int64)

