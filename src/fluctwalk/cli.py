@@ -54,6 +54,8 @@ VERIFY = {
     "h-kernel": "certify_h_kernel",
 }
 
+SIMULATE_KINDS = ("walk", "conditioned", "meander")
+
 # the config-file keys each command reads besides "seed" and "out"
 CONFIG_KEYS = {
     **{f"verify {suite}": tuple(p for p in inspect.signature(getattr(certify, name)).parameters
@@ -121,12 +123,12 @@ def main(argv=None) -> int:
     p_conv.add_argument("experiment", choices=list(RUNS))
     p_conv.add_argument("--law", default=None)
 
-    p_sim = sub.add_parser("simulate", help="stream sampled paths to CSV")
+    p_sim = sub.add_parser(
+        "simulate", help="stream sampled paths to CSV, rows written as they are drawn")
     p_sim.add_argument("--law", default=None, help="default: gaussian")
-    p_sim.add_argument("--length", type=int, default=256)
-    p_sim.add_argument("--paths", type=int, default=8)
-    p_sim.add_argument("--kind", choices=["walk", "conditioned", "meander"],
-                       default="walk")
+    p_sim.add_argument("--length", type=int, default=256, help="steps per path, >= 1")
+    p_sim.add_argument("--paths", type=int, default=8, help="number of paths, >= 1")
+    p_sim.add_argument("--kind", choices=SIMULATE_KINDS, default="walk")
 
     sub.add_parser("tables", help="reference limit-law tables")
 
@@ -192,13 +194,30 @@ def _cmd_converge(args, overrides, out_dir, seed) -> int:
     return _finish(RUNS[args.experiment](cfg), out_dir)
 
 
+def _path_cells(paths):
+    """The CSV rows of ``paths`` (each a list of values), header first."""
+    # no kind draws weighted paths; the four-column format keeps weight 1.0
+    yield ["trial", "index", "value", "weight"]
+    for t, values in enumerate(paths):
+        n = len(values)
+        yield from zip([t] * n, range(n), values, [1.0] * n)
+
+
 def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     law = _parse_law(args.law or overrides.get("law") or "gaussian")
     length = overrides.get("length", args.length)
     n_paths = overrides.get("paths", args.paths)
     kind = overrides.get("kind", args.kind)
+    for key, value in (("length", length), ("paths", n_paths)):
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"simulate: {key} must be a positive integer, got {value!r}")
+    if kind not in SIMULATE_KINDS:
+        raise ConfigError(f"simulate: kind must be one of {', '.join(SIMULATE_KINDS)}, "
+                          f"got {kind!r}")
+    # rows reach the CSV as they are drawn: walks batch by batch, the
+    # sampled arrays of the other kinds row by row
     if kind == "walk":
-        paths = [row for S in iter_rows(law, length, seed, n_paths) for row in S.tolist()]
+        paths = (row for S in iter_rows(law, length, seed, n_paths) for row in S.tolist())
     elif kind == "conditioned":
         try:
             levels = list(conditioned_states(law, length, n_paths, seed))
@@ -208,15 +227,10 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
         # integer chain levels after S_0 = 0, times the lattice unit
         unit = law.lattice_integer_form()[0]
         levels = np.column_stack([np.zeros(n_paths, dtype=np.int64)] + levels)
-        paths = (levels * unit.numerator / unit.denominator).tolist()
+        paths = (row.tolist() for row in levels * unit.numerator / unit.denominator)
     else:
-        paths = meander_sample(law, length, n_paths, seed).tolist()
-    # no kind draws weighted paths; the four-column format keeps weight 1.0
-    rows = [["trial", "index", "value", "weight"]]
-    for t, values in enumerate(paths):
-        for i, v in enumerate(values):
-            rows.append([t, i, v, 1.0])
-    write_rows(out_dir, f"{kind}_paths", rows)
+        paths = (row.tolist() for row in meander_sample(law, length, n_paths, seed))
+    write_rows(out_dir, f"{kind}_paths", _path_cells(paths))
     print(f"wrote {n_paths} {kind} paths of length {length} to {out_dir}")
     return 0
 

@@ -37,7 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class ExperimentReport:
             write_rows(out_dir, name, rows)
 
 
-def write_rows(out_dir: str, name: str, rows: List[list]) -> None:
+def write_rows(out_dir: str, name: str, rows: Iterable[list]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)

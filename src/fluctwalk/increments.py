@@ -16,7 +16,8 @@ master seed via :func:`derive_seed`, so embarrassingly parallel Monte Carlo
 stays reproducible regardless of scheduling.
 
 Monte Carlo loops draw their trials with :func:`iter_rows`, as batches of
-walks of at most ``_BATCH_STEPS`` steps made by :func:`sample_rows`: the
+walks of at most ``_BATCH_STEPS`` = 2^16 steps (about 512 KiB of float64,
+so a batch stays in cache) made by :func:`sample_rows`: the
 per-trial seeds and PCG64 states of a batch come from one vectorized pass of
 numpy's ``SeedSequence`` hash, and row i of a batch, S_0 = 0, ..., S_m, is
 bit-identical to the cumulative sum of m steps drawn from a fresh
@@ -448,8 +449,9 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
     return S
 
 
-# most steps one batch of rows holds (a batch has at least one row)
-_BATCH_STEPS = 1 << 20
+# most steps one batch of rows holds (a batch has at least one row);
+# scripts/bench_rows.py times and traces the caps 2^14 .. 2^20
+_BATCH_STEPS = 1 << 16
 
 
 def iter_rows(law: IncrementLaw, length: int, master_seed: int,
@@ -458,8 +460,10 @@ def iter_rows(law: IncrementLaw, length: int, master_seed: int,
 
     Each batch is a :func:`sample_rows` array of shape (rows, length + 1).
     Batches are drawn only when asked for and grow from 16 rows by doubling
-    up to ``_BATCH_STEPS`` steps (at least one row), so a loop that stops
-    early draws few spare trials and a long one makes few calls.
+    up to ``_BATCH_STEPS`` = 2^16 steps (at least one row), so a loop that
+    stops early draws few spare trials, and a batch of rows shorter than
+    2^16 steps is about a 512 KiB float64 array, which stays in cache with
+    the temporaries a path functional makes of it.
     """
     cap = max(1, _BATCH_STEPS // max(length, 1))
     lo, rows = 0, 16

@@ -1,10 +1,13 @@
+import csv
 import functools
 import importlib
 import inspect
+import io
 import json
 import os
 import runpy
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,7 +17,7 @@ import numpy as np
 from fluctwalk import certify, cli, experiments
 from fluctwalk.cli import VERIFY, main
 from fluctwalk.conditioning import conditioned_states, meander_sample
-from fluctwalk.increments import IncrementLaw
+from fluctwalk.increments import IncrementLaw, sample_rows
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -386,6 +389,78 @@ def test_simulate_meander_rows_are_one_meander_sample_batch(tmp_path, law):
                 "--paths", "5", "--kind", "meander"]) == 0
     expected = meander_sample(cli._parse_law(law), 12, 5, 11).tolist()
     assert _simulated_paths(out, "meander") == expected
+
+
+def _listed_csv(kind, law, length, n_paths, seed):
+    # the CSV of simulate as one list of every cell, written in one call
+    if kind == "walk":
+        paths = sample_rows(law, length, seed, 0, n_paths).tolist()
+    elif kind == "conditioned":
+        levels = np.column_stack([np.zeros(n_paths, dtype=np.int64)] + list(
+            conditioned_states(law, length, n_paths, seed)))
+        unit = law.lattice_integer_form()[0]
+        paths = (levels * unit.numerator / unit.denominator).tolist()
+    else:
+        paths = meander_sample(law, length, n_paths, seed).tolist()
+    rows = [["trial", "index", "value", "weight"]]
+    for t, values in enumerate(paths):
+        for i, v in enumerate(values):
+            rows.append([t, i, v, 1.0])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("kind,law", [("walk", "gaussian"), ("walk", "cauchy"),
+                                      ("meander", "gaussian"), ("conditioned", HALF)],
+                         ids=["walk-gaussian", "walk-cauchy", "meander-gaussian",
+                              "conditioned-half"])
+def test_streamed_simulate_csv_equals_the_listed_one(tmp_path, kind, law):
+    # 40 walks of 30 steps come in batches of 16 and 24 rows, so the trial
+    # index must run on across batches
+    out = str(tmp_path / "sim")
+    assert run(["--seed", "5", "--out", out, "simulate", "--law", law, "--length", "30",
+                "--paths", "40", "--kind", kind]) == 0
+    with open(os.path.join(out, f"{kind}_paths.csv"), "rb") as fh:
+        assert fh.read() == _listed_csv(kind, cli._parse_law(law), 30, 40, 5)
+
+
+def test_simulate_streams_walks_without_holding_their_rows(tmp_path):
+    # 400 walks of 1000 steps as one list of cells trace about 58 MiB; streamed,
+    # a 2^16-step batch and its values as floats stay near 3.5 MiB
+    out = str(tmp_path / "sim")
+    tracemalloc.start()
+    try:
+        assert run(["--out", out, "simulate", "--kind", "walk", "--paths", "400",
+                    "--length", "1000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--paths", "-3"], None),
+    (["--paths", "0"], None),
+    ([], {"kind": "bogus"}),
+    ([], {"paths": "3"}),
+    ([], {"paths": True}),
+    ([], {"length": 2.5}),
+    ([], {"kind": "meander", "length": "12"}),
+], ids=["flag-paths-negative", "flag-paths-zero", "config-kind-bogus", "config-paths-text",
+        "config-paths-bool", "config-length-float", "config-meander-length-text"])
+def test_simulate_refuses_a_bad_count_or_kind_before_drawing(tmp_path, capsys, argv, config):
+    # every kind needs paths >= 1 and length >= 1 as exact ints, and a known
+    # kind: one "error:" line, exit 1, no file
+    out = str(tmp_path / "o")
+    prefix = ["--out", out]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        prefix += ["--config", str(tmp_path / "c.json")]
+    assert run(prefix + ["simulate"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,19 @@ def _batch_dependent_outputs():
                               seed=8)
     meander = meander_sample(IncrementLaw.fair_pm1(), 25, 40, 6)
     return surv, seen, meander.tolist()
+
+
+def test_idloc_working_set_is_a_few_cache_sized_batches():
+    # at a 2^16-step cap a batch array is 512 KiB and the functionals hold a
+    # few arrays of that size (about 3 MiB traced in all); 8 MiB is sixteen
+    # of them, and a 2^20-step cap traces about 32 MiB
+    tracemalloc.start()
+    try:
+        certify.certify_idloc(enum_length=4, gaussian_paths=2000, gaussian_length=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_outputs_do_not_depend_on_the_batch_cap(monkeypatch):
