@@ -219,15 +219,16 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     if kind == "walk":
         paths = (row for S in iter_rows(law, length, seed, n_paths) for row in S.tolist())
     elif kind == "conditioned":
+        # one integer level matrix (S_0 = 0), rows scaled by the unit as written
+        levels = np.zeros((n_paths, length + 1), dtype=np.int64)
         try:
-            levels = list(conditioned_states(law, length, n_paths, seed))
+            for k, x in enumerate(conditioned_states(law, length, n_paths, seed), 1):
+                levels[:, k] = x
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "
                         f"function, such as fair-pm1: {exc}")
-        # integer chain levels after S_0 = 0, times the lattice unit
         unit = law.lattice_integer_form()[0]
-        levels = np.column_stack([np.zeros(n_paths, dtype=np.int64)] + levels)
-        paths = (row.tolist() for row in levels * unit.numerator / unit.denominator)
+        paths = ((row * unit.numerator / unit.denominator).tolist() for row in levels)
     else:
         paths = (row.tolist() for row in meander_sample(law, length, n_paths, seed))
     write_rows(out_dir, f"{kind}_paths", _path_cells(paths))

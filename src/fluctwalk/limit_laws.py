@@ -49,15 +49,17 @@ def kappa_bm(alpha, beta) -> float:
     return math.sqrt(alpha) + BROWNIAN_DRIFT * beta
 
 
+# the stdlib erfc elementwise; it returns an object array or a Python float
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def levy_half_cdf(s):
-    """CDF of the 1/2-stable subordinator marginal with exponent sqrt(alpha)."""
-    # imported here: scipy.special adds start-up time that only this function needs
-    from scipy.special import erfc
+    """CDF of the 1/2-stable subordinator marginal, erfc(1/(2 sqrt(s))) by math.erfc."""
     arr = np.asarray(s, dtype=np.float64)
     if np.any(arr < 0):
         raise ParameterError("the subordinator marginal lives on s >= 0")
     with np.errstate(divide="ignore"):
-        out = np.where(arr > 0, erfc(1.0 / (2.0 * np.sqrt(np.maximum(arr, 1e-300)))), 0.0)
+        out = np.asarray(_erfc(1.0 / (2.0 * np.sqrt(arr))), dtype=np.float64)
     return float(out) if np.ndim(s) == 0 else out
 
 

@@ -15,14 +15,15 @@ The module also evaluates both sides of the first-ladder-pair identity
     1 - E e^{-alpha T_1 - beta H_1}
         = exp( - sum_{k>=1} k^{-1} e^{-alpha k} E(e^{-beta S_k}; S_k > 0) )
 
-for lattice laws in exact arithmetic up to a truncation K, reporting the
-residual together with a rigorous combined tail bound.
+for lattice laws up to a truncation K, in ``decimal`` arithmetic on exact
+integer sweeps, reporting the residual together with a rigorous tail bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -147,10 +148,6 @@ def _split_at_zero(law: IncrementLaw, K: int, keep: int):
         yield t, D ** t, lo + cut, w[cut:], w[:cut]
 
 
-# decimal digits of the mpmath evaluation in fristedt_residual
-_DPS = 80
-
-
 def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[FristedtReport]:
     """Residual between the two sides of the ladder-pair identity.
 
@@ -159,19 +156,21 @@ def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[Frist
     at most e^{-alpha K}; the right side truncates the exponent sum at K with
     its computable geometric tail.  The reported bound is the sum of both.
 
-    The truncation tails sit far below double precision already for moderate
-    alpha * K, so both sides are evaluated in 80-digit arithmetic on
-    top of the exact integer sweeps of the first ascents (T_1, H_1) and of
-    the walk's step laws: at each t the integer weights times
-    e^{-beta x} are summed and divided once by D^t.  The residual is then a
-    genuine truncation gap, not rounding noise.
+    The tails sit far below double precision, so both sides are evaluated in
+    ``decimal`` arithmetic on the exact integer sweeps of the first ascents
+    (T_1, H_1) and of the walk's step laws: at each t the integer weights
+    times e^{-beta x} are summed and divided once by D^t.  With
+    max(80, ceil(alpha_max K / ln 10) + 20) digits, alpha_max the largest
+    alpha of the call, rounding stays twenty digits below e^{-alpha K}: the
+    residual is a genuine truncation gap, not rounding noise.
 
     ``alpha`` and ``beta`` are numbers or sequences of numbers; the reports
     of the (alpha, beta) grid come as a list, alpha outer and beta inner
     (one report for two numbers).  The two sweeps run once per call
     and the weighted sums once per beta; each alpha then only weighs them by
     e^{-alpha t}, in the same operation order as a one-point call, so a grid
-    report equals the one-point report bit for bit.
+    report equals the one-point report bit for bit at the same precision
+    (always while alpha_max K <= 60 ln 10, about 138).
     """
     if K < 1:  # no term of either side: the residual would compare nothing
         raise ParameterError(f"truncation K must be >= 1, got {K}")
@@ -183,26 +182,24 @@ def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[Frist
         raise ParameterError("beta must be nonnegative")
     if law.kind != "lattice":
         raise UnsupportedModeError("exact ladder-pair table requires a lattice law")
-    # imported here: mpmath adds start-up time that only this function needs
-    from mpmath import mp, mpf, exp as mexp
-
     # first ascents at t (walks at or below 0 before t), and the step laws
     ascents = [(t, Dt, x0, above) for t, Dt, x0, above, _ in _split_at_zero(law, K, keep=-1)]
     walks = [(k, Dk, x0, above) for k, Dk, x0, above, _ in _split_at_zero(law, K, keep=0)]
     unit = law.lattice_integer_form()[0]
+    digits = max(80, math.ceil(max(alphas) * K / math.log(10)) + 20)
     reports = []
-    with mp.workdps(_DPS):
-        u = mpf(unit.numerator) / mpf(unit.denominator)
+    with localcontext(Context(prec=digits)):
+        u = Decimal(unit.numerator) / unit.denominator
 
-        def weighted(be, exp_h, x0: int, above) -> object:
+        def weighted(be, exp_h, x0: int, above) -> Decimal:
             """sum_j above[j] e^{-beta (x0 + j) u}, still over D^t; ``exp_h``
             caches e^{-beta x u} over the lattice positions that occur."""
-            total = mpf(0)
+            total = Decimal(0)
             for j, c in enumerate(above):
                 if c:
                     x = x0 + j
                     if x not in exp_h:
-                        exp_h[x] = mexp(-be * x * u)
+                        exp_h[x] = (-be * x * u).exp()
                     total += c * exp_h[x]
             return total
 
@@ -210,12 +207,12 @@ def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[Frist
         # E(e^{-beta S_k}; S_k > 0)
         sums = []
         for b in betas:
-            be, exp_h = mpf(repr(b)), {}
+            be, exp_h = Decimal(repr(b)), {}
             sums.append(([weighted(be, exp_h, x0, above) for _, _, x0, above in ascents],
                          [weighted(be, exp_h, x0, above) / Dk for _, Dk, x0, above in walks]))
 
         for a in alphas:
-            ea = mexp(-mpf(repr(a)))
+            ea = (-Decimal(repr(a))).exp()
             powers = [ea ** t for t in range(K + 2)]
             # lhs tail e^{-alpha K}, and the rhs tail
             # sum_{k>K} e^{-alpha k}/k <= e^{-alpha(K+1)} / ((K+1)(1 - e^{-alpha}))
@@ -223,7 +220,7 @@ def fristedt_residual(law: IncrementLaw, alpha, beta, K: int = 60) -> List[Frist
             for b, (first, positive) in zip(betas, sums):
                 lhs = 1 - sum(powers[t] * W / Dt for (t, Dt, _, _), W in zip(ascents, first))
                 s = sum(powers[k] / k * W for (k, _, _, _), W in zip(walks, positive))
-                rhs = mexp(-s)
+                rhs = (-s).exp()
                 reports.append(FristedtReport(
                     alpha=a, beta=b, lhs=float(lhs), rhs=float(rhs),
                     residual=float(abs(lhs - rhs)), tail_bound=float(bound),

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -439,6 +440,21 @@ def test_simulate_streams_walks_without_holding_their_rows(tmp_path):
     assert peak < 8 << 20
 
 
+def test_simulate_conditioned_holds_one_copy_of_its_levels(tmp_path):
+    # 200 chains of 1000 steps: one int64 level matrix is 1.5 MiB and the
+    # whole run traces about 2.7 MiB; a list of per-step levels, its stacked
+    # matrix and a scaled float copy trace about 5.5 MiB
+    out = str(tmp_path / "sim")
+    tracemalloc.start()
+    try:
+        assert run(["--out", out, "simulate", "--kind", "conditioned", "--law", "fair-pm1",
+                    "--paths", "200", "--length", "1000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("argv,config", [
     (["--paths", "-3"], None),
     (["--paths", "0"], None),
@@ -696,3 +712,59 @@ def test_benchmark_configs_pass_the_cli_key_checks(tmp_path, monkeypatch, size):
             assert run(argv + t.argv) == 0, t.tid
             ran.append(t.tid)
     assert len(ran) == 8
+
+
+# every verify suite and converge experiment at the small sizes of the tests
+# above, and tables: each exits 0 in an interpreter that cannot import scipy
+# or mpmath, since numpy is the only runtime dependency
+_NO_SCIPY_COMMANDS = [
+    (["verify", "reversal"], {"max_length": 4}),
+    (["verify", "h-kernel"], {"max_length": 6}),
+    (["verify", "meander-ac"], {"weight_trials": 4000, "weight_n": 16, "max_length": 6}),
+    (["verify", "idloc"], {"gaussian_paths": 200, "gaussian_length": 120, "enum_length": 7}),
+    (["verify", "fristedt"], {"truncation": 40}),
+    (["converge", "theorem1"], {"n_grid": [64, 128], "trials": 300,
+                                "tolerances": {"ks": 0.2, "height_mean": 0.2, "height_sd": 0.5},
+                                "params": {"height_cap": 5000}}),
+    (["converge", "localtime"], {"n_grid": [32, 64, 128, 256], "trials": 300}),
+    (["converge", "lemma1"], {"n_grid": [128, 512],
+                              "tolerances": {"drift_rel": 0.1, "interval_mass": 0.05},
+                              "params": {"height_samples": 20000, "height_cap": 10000}}),
+    (["converge", "meander"], {"n_grid": [64, 128], "trials": 1000}),
+    (["converge", "harmonic"], {"n_grid": [64, 128, 256, 512]}),
+    (["tables"], {}),
+]
+
+_REFUSE_SCIPY_AND_MPMATH = """
+import json, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "mpmath"):
+            raise ModuleNotFoundError(f"{name} is refused", name=name)
+
+sys.meta_path.insert(0, Refuse())
+from fluctwalk.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except Exception as exc:
+        codes.append(type(exc).__name__)
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy_or_mpmath(tmp_path):
+    runs = []
+    for i, (command, config) in enumerate(_NO_SCIPY_COMMANDS):
+        (tmp_path / f"{i}.json").write_text(json.dumps(config))
+        runs.append(["--config", str(tmp_path / f"{i}.json"), "--out", str(tmp_path / str(i))]
+                    + command)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _REFUSE_SCIPY_AND_MPMATH, json.dumps(runs)],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0] * len(runs)

@@ -44,6 +44,19 @@ def test_ladder_time_cdf_values_and_shape():
     assert levy_half_cdf(1e8) > 1 - 1e-3
 
 
+def test_ladder_time_cdf_matches_a_40_digit_erfc():
+    # at the same float argument 1/(2 sqrt(s)), on a log grid over nine decades
+    # and on the grid of `tables`; the CDF falls to about 1e-110 at s = 1e-3
+    mpmath = pytest.importorskip("mpmath")
+    s = np.concatenate([np.logspace(-3, 6, 2000), np.linspace(0.01, 25.0, 200)])
+    F = levy_half_cdf(s)
+    with mpmath.workdps(40):
+        ref = [mpmath.erfc(1.0 / (2.0 * math.sqrt(v))) for v in s.tolist()]
+        worst = max(abs((f - r) / r) for f, r in zip(F.tolist(), ref))
+    assert worst <= 1e-15
+    assert [levy_half_cdf(v) for v in s.tolist()] == F.tolist()
+
+
 def test_ladder_time_cdf_laplace_transform():
     # the density integrates against e^{-alpha s} to e^{-sqrt(alpha)}
     dens = lambda s: s ** -1.5 * math.exp(-1.0 / (4 * s)) / (2 * math.sqrt(math.pi))
@@ -82,8 +95,8 @@ def test_reference_dispatch_and_domains():
 
 
 def test_importing_the_cli_leaves_scipy_special_unloaded():
-    # levy_half_cdf imports scipy.special when it is first called, so a
-    # fresh interpreter that only imports the command line never loads it
+    # no module of the package imports scipy.special, so a fresh interpreter
+    # that only imports the command line never loads it
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}

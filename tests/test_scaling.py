@@ -311,6 +311,14 @@ def test_fristedt_grid_reports_equal_one_point_reports(law):
     assert fristedt_residual(law, 1.0, [0.0], K=60) == [points[3]]
 
 
+def test_fristedt_residual_stays_below_a_tail_far_under_1e_80():
+    # alpha K = 200: the tail bound is 1.4e-87, so an 80-digit evaluation
+    # would leave a residual of rounding noise near 1e-81 above it
+    rep = fristedt_residual(IncrementLaw.uniform3(), 2.0, 0.25, K=100)[0]
+    assert rep.tail_bound < 1e-86
+    assert rep.residual <= rep.tail_bound
+
+
 def test_fristedt_large_alpha_pins_both_sides_near_one():
     rep = fristedt_residual(IncrementLaw.fair_pm1(), 20.0, 0.0, K=40)[0]
     assert abs(rep.lhs - 1) <= math.exp(-20) * 1.01
