@@ -43,10 +43,10 @@ from .conditioning import (conditioned_states, h_kernel_row,
 from .errors import ParameterError
 from .fluctuation import local_time_curve_np
 from .increments import IncrementLaw, derive_seed, iter_rows
-from .oracle import (check_path_matrix, distribution_equality,
-                     exact_functional_distribution, integer_law, path_matrix)
+from .oracle import (ExactDistribution, check_path_matrix, distribution_equality,
+                     integer_law, path_matrix)
 from .scaling import fristedt_residual
-from .transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
+from .transforms import future_min_local_time_np, tanaka_transform_np
 
 __all__ = [
     "CheckResult",
@@ -315,6 +315,24 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
 # conditioned kernel rows and endpoint equivalence
 
 
+def _rebuild_endpoint_law(law: IncrementLaw, m: int) -> ExactDistribution:
+    """Exact law of the excursion rebuild's endpoint over every m-step path.
+
+    The last column of the batched rebuild of the path matrix; the paths'
+    int64 weights are summed per endpoint in int64 (a float sum would round
+    above 2**53) and divided once by D**m.
+    """
+    P, c = path_matrix(law, m)
+    ends, which = np.unique(tanaka_transform_np(P)[:, -1], return_inverse=True)
+    weights = np.zeros(ends.size, dtype=np.int64)
+    np.add.at(weights, which, c)
+    Dm = integer_law(law)[2] ** m
+    dist = ExactDistribution({y: Fraction(w, Dm)
+                              for y, w in zip(ends.tolist(), weights.tolist())})
+    dist.validate()
+    return dist
+
+
 def certify_h_kernel(max_length: int = 8) -> CheckResult:
     law = IncrementLaw.fair_pm1()
     _check_max_length(max_length, [law])
@@ -343,8 +361,7 @@ def certify_h_kernel(max_length: int = 8) -> CheckResult:
     endpoint_ok = True
     worst = Fraction(0)
     for m, chain_end in enumerate(hchain_endpoint_distribution(law, max_length), start=1):
-        td_end = exact_functional_distribution(law, m, lambda v: tanaka_transform(v)[-1])
-        tv = distribution_equality(td_end, chain_end)
+        tv = distribution_equality(_rebuild_endpoint_law(law, m), chain_end)
         worst = max(worst, tv)
         endpoint_ok = endpoint_ok and tv == 0
     rows.append([f"endpoint_equivalence_to_{max_length}", str(worst), endpoint_ok])

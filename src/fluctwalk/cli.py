@@ -72,6 +72,8 @@ def integers(text):
 
 
 def _parse_law(text):
+    if not isinstance(text, str):  # a config law is a name, a path or JSON text
+        raise ConfigError(f"law must be a string, got {text!r}")
     if text in LAW_SHORTCUTS:
         return LAW_SHORTCUTS[text]()
     if os.path.isfile(text):
@@ -171,6 +173,9 @@ def _cmd_verify(args, overrides, out_dir, seed, usage_error) -> int:
         kwargs["max_length"] = args.max_length
     certificate = getattr(certify, VERIFY[args.suite])
     signature = inspect.signature(certificate)
+    for key, value in kwargs.items():
+        if type(signature.parameters[key].default) is int and type(value) is not int:
+            raise ConfigError(f"verify {args.suite}: {key} must be an integer, got {value!r}")
     if "seed" in signature.parameters:
         kwargs["seed"] = seed
     resolved = signature.bind(**kwargs)

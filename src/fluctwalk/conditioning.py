@@ -167,14 +167,13 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int,
     """
     if length < 1 or trials < 1:
         raise ParameterError("length and trials must be >= 1")
-    V = renewal_function(law)
-    unit, steps, probs = law.lattice_integer_form()
-    steps = sorted(steps, reverse=True)
+    renewal_function(law)  # raises before any draw on a law without an exact V
+    steps = sorted(law.lattice_integer_form()[1], reverse=True)
 
     def cumulative(levels):
         rows = []
-        for x in levels:
-            row = {int(y / unit) - x: p for y, p in h_kernel_row(x * unit, law, V)}
+        for x, entries in zip(levels, _level_rows(law, levels)):
+            row = {y - x: p for y, p in entries}
             if sum(row.values()) != 1:
                 raise DegenerateStateError(f"kernel row at level {x} does not sum to 1")
             rows.append([float(c) for c in accumulate(row.get(s, 0) for s in steps[:-1])])
@@ -313,19 +312,20 @@ def meander_weights(law: IncrementLaw, n: int, levels,
 # exact conditioned-walk distributions (certification helpers)
 
 
-def _level_rows(law: IncrementLaw, length: int) -> List[List[Tuple[int, Fraction]]]:
-    """Kernel rows [(level, p)], one :func:`h_kernel_row` call for each level
-    0..length * max(up-step, 0) that a ``length``-step chain can reach."""
+def _level_rows(law: IncrementLaw, levels: Sequence[int]) -> List[List[Tuple[int, Fraction]]]:
+    """Kernel rows [(level, p)] in integer levels (lattice units), one
+    :func:`h_kernel_row` call for each of ``levels``."""
     V = renewal_function(law)
-    unit, steps, _ = law.lattice_integer_form()
+    unit = law.lattice_integer_form()[0]
     return [[(int(y / unit), p) for y, p in h_kernel_row(x * unit, law, V)]
-            for x in range(length * max(max(steps), 0) + 1)]
+            for x in levels]
 
 
 def hchain_path_distribution(law: IncrementLaw, length: int) -> Iterator[ExactDistribution]:
     """Yield the validated exact law of the kernel chain's m-step paths (integer
     levels) for m = 1..length, breadth first over one kernel row per level."""
-    rows = _level_rows(law, length)
+    # every level a length-step chain can reach: 0..length * max(up-step, 0)
+    rows = _level_rows(law, range(length * max(0, *law.lattice_integer_form()[1]) + 1))
     dist = ExactDistribution({(0,): Fraction(1)})
     for _ in range(length):
         dist = ExactDistribution({path + (y,): prob * p for path, prob in dist.atoms.items()
@@ -337,7 +337,8 @@ def hchain_path_distribution(law: IncrementLaw, length: int) -> Iterator[ExactDi
 def hchain_endpoint_distribution(law: IncrementLaw, length: int) -> Iterator[ExactDistribution]:
     """Yield the validated exact law of the kernel chain's m-step endpoint for
     m = 1..length, by one forward recursion over one kernel row per level."""
-    rows = _level_rows(law, length)
+    # every level a length-step chain can reach: 0..length * max(up-step, 0)
+    rows = _level_rows(law, range(length * max(0, *law.lattice_integer_form()[1]) + 1))
     dist = ExactDistribution({0: Fraction(1)})
     for _ in range(length):
         nxt: Dict[int, Fraction] = {}

@@ -96,8 +96,21 @@ class ExperimentConfig:
 
     def validate(self, name: str) -> None:
         """Fill what is unset from ``DECLARED[name]``, reject keys it does not
-        declare, check the grid and the trials, and that the law rises and falls."""
+        declare and values of the wrong type (counts are ints, not bools;
+        tolerances an object of numbers, params an object), check the grid
+        and the trials, and that the law rises and falls."""
         declared = DECLARED[name]
+        if self.trials is not None and type(self.trials) is not int:
+            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
+        grid = self.n_grid
+        if grid is not None and not (isinstance(grid, (list, tuple))
+                                     and all(type(n) is int for n in grid)):
+            raise ConfigError(f"n grid must be a list of integers, got {grid!r}")
+        if not (isinstance(self.tolerances, dict)
+                and all(type(v) in (int, float) for v in self.tolerances.values())):
+            raise ConfigError(f"tolerances must be an object of numbers, got {self.tolerances!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
         reject_unknown(self.experiment, "tolerances", self.tolerances,
                        declared.tolerances)
         reject_unknown(self.experiment, "params", self.params, declared.params)

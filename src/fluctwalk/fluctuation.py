@@ -1,4 +1,4 @@
-"""Local times at the running maximum, ladder epochs and the last maximum.
+"""Local times at the running maximum.
 
 Two counting conventions for the local time at the running maximum are
 first-class citizens:
@@ -16,7 +16,9 @@ use either.
 
 :func:`local_time_curve_np` is the one form of both counts: it maps rows of
 path values S_0..S_m (a 1-D array is one path) to their counts
-Lambda_0..Lambda_m, Lambda_0 = 0.  The tests hold the single-path references.
+Lambda_0..Lambda_m, Lambda_0 = 0.  The strict ladder epochs are the indices
+where the strict count rises.  The tests hold the single-path references,
+ladder epochs included.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import ParameterError
 
 __all__ = [
     "local_time_curve_np",
-    "ladder_epochs",
 ]
 
 
@@ -50,14 +51,3 @@ def local_time_curve_np(values: np.ndarray, variant: str = "verbatim") -> np.nda
     out[..., 0] = 0
     np.cumsum(rec, axis=-1, out=out[..., 1:])
     return out
-
-
-def ladder_epochs(vals) -> list:
-    """Strict ascending ladder epochs [0, T_1, ..., T_K] within the window."""
-    epochs = [0]
-    mx = vals[0]
-    for j in range(1, len(vals)):
-        if vals[j] > mx:
-            epochs.append(j)
-            mx = vals[j]
-    return epochs

@@ -1,8 +1,7 @@
 """Exact enumeration oracle for finite-support lattice walks.
 
 Enumerates all increment sequences of a lattice walk with exact
-probabilities, and pushes any path functional forward to its exact
-distribution.  Floating point never enters: path values are integers on the
+probabilities.  Floating point never enters: path values are integers on the
 lattice spanned by the support, and every returned mass is a
 :class:`fractions.Fraction`.
 
@@ -10,7 +9,9 @@ Internally a lattice law's exact mass is an integer numerator over D**k
 (:func:`integer_law`); the path matrix (:func:`path_matrix`, every path one
 int64 row) and the level sweep (:func:`lattice_sweep`) behind every exact
 lattice recursion in the package hold those integers, and Fractions are
-built only in returned values.
+built only in returned values.  A certificate turns the path matrix into a
+law by computing its functional on whole columns and summing the int64
+weights per value.
 
 This module is the certification substrate for the package's identity
 checks: a total-variation distance of exactly zero between two enumerated
@@ -36,7 +37,6 @@ __all__ = [
     "lattice_sweep",
     "check_path_matrix",
     "path_matrix",
-    "exact_functional_distribution",
     "distribution_equality",
 ]
 
@@ -160,25 +160,6 @@ def path_matrix(law: IncrementLaw, length: int) -> Tuple[np.ndarray, np.ndarray]
         np.add(grid[..., j], steps.reshape(axis), out=grid[..., j + 1])
         weights *= nums.reshape(axis)
     return P, c
-
-
-def exact_functional_distribution(law: IncrementLaw, length: int,
-                                  functional) -> ExactDistribution:
-    """Exact pushforward of the law of the length-step path under ``functional``.
-
-    The functional receives each row of :func:`path_matrix` as a tuple of
-    Python ints and must return a hashable result.  The rows' integer
-    weights are summed per result and divided once by D**length.
-    """
-    P, c = path_matrix(law, length)
-    out: Dict[Hashable, int] = {}
-    for vals, w in zip(map(tuple, P.tolist()), c.tolist()):
-        y = functional(vals)
-        out[y] = out.get(y, 0) + w
-    Dm = integer_law(law)[2] ** length
-    result = ExactDistribution({y: Fraction(w, Dm) for y, w in out.items()})
-    result.validate()
-    return result
 
 
 def distribution_equality(d1: ExactDistribution, d2: ExactDistribution) -> Fraction:

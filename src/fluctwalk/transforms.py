@@ -18,10 +18,10 @@ exercised by tests:
   rather than hidden.
 
 The local time at the future minimum of the rebuilt path is the other side
-of the local-time identity that ``verify idloc`` certifies.  The batched
-``_np`` forms work along the last axis (one path per row) and are tested row
-by row against single-path references.  The scalar :func:`tanaka_transform`
-stays because the h-kernel certificate pushes it forward path by path.
+of the local-time identity that ``verify idloc`` certifies; the last column
+of the rebuild is the endpoint whose law ``verify h-kernel`` certifies.
+Both functions work along the last axis (one path per row) and are tested
+row by row against the single-path references in the tests.
 """
 
 from __future__ import annotations
@@ -29,47 +29,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fluctuation import ladder_epochs
 
 __all__ = [
-    "tanaka_transform",
     "tanaka_transform_np",
     "future_min_local_time_np",
 ]
 
 
-def tanaka_transform(vals) -> tuple:
-    """Rebuild the path from reversed reflected excursions above the ladder.
-
-    Same length as the input.  On complete ladder intervals the interval
-    formula holds exactly; past the last observed ladder epoch the output is
-    H_last + (M - S).  Output values are >= 0 everywhere and strictly
-    positive at indices 1..T_last.
-    """
-    m = len(vals) - 1
-    T = ladder_epochs(vals)
-    out = [vals[0]] * (m + 1)
-    for k in range(len(T) - 1):
-        a, b = T[k], T[k + 1]
-        ha = vals[a]
-        hb = vals[b]
-        for i in range(a, b + 1):
-            out[i] = ha + (hb - vals[b - (i - a)])
-    a = T[-1]
-    h_last = vals[a]
-    for i in range(a, m + 1):
-        # running max past the last epoch stays at h_last
-        out[i] = h_last + (h_last - vals[i])
-    return tuple(out)
-
-
 def tanaka_transform_np(values: np.ndarray) -> np.ndarray:
-    """:func:`tanaka_transform` along the last axis (one path per row).
+    """Rebuild each path from reversed reflected excursions above the ladder.
 
-    Index i reads a, the last strict ladder epoch at or before i, and b, the
-    first one after i, and gets S_a + (S_b - S_{a+b-i}); past the last epoch
-    it gets S_a + (S_a - S_i).  That is the scalar loop's association, so
-    rows equal the scalar output exactly.
+    Along the last axis (one path per row), same shape as the input.  Index
+    i reads a, the last strict ladder epoch at or before i, and b, the first
+    one after i, and gets S_a + (S_b - S_{a+b-i}); past the last epoch it
+    gets S_a + (S_a - S_i), that is H_last + (M - S).  Output values are
+    >= 0 everywhere and strictly positive at indices 1..T_last.  That is the
+    association of the single-path loop the tests hold, so rows equal its
+    output exactly.
     """
     v = np.asarray(values)
     n = v.shape[-1]

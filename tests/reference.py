@@ -3,22 +3,25 @@
 Each function here is the plain, one-path-at-a-time form of a functional
 that the package computes on whole arrays of paths: the local times at the
 running maximum and at the future minimum, the last contact with the
-maximum, the exact meander endpoint law by forward recursion, and the
-per-row walk sampler as written before batching (a fresh PCG64 per trial
-seed).  No command calls them; tests compare the batched forms against them
-row by row.  ``lattice_laws`` draws small lattice laws for property tests.
+maximum, the strict ladder epochs and the excursion rebuild, the exact
+pushforward of the path law under a Python callable run on every path, the
+exact meander endpoint law by forward recursion, and the per-row walk
+sampler as written before batching (a fresh PCG64 per trial seed).  No
+command calls them; tests compare the batched forms against them row by
+row.  ``lattice_laws`` draws small lattice laws for property tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Dict, Hashable
 
 import numpy as np
 from hypothesis import strategies as st
 
 from fluctwalk.errors import ParameterError, UnsupportedModeError
 from fluctwalk.increments import IncrementLaw
-from fluctwalk.oracle import ExactDistribution, lattice_sweep
+from fluctwalk.oracle import ExactDistribution, integer_law, lattice_sweep, path_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,46 @@ def last_max_index(vals) -> int:
 
 
 # ---------------------------------------------------------------------------
+# ladder epochs and the excursion rebuild
+
+
+def ladder_epochs(vals) -> list:
+    """Strict ascending ladder epochs [0, T_1, ..., T_K] within the window."""
+    epochs = [0]
+    mx = vals[0]
+    for j in range(1, len(vals)):
+        if vals[j] > mx:
+            epochs.append(j)
+            mx = vals[j]
+    return epochs
+
+
+def tanaka_transform(vals) -> tuple:
+    """Rebuild the path from reversed reflected excursions above the ladder.
+
+    Same length as the input.  On complete ladder intervals the interval
+    formula holds exactly; past the last observed ladder epoch the output is
+    H_last + (M - S).  Output values are >= 0 everywhere and strictly
+    positive at indices 1..T_last.
+    """
+    m = len(vals) - 1
+    T = ladder_epochs(vals)
+    out = [vals[0]] * (m + 1)
+    for k in range(len(T) - 1):
+        a, b = T[k], T[k + 1]
+        ha = vals[a]
+        hb = vals[b]
+        for i in range(a, b + 1):
+            out[i] = ha + (hb - vals[b - (i - a)])
+    a = T[-1]
+    h_last = vals[a]
+    for i in range(a, m + 1):
+        # running max past the last epoch stays at h_last
+        out[i] = h_last + (h_last - vals[i])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # local time at the future minimum
 
 
@@ -100,6 +143,29 @@ def future_min_local_time(vals, variant: str = "verbatim") -> tuple:
                 c += 1
         counts.append(c)
     return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# exact pushforward, one path at a time
+
+
+def exact_functional_distribution(law: IncrementLaw, length: int,
+                                  functional) -> ExactDistribution:
+    """Exact pushforward of the law of the length-step path under ``functional``.
+
+    The functional receives each row of :func:`path_matrix` as a tuple of
+    Python ints and must return a hashable result.  The rows' integer
+    weights are summed per result and divided once by D**length.
+    """
+    P, c = path_matrix(law, length)
+    out: Dict[Hashable, int] = {}
+    for vals, w in zip(map(tuple, P.tolist()), c.tolist()):
+        y = functional(vals)
+        out[y] = out.get(y, 0) + w
+    Dm = integer_law(law)[2] ** length
+    result = ExactDistribution({y: Fraction(w, Dm) for y, w in out.items()})
+    result.validate()
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_verify_over_the_budget_is_refused_before_any_length_runs(tmp_path, caps
             return fn(*args, **kwargs)
         return call
 
-    for name in ("_reversal_differences", "exact_functional_distribution", "path_matrix"):
+    for name in ("_reversal_differences", "path_matrix"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
     out = str(tmp_path / "v")
     assert run(["--out", out, "verify", suite, "--max-length", length]) == 1
@@ -120,6 +120,41 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_one_error_line(tmp_path, c
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "seed" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["verify", "reversal"], {"max_length": "3"}),
+    (["verify", "reversal"], {"max_length": 2.5}),
+    (["verify", "h-kernel"], {"max_length": True}),
+    (["verify", "idloc"], {"gaussian_paths": 10.5}),
+    (["verify", "meander-ac"], {"weight_trials": "100"}),
+    (["verify", "fristedt"], {"truncation": 10.5}),
+    (["converge", "theorem1"], {"trials": "500"}),
+    (["converge", "theorem1"], {"trials": 500.5}),
+    (["converge", "meander"], {"trials": True}),
+    (["converge", "theorem1"], {"n_grid": 64}),
+    (["converge", "theorem1"], {"n_grid": [64.5, 128]}),
+    (["converge", "theorem1"], {"n_grid": ["64"]}),
+    (["converge", "theorem1"], {"tolerances": []}),
+    (["converge", "theorem1"], {"tolerances": {"ks": "0.5"}}),
+    (["converge", "theorem1"], {"params": []}),
+    (["converge", "theorem1"], {"law": {"kind": "gaussian"}}),
+    (["simulate"], {"law": {"kind": "gaussian"}}),
+], ids=["reversal-length-text", "reversal-length-float", "h-kernel-length-bool",
+        "idloc-paths-float", "meander-ac-trials-text", "fristedt-truncation-float",
+        "converge-trials-text", "converge-trials-float", "converge-trials-bool",
+        "converge-grid-number", "converge-grid-float", "converge-grid-text",
+        "converge-tolerances-list", "converge-tolerance-text", "converge-params-list",
+        "converge-law-object", "simulate-law-object"])
+def test_a_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, argv, config):
+    # counts are ints and not bools, tolerances an object of numbers, params
+    # an object and a law a string: refused before anything runs
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = str(tmp_path / "o")
+    assert run(["--config", str(tmp_path / "c.json"), "--out", out] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "report.json"))
 
 
 @pytest.mark.parametrize("trials", [1, 0])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fluctwalk import certify
 from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
                                     harmonic_limits, hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_endpoint_floats,
@@ -13,10 +14,10 @@ from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
-from fluctwalk.oracle import (distribution_equality, exact_functional_distribution)
+from fluctwalk.oracle import distribution_equality
 from fluctwalk.scaling import _split_at_zero, wiener_hopf_factor
-from fluctwalk.transforms import tanaka_transform
-from reference import meander_endpoint_distribution, oracle_walk
+from reference import (exact_functional_distribution, meander_endpoint_distribution,
+                       oracle_walk, tanaka_transform)
 
 F = Fraction
 FAIR = IncrementLaw.fair_pm1()
@@ -155,6 +156,37 @@ def test_conditioned_methods_share_endpoint_law_exactly():
         assert distribution_equality(td_end, chain_end) == 0
         if m == 3:
             assert distribution_equality(td_paths, chain_paths) == F(1, 8)
+
+
+# laws with steps in {-1, 0, +1}: the rebuilt endpoint 2M - S has the kernel
+# chain's endpoint law on each of them
+UNIT_STEP_LAWS = {
+    "fair": FAIR,
+    "biased-0.6": IncrementLaw.biased_pm1(F(3, 5)),
+    "biased-0.75": IncrementLaw.biased_pm1(F(3, 4)),
+    "uniform3": IncrementLaw.uniform3(),
+    "lazy": IncrementLaw.lattice([-1, 0, 1], [F(1, 4), F(1, 2), F(1, 4)]),
+}
+
+
+@pytest.mark.parametrize("law", UNIT_STEP_LAWS.values(), ids=UNIT_STEP_LAWS.keys())
+def test_batched_rebuild_endpoint_law_is_the_chain_endpoint_law(law):
+    # the certificate's endpoint law, read off the path matrix, equals the
+    # per-row pushforward of the single-path rebuild atom for atom, and the
+    # kernel chain's endpoint law with total variation exactly 0
+    for m, chain_end in enumerate(hchain_endpoint_distribution(law, 8), start=1):
+        batched = certify._rebuild_endpoint_law(law, m)
+        per_row = exact_functional_distribution(law, m, lambda v: tanaka_transform(v)[-1])
+        assert batched.atoms == per_row.atoms
+        assert distribution_equality(batched, chain_end) == 0
+
+
+def test_rebuild_endpoint_law_differs_from_the_chain_with_an_up_step_of_two():
+    # on {-1, +2} the chain from 0 must step to 2, while the rebuilt endpoint
+    # is 1 after the down-step: total variation 2/3 at one step
+    law = IncrementLaw.lattice([-1, 2], [F(2, 3), F(1, 3)])
+    chain_end = next(hchain_endpoint_distribution(law, 1))
+    assert distribution_equality(certify._rebuild_endpoint_law(law, 1), chain_end) == F(2, 3)
 
 
 def test_survival_examples():

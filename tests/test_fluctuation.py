@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctwalk.fluctuation import ladder_epochs, local_time_curve_np
+from fluctwalk.fluctuation import local_time_curve_np
 from fluctwalk.increments import IncrementLaw, iter_rows
 from fluctwalk.oracle import path_matrix
-from reference import last_max_index, local_time_strict, local_time_verbatim, oracle_walk
+from reference import (ladder_epochs, last_max_index, local_time_strict, local_time_verbatim,
+                       oracle_walk)
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=40)
 

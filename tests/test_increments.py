@@ -9,14 +9,13 @@ import pytest
 from fluctwalk import certify, conditioning, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, ParameterError
-from fluctwalk.fluctuation import ladder_epochs
 from fluctwalk.increments import (IncrementLaw, _derived_seeds, _lattice_steps,
                                   _pcg64_states, _rng, derive_seed, iter_rows,
                                   sample_rows)
 from fluctwalk.oracle import path_matrix
-from fluctwalk.transforms import tanaka_transform
-from reference import (future_min_local_time, local_time_strict, local_time_verbatim,
-                       oracle_seed, oracle_steps, oracle_walk)
+from reference import (future_min_local_time, ladder_epochs, local_time_strict,
+                       local_time_verbatim, oracle_seed, oracle_steps, oracle_walk,
+                       tanaka_transform)
 
 
 def test_point_mass_walk_is_deterministic_ramp():

@@ -10,12 +10,11 @@ from fluctwalk.conditioning import survival_sequence
 from fluctwalk.errors import BudgetError, ParameterError
 from fluctwalk.increments import IncrementLaw, derive_seed
 from fluctwalk.oracle import (DEFAULT_BUDGET, ExactDistribution, distribution_equality,
-                              exact_functional_distribution, integer_law, lattice_sweep,
-                              path_matrix)
+                              integer_law, lattice_sweep, path_matrix)
 from fluctwalk.scaling import _split_at_zero
 from fluctwalk.stats import dkw_epsilon
-from reference import (local_time_strict, local_time_verbatim, meander_endpoint_distribution,
-                       oracle_walk)
+from reference import (exact_functional_distribution, local_time_strict, local_time_verbatim,
+                       meander_endpoint_distribution, oracle_walk)
 
 F = Fraction
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from fluctwalk import certify
 from fluctwalk.errors import ParameterError
-from fluctwalk.fluctuation import ladder_epochs
 from fluctwalk.increments import IncrementLaw, derive_seed
-from fluctwalk.oracle import distribution_equality, exact_functional_distribution, path_matrix
-from fluctwalk.transforms import future_min_local_time_np, tanaka_transform, tanaka_transform_np
-from reference import (future_min_local_time, last_max_index, local_time_strict,
-                       local_time_verbatim, oracle_walk)
+from fluctwalk.oracle import distribution_equality, path_matrix
+from fluctwalk.transforms import future_min_local_time_np, tanaka_transform_np
+from reference import (exact_functional_distribution, future_min_local_time, ladder_epochs,
+                       last_max_index, local_time_strict, local_time_verbatim, oracle_walk,
+                       tanaka_transform)
 
 lattice_steps = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=30)
 
