@@ -9,9 +9,8 @@ limit targets.
 
 from .increments import IncrementLaw, derive_seed
 from .scaling import FristedtReport, fristedt_residual, norming_constant, wiener_hopf_factor
-from .conditioning import (SurvivalEstimate, conditioned_states, harmonic_limits,
-                           meander_sample, meander_weights, renewal_function,
-                           survival_probability)
+from .conditioning import (SurvivalEstimate, conditioned_states, meander_sample,
+                           meander_weights, renewal_function, survival_probability)
 from .oracle import ExactDistribution, distribution_equality
 from .stats import Sample, ks_statistic
 from .limit_laws import h_bm, half_stable_tau_tail, kappa_bm, levy_half_cdf, rayleigh_cdf

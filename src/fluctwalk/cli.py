@@ -141,6 +141,8 @@ def main(argv=None) -> int:
     command = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
         overrides = _load_config_file(args.config)
+        if not isinstance(overrides.get("out", ""), str):
+            raise ConfigError(f"out must be a string, got {overrides['out']!r}")
         out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
         seed = overrides.get("seed", args.seed)
         reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))

@@ -29,7 +29,7 @@ exactly the meander law, path by path on lattices; they reach the large
 horizons.  :func:`meander_endpoint_floats` is the endpoint law on lattices,
 in float with a stated error bound against the exact law that the tests
 hold: ``converge meander`` checks the chains against the float law, and it
-against Rayleigh.
+against Rayleigh; ``converge harmonic`` reads P(C_n) off it.
 
 The ``hchain_*`` exact laws (the chain side of the h-kernel and meander-ac certificates)
 multiply :func:`h_kernel_row` rows, one per reachable level; one pass yields every length.
@@ -49,7 +49,6 @@ from .errors import (BudgetError, DegenerateStateError, ParameterError,
                      UnsupportedModeError)
 from .increments import IncrementLaw, iter_rows, _rng
 from .oracle import ExactDistribution, lattice_sweep
-from .scaling import check_bilateral, norming_constant
 
 __all__ = [
     "renewal_function",
@@ -63,8 +62,6 @@ __all__ = [
     "meander_endpoint_floats",
     "hchain_path_distribution",
     "hchain_endpoint_distribution",
-    "HarmonicReport",
-    "harmonic_limits",
 ]
 
 
@@ -348,71 +345,3 @@ def hchain_endpoint_distribution(law: IncrementLaw, length: int) -> Iterator[Exa
         dist = ExactDistribution(nxt)
         dist.validate()
         yield dist
-
-
-# ---------------------------------------------------------------------------
-# harmonic limits
-
-
-@dataclass
-class HarmonicReport:
-    """Products a_hat_n P(C_n) and P(C_n) V_n(x) across an n-grid."""
-
-    n_grid: List[int]
-    a_hat: List[float]
-    survival: List[float]
-    product: List[float]
-    v_at_x: Dict[float, List[float]]
-    relative_changes: List[float]
-
-    def to_csv_rows(self):
-        header = ["n", "a_hat_n", "P_Cn", "product"] + [
-            f"V_at_{x:g}" for x in self.v_at_x]
-        rows = [header]
-        for i, n in enumerate(self.n_grid):
-            rows.append([n, self.a_hat[i], self.survival[i], self.product[i]]
-                        + [self.v_at_x[x][i] for x in self.v_at_x])
-        return rows
-
-
-def harmonic_limits(law: IncrementLaw, x_grid: Sequence[float],
-                    n_grid: Sequence[int]) -> HarmonicReport:
-    """Track a_hat_n P(C_n) and P(C_n) V_n(x) across n.
-
-    Lattice route: survival P(C_n) by the float level sweep
-    (:func:`meander_endpoint_floats`), V by the skip-free closed form
-    evaluated at x / c_n with c_n = 1 / (sigma sqrt(n)), and a_hat_n, the
-    norming constant of -S, from the Wiener-Hopf roots of -X
-    (:func:`~fluctwalk.scaling.norming_constant`), each with its stated
-    bound, not a certificate (P(C_n) within 4e-12 on fair +-1 at n = 8192).
-
-    Laws without sign changes are rejected: without descents the descending
-    ladder structure the limits describe does not exist.
-    """
-    n_grid = [int(n) for n in n_grid]
-    if any(n2 <= n1 for n1, n2 in zip(n_grid, n_grid[1:])):
-        raise ParameterError("n grid must be strictly increasing")
-    if law.kind != "lattice":
-        raise UnsupportedModeError("harmonic limit tracking is exact-lattice only")
-    check_bilateral(law)
-    sigma = law.sigma()
-
-    negated = IncrementLaw.lattice([-s for s in law.support], law.probs)
-    a_hat = norming_constant(negated, n_grid)
-    floats = meander_endpoint_floats(law, n_grid)
-    p_surv = [floats[n][0] for n in n_grid]
-    product = [a * p for a, p in zip(a_hat, p_surv)]
-
-    V = renewal_function(law)
-    v_at_x: Dict[float, List[float]] = {}
-    for x in x_grid:
-        col = []
-        for i, n in enumerate(n_grid):
-            c_n = 1.0 / (sigma * math.sqrt(n))
-            col.append(p_surv[i] * float(V(x / c_n)))
-        v_at_x[float(x)] = col
-
-    rel = [abs(product[i + 1] - product[i]) / product[i]
-           for i in range(len(product) - 1)]
-    return HarmonicReport(n_grid=n_grid, a_hat=a_hat, survival=p_surv,
-                          product=product, v_at_x=v_at_x, relative_changes=rel)

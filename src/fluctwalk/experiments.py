@@ -1,10 +1,12 @@
 """Orchestration of the Monte Carlo convergence experiments.
 
-Each ``run_*`` function consumes an :class:`ExperimentConfig`, simulates the
-relevant functionals across an n-grid, compares them to closed-form limit
-targets, and returns an :class:`ExperimentReport` with explicit pass/fail
-criteria and plot-ready tables.  Reports embed their full configuration and
-master seed; re-running a config reproduces byte-identical numbers.
+Each ``run_*`` function consumes an :class:`ExperimentConfig`, computes its
+table itself, one row per n of the grid, from simulated functionals or, in
+:func:`run_harmonic`, from the exact and float primitives alone, compares
+the rows to closed-form limit targets, and returns an
+:class:`ExperimentReport` with explicit pass/fail criteria and plot-ready
+tables.  Reports embed their full configuration and master seed; re-running
+a config reproduces byte-identical numbers.
 
 Sampling notes, load-bearing for honesty about what is exact:
 
@@ -41,9 +43,9 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .conditioning import (conditioned_states, harmonic_limits,
-                           meander_endpoint_floats, meander_weights)
-from .errors import ConfigError
+from .conditioning import (conditioned_states, meander_endpoint_floats, meander_weights,
+                           renewal_function)
+from .errors import ConfigError, UnsupportedModeError
 from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
@@ -97,8 +99,9 @@ class ExperimentConfig:
     def validate(self, name: str) -> None:
         """Fill what is unset from ``DECLARED[name]``, reject keys it does not
         declare and values of the wrong type (counts are ints, not bools;
-        tolerances an object of numbers, params an object), check the grid
-        and the trials, and that the law rises and falls."""
+        tolerances an object of numbers, params an object whose values have
+        the JSON type of their defaults), check the grid and the trials, and
+        that the law rises and falls."""
         declared = DECLARED[name]
         if self.trials is not None and type(self.trials) is not int:
             raise ConfigError(f"trials must be an integer, got {self.trials!r}")
@@ -114,6 +117,11 @@ class ExperimentConfig:
         reject_unknown(self.experiment, "tolerances", self.tolerances,
                        declared.tolerances)
         reject_unknown(self.experiment, "params", self.params, declared.params)
+        for key, value in self.params.items():
+            default = declared.params[key]  # an int, or a tuple of numbers
+            if not (isinstance(value, (list, tuple)) and all(type(v) in (int, float) for v in value)
+                    if isinstance(default, tuple) else type(value) is type(default)):
+                raise ConfigError(f"param {key} must have the type of {default!r}, got {value!r}")
         if declared.trials is None and self.trials is not None:
             reject_unknown(self.experiment, "config", ["trials"], ())
         self.law = declared.law if self.law is None else self.law
@@ -383,7 +391,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     sigma = law.sigma()
     tail, c = first_ascent_tail(law)
     unit = _ladder_unit(law)
-    cap = int(config.params["height_cap"])
+    cap = config.params["height_cap"]
 
     notes: Dict[str, object] = {}
     a_ns = norming_constant(law, config.n_grid)
@@ -541,8 +549,8 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
     config.validate("lemma1")
     law = config.law
     notes: Dict[str, object] = {}
-    cap = int(config.params["height_cap"])
-    count = int(config.params["height_samples"])
+    cap = config.params["height_cap"]
+    count = config.params["height_samples"]
 
     if law.kind == "heavy_tail":
         # normalization-free interval ratios of the ladder-height tail
@@ -667,20 +675,37 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_harmonic(config: ExperimentConfig) -> ExperimentReport:
-    """Exact harmonic products a_hat_n P(C_n) (:func:`harmonic_limits`) at
-    the largest n against the 1/2-stable tail P(tau > 1), and their change
-    over the last doubling of n.  No trials are drawn."""
+    """One row per n: a_hat_n, the norming constant of -S off the roots of -X
+    (:func:`~fluctwalk.scaling.norming_constant`), P(C_n) off one float level
+    sweep (:func:`~fluctwalk.conditioning.meander_endpoint_floats`), their
+    product, and P(C_n) V(x / c_n) with c_n = 1 / (sigma sqrt(n)) for each x
+    of ``x_grid``.  No trials are drawn.  The criteria read the last two rows:
+    the product against the 1/2-stable tail P(tau > 1), and its last change."""
     config.validate("harmonic")
-    rep = harmonic_limits(config.law, config.params["x_grid"], config.n_grid)
+    law, grid = config.law, config.n_grid
+    if len(grid) < 2:
+        raise ConfigError("harmonic compares the last two n of its grid; give at least two")
+    if law.kind != "lattice":
+        raise UnsupportedModeError("harmonic limit tracking is exact-lattice only")
+    sigma = law.sigma()
+    a_hat = norming_constant(IncrementLaw.lattice([-s for s in law.support], law.probs), grid)
+    floats = meander_endpoint_floats(law, grid)
+    V = renewal_function(law)
+    xs = list(dict.fromkeys(float(x) for x in config.params["x_grid"]))
+    rows = [["n", "a_hat_n", "P_Cn", "product"] + [f"V_at_{x:g}" for x in xs]]
+    for n, a in zip(grid, a_hat):
+        p = floats[n][0]
+        c_n = 1.0 / (sigma * math.sqrt(n))
+        rows.append([n, a, p, a * p] + [p * float(V(x / c_n)) for x in xs])
+    before, last = rows[-2][3], rows[-1][3]
     criteria = [
-        Criterion("harmonic_product_rel_error",
-                  abs(rep.product[-1] / half_stable_tau_tail(1.0) - 1.0),
+        Criterion("harmonic_product_rel_error", abs(last / half_stable_tau_tail(1.0) - 1.0),
                   config.tolerances["product_rel"]),
-        Criterion("harmonic_last_doubling_change", rep.relative_changes[-1],
+        Criterion("harmonic_last_doubling_change", abs(last - before) / before,
                   config.tolerances["doubling_rel"]),
     ]
     return ExperimentReport(config=config.echo(), criteria=criteria,
-                            tables={"harmonic": rep.to_csv_rows()})
+                            tables={"harmonic": rows})
 
 
 # `fluctwalk converge <name>` runs RUNS[name], which validates against DECLARED[name]

@@ -23,9 +23,8 @@ from scipy.special import erfcinv
 from fluctwalk.certify import (certify_fristedt, certify_h_kernel,
                                certify_idloc, certify_meander_ac,
                                certify_reversal)
-from fluctwalk.conditioning import harmonic_limits
-from fluctwalk.experiments import (ExperimentConfig, run_lemma1, run_localtime,
-                                   run_meander, run_theorem1)
+from fluctwalk.experiments import (ExperimentConfig, run_harmonic, run_lemma1,
+                                   run_localtime, run_meander, run_theorem1)
 from fluctwalk.increments import IncrementLaw
 from fluctwalk.limit_laws import half_stable_tau_tail, rayleigh_cdf, levy_half_cdf
 from fluctwalk.stats import Sample, dkw_epsilon, ks_statistic
@@ -228,16 +227,20 @@ def test_a7_lemma1_gaussian_and_cauchy():
 
 def test_a8_harmonic_limits():
     t0 = time.monotonic()
-    rep = harmonic_limits(FAIR, [1.0, 3.0], [2 ** q for q in range(8, 14)])
+    rep = run_harmonic(ExperimentConfig("harmonic", FAIR, [2 ** q for q in range(8, 14)],
+                                        None, None, params={"x_grid": [1.0, 3.0]}))
     elapsed = time.monotonic() - t0
     target = half_stable_tau_tail(1.0)
-    rel = abs(rep.product[-1] / target - 1.0)
-    ok = rel <= 0.05 and rep.relative_changes[-1] < 0.02 and elapsed < 120
-    _line("A8", ok, f"product {rep.product[-1]:.5f} vs {target:.5f} "
+    product = rep.tables["harmonic"][-1][3]
+    values = {c.cid: c.value for c in rep.criteria}
+    rel = values["harmonic_product_rel_error"]
+    change = values["harmonic_last_doubling_change"]
+    ok = rel <= 0.05 and change < 0.02 and elapsed < 120
+    _line("A8", ok, f"product {product:.5f} vs {target:.5f} "
           f"(rel {rel:.4f} <= 0.05), last-doubling change "
-          f"{rep.relative_changes[-1]:.4f} < 0.02; {elapsed:.0f}s")
+          f"{change:.4f} < 0.02; {elapsed:.0f}s")
     assert rel <= 0.05
-    assert rep.relative_changes[-1] < 0.02
+    assert change < 0.02
     assert elapsed < 120
 
 

@@ -138,17 +138,26 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_one_error_line(tmp_path, c
     (["converge", "theorem1"], {"tolerances": []}),
     (["converge", "theorem1"], {"tolerances": {"ks": "0.5"}}),
     (["converge", "theorem1"], {"params": []}),
+    (["converge", "theorem1"], {"params": {"height_cap": "x"}}),
+    (["converge", "lemma1"], {"params": {"height_samples": 2.5}}),
+    (["converge", "lemma1"], {"params": {"height_cap": True}}),
+    (["converge", "harmonic"], {"params": {"x_grid": 3}}),
+    (["converge", "harmonic"], {"params": {"x_grid": ["a"]}}),
     (["converge", "theorem1"], {"law": {"kind": "gaussian"}}),
     (["simulate"], {"law": {"kind": "gaussian"}}),
+    (["tables"], {"out": 5}),
 ], ids=["reversal-length-text", "reversal-length-float", "h-kernel-length-bool",
         "idloc-paths-float", "meander-ac-trials-text", "fristedt-truncation-float",
         "converge-trials-text", "converge-trials-float", "converge-trials-bool",
         "converge-grid-number", "converge-grid-float", "converge-grid-text",
         "converge-tolerances-list", "converge-tolerance-text", "converge-params-list",
-        "converge-law-object", "simulate-law-object"])
+        "theorem1-cap-text", "lemma1-samples-float", "lemma1-cap-bool",
+        "harmonic-x-grid-number", "harmonic-x-grid-text",
+        "converge-law-object", "simulate-law-object", "tables-out-number"])
 def test_a_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, argv, config):
     # counts are ints and not bools, tolerances an object of numbers, params
-    # an object and a law a string: refused before anything runs
+    # an object whose values have the JSON type of their declared defaults,
+    # and a law and the output directory strings: refused before anything runs
     (tmp_path / "c.json").write_text(json.dumps(config))
     out = str(tmp_path / "o")
     assert run(["--config", str(tmp_path / "c.json"), "--out", out] + argv) == 1
@@ -288,6 +297,22 @@ def test_converge_harmonic_tolerance_failure_exits_one(tmp_path):
     out = str(tmp_path / "f")
     assert run(["--config", str(cfgfile), "--out", out,
                 "converge", "harmonic"]) == 1
+
+
+def test_converge_harmonic_on_a_one_point_grid_is_one_error_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the criteria read the last two rows: a grid of one n is refused
+    # before anything is computed
+    def computed(*args):
+        raise AssertionError("computed on a one-point grid")
+
+    monkeypatch.setattr(experiments, "norming_constant", computed)
+    monkeypatch.setattr(experiments, "meander_endpoint_floats", computed)
+    out = str(tmp_path / "h")
+    assert run(["--out", out, "--n-grid", "256", "converge", "harmonic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 def test_converge_meander_small_and_deterministic(tmp_path):

@@ -6,12 +6,13 @@ import pytest
 
 from fluctwalk import certify
 from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
-                                    harmonic_limits, hchain_endpoint_distribution,
+                                    hchain_endpoint_distribution,
                                     hchain_path_distribution, meander_endpoint_floats,
                                     meander_sample, meander_weights, renewal_function,
                                     survival_probability, survival_sequence)
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
+from fluctwalk.experiments import ExperimentConfig, run_harmonic
 from fluctwalk.increments import IncrementLaw, _rng, derive_seed
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import distribution_equality
@@ -417,20 +418,26 @@ def test_rejection_acceptance_rate_matches_survival_probability():
     assert abs(hits / trials - p_exact) < 4 * se
 
 
+def harmonic_rows(law, x_grid, n_grid):
+    """The rows of ``converge harmonic``'s table below its header: n,
+    a_hat_n, P(C_n), the product and one P(C_n) V(x / c_n) per x."""
+    config = ExperimentConfig("harmonic", law, n_grid, None, None, params={"x_grid": x_grid})
+    return run_harmonic(config).tables["harmonic"][1:]
+
+
 def test_harmonic_limits_rejects_monotone_law():
     with pytest.raises(HypothesisViolationError):
-        harmonic_limits(IncrementLaw.lattice([1], [1]), [1.0], [16, 32, 64])
+        harmonic_rows(IncrementLaw.lattice([1], [1]), [1.0], [16, 32, 64])
 
 
 def test_harmonic_survival_is_the_central_binomial_within_the_float_bound():
-    # harmonic_limits reads P(C_n) from the float sweep; on fair +-1 over
+    # run_harmonic reads P(C_n) from the float sweep; on fair +-1 over
     # A8's grid it is C(n, n//2) 2^-n within (r + 1) n u + (L - 1) u with
     # r = 2 atoms and L <= n + 1 levels summed
     grid = [2 ** q for q in range(8, 14)]
-    rep = harmonic_limits(FAIR, [1.0], grid)
-    for n, p in zip(grid, rep.survival):
+    for n, row in zip(grid, harmonic_rows(FAIR, [1.0], grid)):
         exact = F(math.comb(n, n // 2), 2 ** n)
-        assert abs(F(p) - exact) <= 4 * n * 2.0 ** -53 * exact
+        assert abs(F(row[2]) - exact) <= 4 * n * 2.0 ** -53 * exact
 
 
 def test_harmonic_limits_norming_on_a_law_without_closed_form():
@@ -444,13 +451,13 @@ def test_harmonic_limits_norming_on_a_law_without_closed_form():
     grid, K = [16, 32, 64], 1152
     exact = [F(int(above.sum()), Dk) for _, Dk, _, above, _ in
              _split_at_zero(negated, K, keep=0)]
-    rep = harmonic_limits(law, [1.0], grid)
-    for n, a in zip(grid, rep.a_hat):
+    a_hat = [row[1] for row in harmonic_rows(law, [1.0], grid)]
+    for n, a in zip(grid, a_hat):
         assert a == 1 / wiener_hopf_factor(negated, math.exp(-1 / n), 1.0)[0]
         partial = math.fsum(math.exp(-k / n) / k * float(exact[k - 1]) for k in range(1, K + 1))
         tail = math.exp(-(K + 1) / n) / ((K + 1) * -math.expm1(-1 / n))
         assert -1e-14 <= math.log(a) - partial <= tail + 1e-14
-    assert harmonic_limits(law, [1.0], [256]).a_hat[0] > rep.a_hat[-1]
+    assert harmonic_rows(law, [1.0], [128, 256])[-1][1] > a_hat[-1]
 
 
 def test_harmonic_limits_reach_n_8192_on_uniform3():
@@ -460,20 +467,22 @@ def test_harmonic_limits_reach_n_8192_on_uniform3():
     # 8192) and stays below 1 / (sigma sqrt 2) = 0.866
     law = IncrementLaw.uniform3()
     grid = [2 ** q for q in range(6, 14)]
-    rep = harmonic_limits(law, [1.0], grid)
-    assert rep.a_hat == [1 / wiener_hopf_factor(law, math.exp(-1 / n), 1.0)[0] for n in grid]
-    scaled = [math.sqrt(n) * (p / half_stable_tau_tail(1.0) - 1)
-              for n, p in zip(grid, rep.product)]
+    rows = harmonic_rows(law, [1.0], grid)
+    assert [row[1] for row in rows] == [1 / wiener_hopf_factor(law, math.exp(-1 / n), 1.0)[0]
+                                        for n in grid]
+    scaled = [math.sqrt(n) * (row[3] / half_stable_tau_tail(1.0) - 1)
+              for n, row in zip(grid, rows)]
     assert all(b > a for a, b in zip(scaled, scaled[1:]))
     assert 0.80 < scaled[0] and scaled[-1] < 1 / (law.sigma() * math.sqrt(2))
 
 
 def test_harmonic_limits_product_tracks_target():
-    rep = harmonic_limits(FAIR, [1.0, 3.0], [64, 128, 256, 512])
+    config = ExperimentConfig("harmonic", FAIR, [64, 128, 256, 512], None, None,
+                              params={"x_grid": [1.0, 3.0]})
+    header, *rows = run_harmonic(config).tables["harmonic"]
     target = half_stable_tau_tail(1.0)
-    assert abs(rep.product[-1] / target - 1.0) < 0.08
+    assert abs(rows[-1][3] / target - 1.0) < 0.08
     # part-two products approach the scaled renewal limit gamma * h(x)
     for x in (1.0, 3.0):
-        assert abs(rep.v_at_x[x][-1] / (target * h_bm(x)) - 1.0) < 0.12
-    rows = rep.to_csv_rows()
-    assert rows[0][:4] == ["n", "a_hat_n", "P_Cn", "product"]
+        assert abs(rows[-1][header.index(f"V_at_{x:g}")] / (target * h_bm(x)) - 1.0) < 0.12
+    assert header == ["n", "a_hat_n", "P_Cn", "product", "V_at_1", "V_at_3"]

@@ -1,5 +1,6 @@
 """Properties over drawn small lattice laws: the batched functionals, the path
-matrix and the float meander law against the single-path references."""
+matrix and the float meander law against the single-path references, and the
+norming constant against its swept series."""
 
 import itertools
 import math
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from fluctwalk import certify
 from fluctwalk.conditioning import meander_endpoint_floats, survival_sequence
 from fluctwalk.fluctuation import local_time_curve_np
-from fluctwalk.oracle import path_matrix
+from fluctwalk.oracle import lattice_sweep, path_matrix
+from fluctwalk.scaling import norming_constant, wiener_hopf_factor
 from fluctwalk.transforms import future_min_local_time_np
 from reference import (future_min_local_time, last_max_index, lattice_laws,
                        local_time_strict, local_time_verbatim, meander_endpoint_distribution)
@@ -81,3 +83,28 @@ def test_float_meander_law_within_its_stated_bound(law, ks):
         for x, q in zip(levels.tolist(), probs):
             bound = F(2 * (r + 1) * k * u + L * u) * exact[x] + L * tiny
             assert abs(F(q) - exact[x]) <= bound
+
+
+@given(lattice_laws())
+@settings(max_examples=100, deadline=None)
+def test_norming_constant_is_the_swept_positivity_sum(law):
+    # log a_n = sum_k k^{-1} s^k P(S_k > 0) with s = e^{-1/n} (Sparre
+    # Andersen), summed to K = 25 n with P(S_k > 0) read off one float
+    # sweep.  The gap lies within the roots' bound plus (n + 1) u for
+    # rounding s, plus each term's sweep error, relative (r + 1) k u for the
+    # weights and (L - 1) u <= span k u for summing L levels, plus 8 u for
+    # exp (at most 4 ulp), the division, the product, fsum and log; above,
+    # it also holds the tail s^{K+1} / ((K + 1)(1 - s)) the sum stops short of
+    n, K, u = 16, 400, 2.0 ** -53
+    s = math.exp(-1 / n)
+    steps = law.lattice_integer_form()[1]
+    r, span = len(steps), max(steps) - min(steps)
+    positive = np.array([w[1 - lo:].sum() for _, lo, w, _ in lattice_sweep(law, K, exact=False)])
+    k = np.arange(1, K + 1)
+    terms = np.exp(-k / n) / k * positive
+    partial = math.fsum(terms)
+    rounding = math.fsum(terms * ((r + 1 + span) * k + 8) * u)
+    roots = wiener_hopf_factor(law, s, 1.0)[1] + (n + 1) * u
+    tail = s ** (K + 1) / ((K + 1) * -math.expm1(-1 / n))
+    gap = math.log(norming_constant(law, [n])[0]) - partial
+    assert -rounding - roots <= gap <= tail + rounding + roots
