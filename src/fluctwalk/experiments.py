@@ -119,8 +119,8 @@ class ExperimentConfig:
         reject_unknown(self.experiment, "params", self.params, declared.params)
         for key, value in self.params.items():
             default = declared.params[key]  # an int, or a tuple of numbers
-            if not (isinstance(value, (list, tuple)) and all(type(v) in (int, float) for v in value)
-                    if isinstance(default, tuple) else type(value) is type(default)):
+            nums = isinstance(value, (list, tuple)) and all(type(v) in (int, float) for v in value)
+            if not (nums if isinstance(default, tuple) else type(value) is type(default)):
                 raise ConfigError(f"param {key} must have the type of {default!r}, got {value!r}")
         if declared.trials is None and self.trials is not None:
             reject_unknown(self.experiment, "config", ["trials"], ())
