@@ -7,7 +7,7 @@ scaling behavior is checked by Monte Carlo experiments against closed-form
 limit targets.
 """
 
-from .increments import IncrementLaw, derive_seed
+from .increments import IncrementLaw
 from .scaling import FristedtReport, fristedt_residual, norming_constant, wiener_hopf_factor
 from .conditioning import (SurvivalEstimate, conditioned_states, meander_sample,
                            meander_weights, renewal_function, survival_probability)

@@ -42,7 +42,7 @@ from .conditioning import (conditioned_states, h_kernel_row,
                            meander_weights, renewal_function)
 from .errors import ParameterError
 from .fluctuation import local_time_curve_np
-from .increments import IncrementLaw, derive_seed, iter_rows
+from .increments import IncrementLaw, iter_rows, stream
 from .oracle import (ExactDistribution, check_path_matrix, distribution_equality,
                      integer_law, path_matrix)
 from .scaling import fristedt_residual
@@ -297,7 +297,7 @@ def certify_meander_ac(max_length: int = 8, weight_n: int = 32,
         rows.append([m, len(paths), mism])
 
     # weight normalization: mean of the meander weights over chain samples
-    for x in conditioned_states(law, weight_n, weight_trials, derive_seed(seed, 7)):
+    for x in conditioned_states(law, weight_n, weight_trials, stream(seed, "chains")):
         pass
     w = meander_weights(law, weight_n, x)
     mean = float(w.mean())

@@ -30,7 +30,7 @@ from .conditioning import conditioned_states, meander_sample
 from .errors import ConfigError, FluctwalkError, HypothesisViolationError, UnsupportedModeError
 from .experiments import (RUNS, Criterion, ExperimentConfig, ExperimentReport,
                           reject_unknown, write_rows)
-from .increments import IncrementLaw, iter_rows
+from .increments import IncrementLaw, iter_rows, stream
 from .limit_laws import (half_stable_tau_tail, kappa_bm, levy_half_cdf,
                          rayleigh_cdf, h_bm)
 
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         out_dir = args.out or overrides.get("out") or f"fluctwalk-out/{args.command}"
         seed = overrides.get("seed", args.seed)
         reject_unknown(command, "config", overrides, CONFIG_KEYS[command] + ("seed", "out"))
-        # every stream hashes the seed as non-negative uint32 words (derive_seed)
+        # numpy's SeedSequence, which keys every stream, takes non-negative ints
         if type(seed) is not int or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if args.command == "verify":
@@ -228,8 +228,9 @@ def _cmd_simulate(args, overrides, out_dir, seed, usage_error) -> int:
     elif kind == "conditioned":
         # one integer level matrix (S_0 = 0), rows scaled by the unit as written
         levels = np.zeros((n_paths, length + 1), dtype=np.int64)
+        chains = conditioned_states(law, length, n_paths, stream(seed, "chains"))
         try:
-            for k, x in enumerate(conditioned_states(law, length, n_paths, seed), 1):
+            for k, x in enumerate(chains, 1):
                 levels[:, k] = x
         except UnsupportedModeError as exc:
             usage_error(f"--kind conditioned needs a --law with an exact renewal "

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (BudgetError, DegenerateStateError, ParameterError,
                      UnsupportedModeError)
-from .increments import IncrementLaw, iter_rows, _rng
+from .increments import IncrementLaw, iter_rows
 from .oracle import ExactDistribution, lattice_sweep
 
 __all__ = [
@@ -147,14 +147,15 @@ def h_kernel_row(x, law: IncrementLaw, V: Callable) -> List[Tuple[Fraction, Frac
 
 
 def conditioned_states(law: IncrementLaw, length: int, trials: int,
-                       seed: int) -> Iterator[np.ndarray]:
+                       rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Run ``trials`` kernel chains from 0 at once; yield their levels per step.
 
     For lattice laws with an exact V (skip-free downward); for any other
-    law :func:`renewal_function` raises.  Each step draws
-    one ``rng.random(trials)`` from ``_rng(seed)`` and moves trial i by the
-    first step, up-step first, whose cumulative kernel probability exceeds
-    its uniform; so on fair +-1 a chain at level x steps up when
+    law :func:`renewal_function` raises.  Each step draws one
+    ``rng.random(trials)`` from the caller's generator (a
+    :func:`~fluctwalk.increments.stream`) and moves trial i by the first
+    step, up-step first, whose cumulative kernel probability exceeds its
+    uniform; so on fair +-1 a chain at level x steps up when
     u < (x + 2) / (2 (x + 1)).  The cumulative entries are float() of the
     exact partial sums of ``h_kernel_row``; the last one is 1 and is not
     stored; a row that does not sum to one raises.  The table covers the
@@ -178,7 +179,6 @@ def conditioned_states(law: IncrementLaw, length: int, trials: int,
 
     moves = np.array(steps, dtype=np.int64)
     rise = max(steps[0], 0)
-    rng = _rng(seed)
     x = np.zeros(trials, dtype=np.int64)
     cum = np.empty((len(steps) - 1, 0))
     top = 0  # no chain is above this level

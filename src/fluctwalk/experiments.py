@@ -45,8 +45,8 @@ import numpy as np
 
 from .conditioning import (conditioned_states, meander_endpoint_floats, meander_weights,
                            renewal_function)
-from .errors import ConfigError, UnsupportedModeError
-from .increments import IncrementLaw, derive_seed, draw_steps, iter_rows, _rng
+from .errors import ConfigError, HypothesisViolationError, UnsupportedModeError
+from .increments import IncrementLaw, draw_steps, iter_rows, stream
 from .limit_laws import (BROWNIAN_DRIFT, half_stable_tau_tail, levy_half_cdf,
                          rayleigh_cdf)
 from .fluctuation import local_time_curve_np
@@ -313,17 +313,17 @@ def _ladder_unit(law: IncrementLaw) -> Optional[float]:
 
 
 def first_passage_heights(law: IncrementLaw, count: int, cap: int,
-                          seed: int) -> tuple:
+                          rng: np.random.Generator) -> tuple:
     """First strictly-positive values of fresh walks, capped at ``cap`` steps.
 
     Returns (heights array of length ``count``, censored fraction).  Censored
     runs (no ascent within the cap) are replaced by fresh runs; the recorded
-    fraction quantifies the induced conditioning.
+    fraction quantifies the induced conditioning.  The step blocks of every
+    run are drawn in order from ``rng``.
     """
     heights = np.empty(0)
     attempts = 0
     censored = 0
-    stream = 0
     while heights.size < count:
         need = count - heights.size
         batch = int(need * 1.05) + 16
@@ -332,13 +332,9 @@ def first_passage_heights(law: IncrementLaw, count: int, cap: int,
         active = np.arange(batch)
         done = 0
         block = 16
-        base = derive_seed(seed, stream)
-        stream += 1
-        sub = 0
         while active.size and done < cap:
             b = min(block, cap - done)
-            Z = draw_steps(law, _rng(derive_seed(base, sub)), np.empty((active.size, b)))
-            sub += 1
+            Z = draw_steps(law, rng, np.empty((active.size, b)))
             C = S[active, None] + np.cumsum(Z, axis=1)
             pos = C > 0
             hit = pos.any(axis=1)
@@ -398,7 +394,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     blocks = [int(a) for a in a_ns]
     if unit is None:
         pool, cens = first_passage_heights(law, config.trials * max(blocks), cap,
-                                           derive_seed(config.seed, 1))
+                                           stream(config.seed, "heights"))
         notes["height_cap"] = cap
         notes["height_censored_fraction"] = cens
 
@@ -406,7 +402,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     for i, n in enumerate(config.n_grid):
         blk = blocks[i]
         c_n = 1.0 / (sigma * math.sqrt(n))  # variance-1 spatial rescale
-        rng = _rng(derive_seed(config.seed, 100 + i))
+        rng = stream(config.seed, "ladder_times", i)
         T = sample_ladder_times(rng, (config.trials, blk), tail, c).sum(axis=1) / n
         if unit is None:
             H = pool[: config.trials * blk].reshape(config.trials, blk).sum(axis=1) * c_n
@@ -558,7 +554,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
         n = config.n_grid[-1]
         if law.alpha != 1.0:
             raise ConfigError("ratio targets are calibrated for tail index 1")
-        H, cens = first_passage_heights(law, count, cap, derive_seed(config.seed, 3))
+        H, cens = first_passage_heights(law, count, cap, stream(config.seed, "heights"))
         c_n = 1.0 / n
         Hs = H * c_n
         p1 = float(np.mean((Hs > a) & (Hs <= b)))
@@ -593,7 +589,7 @@ def run_lemma1(config: ExperimentConfig) -> ExperimentReport:
             notes.setdefault("height_model", "deterministic unit ladder heights")
         else:
             H, cens = first_passage_heights(law, count, cap,
-                                            derive_seed(config.seed, 10 + i))
+                                            stream(config.seed, "heights", i))
             mh = a_n * float(H.mean()) * c_n
             lo, hi = _HEIGHT_INTERVAL
             mass = a_n * float(np.mean((H * c_n > lo) & (H * c_n <= hi)))
@@ -650,7 +646,7 @@ def run_meander(config: ExperimentConfig) -> ExperimentReport:
     rows = [["n", "P_Cn", "chain_exact_ks", "dkw_band", "exact_rayleigh_ks_sqrt_n"]]
     for i, n in enumerate(config.n_grid):
         for x in conditioned_states(law, n, config.trials,
-                                    derive_seed(config.seed, 200 + i)):
+                                    stream(config.seed, "chains", i)):
             pass
         p_survival, ys, ps = floats[n]
         chains = Sample(x / math.sqrt(n),
@@ -687,6 +683,10 @@ def run_harmonic(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("harmonic compares the last two n of its grid; give at least two")
     if law.kind != "lattice":
         raise UnsupportedModeError("harmonic limit tracking is exact-lattice only")
+    if law.mean_step() != 0:
+        # a_hat_n P(C_n) -> P(tau > 1) needs an oscillating walk
+        raise HypothesisViolationError(f"harmonic needs a zero-mean law, got mean "
+                                       f"{law.mean_step()}")
     sigma = law.sigma()
     a_hat = norming_constant(IncrementLaw.lattice([-s for s in law.support], law.probs), grid)
     floats = meander_endpoint_floats(law, grid)

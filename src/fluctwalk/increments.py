@@ -11,20 +11,20 @@ A walk is S_0 = 0, S_k = Y_1 + ... + Y_k with i.i.d. steps Y drawn from an
   stable-limit ratio checks.
 
 Sampling is a pure function of (law, length, master seed, trial):
-identical inputs give bit-identical paths.  Per-trial streams derive from a
-master seed via :func:`derive_seed`, so embarrassingly parallel Monte Carlo
-stays reproducible regardless of scheduling.
+identical inputs give bit-identical paths.  Every draw comes from a named
+stream, :func:`stream` (master, tag, index): numpy's ``SeedSequence`` keys
+the master and the purpose tag of :data:`STREAMS`, and ``PCG64DXSM.jumped``
+the trial or grid point, so embarrassingly parallel Monte Carlo stays
+reproducible regardless of scheduling.
 
 Monte Carlo loops draw their trials with :func:`iter_rows`, as batches of
 walks of at most ``_BATCH_STEPS`` = 2^16 steps (about 512 KiB of float64,
-so a batch stays in cache) made by :func:`sample_rows`: the
-per-trial seeds and PCG64 states of a batch come from one vectorized pass of
-numpy's ``SeedSequence`` hash, and row i of a batch, S_0 = 0, ..., S_m, is
-bit-identical to the cumulative sum of m steps drawn from a fresh
-``PCG64(SeedSequence(derive_seed(master, first + i)))``, so no result depends
-on the batch size.  :func:`sample_rows` is the one map from a batch of
-trials to walks, and :func:`draw_steps` the one map from a law and a
-generator to steps.
+so a batch stays in cache) made by :func:`sample_rows`: row i of a batch,
+S_0 = 0, ..., S_m, is bit-identical to the cumulative sum of m steps drawn
+from ``stream(master, "rows", first + i)``, so no result depends on the
+batch size.  :func:`sample_rows` is the one map from a batch of trials to
+walks, and :func:`draw_steps` the one map from a law and a generator to
+steps.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from .errors import ParameterError
 
 __all__ = [
     "IncrementLaw",
-    "derive_seed",
+    "STREAMS",
     "draw_steps",
     "iter_rows",
     "sample_rows",
+    "stream",
 ]
 
 
@@ -232,118 +233,23 @@ class IncrementLaw:
         raise ParameterError(f"unknown law kind {kind!r}")
 
 
-# numpy's SeedSequence (O'Neill's seed_seq hash for PCG) on uint32 words
-_M32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-_POOL_SIZE = 4
-# PCG64: 128-bit LCG multiplier (pcg64_set_seed steps the state twice)
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_M128 = (1 << 128) - 1
+# the purposes a master seed draws for; a tag's index is its position
+STREAMS = ("rows", "ladder_times", "heights", "chains")
+# the advance PCG64DXSM.jumped takes per jump
+_JUMP = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835
 
 
-def _words(n: int) -> list:
-    """Little-endian uint32 words of ``n`` as SeedSequence reads an int (0 is [0])."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
+def stream(master: int, tag: str, index: int = 0) -> np.random.Generator:
+    """Generator of stream ``index`` of purpose ``tag`` under ``master``.
 
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's word hash; each call advances the hash constant."""
-    def hash_word(v):
-        nonlocal const
-        v = v ^ const
-        const = const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-    return hash_word
-
-
-def _seed_seq(entropy: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint32)``, word by word.
-
-    Each entropy word is a Python int or a uint32 array holding that word for
-    a batch of sequences; every operation wraps mod 2**32 either way, so one
-    call hashes a whole batch and a Python-int call hashes one sequence.
+    It is ``PCG64DXSM(SeedSequence((master, STREAMS.index(tag)))).jumped(index)``:
+    numpy's own seeding keys the purpose, and the jump count the trial or
+    grid point within it.  An unknown tag is a ParameterError.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out_hash = _hasher(_INIT_B, _MULT_B)
-    return [out_hash(pool[i % _POOL_SIZE]) for i in range(n_words)]
-
-
-def _join64(lo, hi):
-    if isinstance(lo, int):
-        return lo | hi << 32
-    return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
-
-
-def _split_words(values: np.ndarray):
-    """Group uint64 values by their SeedSequence word count: (mask, words) pairs."""
-    lo = (values & _M32).astype(np.uint32)
-    hi = (values >> 32).astype(np.uint32)
-    one = hi == 0
-    return [(m, w) for m, w in ((one, [lo[one]]), (~one, [lo[~one], hi[~one]]))
-            if m.any()]
-
-
-def _derived_seeds(master_seed: int, first: int, count: int) -> np.ndarray:
-    """``derive_seed(master_seed, first + i)`` for i < count, as uint64."""
-    if first < 0 or first + count > 1 << 64:
-        raise ParameterError("trial indices must lie in [0, 2**64)")
-    master = _words(master_seed)
-    seeds = np.empty(count, dtype=np.uint64)
-    for mask, trial in _split_words(np.arange(first, first + count, dtype=np.uint64)):
-        seeds[mask] = _join64(*_seed_seq(master + trial, 2))
-    return seeds
-
-
-def _pcg64_states(seeds: np.ndarray) -> list:
-    """``(state, inc)`` of ``PCG64(SeedSequence(seed))`` for every uint64 seed."""
-    words = [np.empty(len(seeds), dtype=np.uint32) for _ in range(8)]
-    for mask, entropy in _split_words(seeds):
-        for dst, w in zip(words, _seed_seq(entropy, 8)):
-            dst[mask] = w
-    s_hi, s_lo, i_hi, i_lo = (_join64(words[j], words[j + 1]).tolist()
-                              for j in range(0, 8, 2))
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
-    return states
-
-
-def derive_seed(master_seed: int, trial_index: int) -> int:
-    """Stable per-trial seed derived from (master seed, trial index).
-
-    Equals ``SeedSequence(entropy=(master_seed, trial_index))
-    .generate_state(1, np.uint64)[0]``; :func:`sample_rows` derives whole
-    batches of these seeds through the same hash.
-    """
-    return _join64(*_seed_seq(_words(master_seed) + _words(trial_index), 2))
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    if tag not in STREAMS:
+        raise ParameterError(f"unknown stream tag {tag!r}; expected one of {STREAMS}")
+    bit_gen = np.random.PCG64DXSM(np.random.SeedSequence((master, STREAMS.index(tag))))
+    return np.random.Generator(bit_gen.jumped(index))
 
 
 # uniforms mapped to lattice steps per piece: bounds the index array
@@ -424,22 +330,22 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
     """Walks of trials first .. first + count - 1 of ``master_seed``, one row each.
 
     Row i holds S_0 = 0, ..., S_length and equals, bit for bit, the walk of
-    the steps that ``PCG64(SeedSequence(derive_seed(master_seed, first + i)))``
-    draws for ``law``.  The seeds and PCG64 states of the whole batch are
-    derived at once; one generator is re-seeded per row through its state
-    and draws the row's steps into columns 1.., the whole batch is mapped to
+    the steps that ``stream(master_seed, "rows", first + i)`` draws for
+    ``law``.  One bit generator serves the batch: per row it is reset to the
+    stream's seeded state and advanced by the jump of trial first + i, then
+    draws the row's steps into columns 1..; the whole batch is mapped to
     steps in one pass and summed along each row in place.
     """
-    if length < 1 or count < 0:
-        raise ParameterError("length must be >= 1 and count >= 0")
+    if length < 1 or count < 0 or first < 0:
+        raise ParameterError("length must be >= 1, count >= 0 and first >= 0")
     S = np.zeros((count, length + 1))
     negative = np.empty(S.shape, dtype=bool) if _signed(law) else None
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    states = _pcg64_states(_derived_seeds(master_seed, first, count))
-    for i, (state, inc) in enumerate(states):
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
+    rng = stream(master_seed, "rows")
+    bit_gen = rng.bit_generator
+    seeded = bit_gen.state
+    for i in range(count):
+        bit_gen.state = seeded
+        bit_gen.advance(_JUMP * (first + i) % (1 << 128))
         _draw_raw(law, rng, S[i, 1:], None if negative is None else negative[i, 1:])
     # the step map reshapes a flat array, which on the view S[:, 1:] would be
     # a copy, so it runs on the whole contiguous batch

@@ -194,17 +194,14 @@ def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistributio
 
 
 # ---------------------------------------------------------------------------
-# the per-row walk sampler: numpy's own per-trial seeding
+# the per-row walk sampler: numpy's own seeding of each row's stream
 
 
-def oracle_seed(master, t):
-    ss = np.random.SeedSequence(entropy=(master, t))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def oracle_steps(law, length, seed):
-    """Per-row sampler as written before batching: a fresh PCG64 per seed."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def oracle_steps(law, length, master, trial=0):
+    """Per-row sampler as written before batching: numpy's generator of row
+    ``trial`` of ``master``, seeded by tag position 0 ("rows") and jumped."""
+    bit_gen = np.random.PCG64DXSM(np.random.SeedSequence((master, 0))).jumped(trial)
+    rng = np.random.Generator(bit_gen)
     if law.kind == "lattice":
         cum = np.cumsum([float(p) for p in law.probs])
         cum[-1] = 1.0
@@ -219,9 +216,9 @@ def oracle_steps(law, length, seed):
     return signs * (1.0 - u) ** (-1.0 / law.alpha)
 
 
-def oracle_walk(law, length, seed):
+def oracle_walk(law, length, master, trial=0):
     """The walk S_0 = 0, ..., S_length of :func:`oracle_steps`, as a tuple."""
-    vals = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
+    vals = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, master, trial))])
     return tuple(vals.tolist())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from fluctwalk import certify, cli, experiments
 from fluctwalk.cli import VERIFY, main
 from fluctwalk.conditioning import conditioned_states, meander_sample
-from fluctwalk.increments import IncrementLaw, sample_rows
+from fluctwalk.increments import IncrementLaw, sample_rows, stream
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -290,6 +290,15 @@ def test_converge_harmonic_detects_hypothesis_violation(tmp_path):
     assert code == 2
 
 
+def test_converge_harmonic_refuses_a_drifting_law(tmp_path, capsys):
+    # a_hat_n P(C_n) -> P(tau > 1) holds only for oscillating walks; the
+    # biased walk drifts, so the experiment is refused before any row
+    out = str(tmp_path / "drift")
+    assert run(["--out", out, "converge", "harmonic", "--law", "biased-pm1"]) == 2
+    assert "zero-mean" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_converge_harmonic_tolerance_failure_exits_one(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"tolerances": {"product_rel": 1e-9},
@@ -439,7 +448,7 @@ def test_simulate_conditioned_rows_are_one_conditioned_states_batch(tmp_path, la
     assert run(["--seed", "11", "--out", out, "simulate", "--law", law, "--length", "12",
                 "--paths", "5", "--kind", "conditioned"]) == 0
     levels = np.column_stack([np.zeros(5, dtype=np.int64)] + list(
-        conditioned_states(cli._parse_law(law), 12, 5, 11)))
+        conditioned_states(cli._parse_law(law), 12, 5, stream(11, "chains"))))
     assert _simulated_paths(out, "conditioned") == (levels * unit).tolist()
 
 
@@ -458,7 +467,7 @@ def _listed_csv(kind, law, length, n_paths, seed):
         paths = sample_rows(law, length, seed, 0, n_paths).tolist()
     elif kind == "conditioned":
         levels = np.column_stack([np.zeros(n_paths, dtype=np.int64)] + list(
-            conditioned_states(law, length, n_paths, seed)))
+            conditioned_states(law, length, n_paths, stream(seed, "chains"))))
         unit = law.lattice_integer_form()[0]
         paths = (levels * unit.numerator / unit.denominator).tolist()
     else:

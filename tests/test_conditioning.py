@@ -13,7 +13,7 @@ from fluctwalk.conditioning import (conditioned_states, h_kernel_row,
 from fluctwalk.errors import (DegenerateStateError, HypothesisViolationError,
                               ParameterError, UnsupportedModeError)
 from fluctwalk.experiments import ExperimentConfig, run_harmonic
-from fluctwalk.increments import IncrementLaw, _rng, derive_seed
+from fluctwalk.increments import IncrementLaw, stream
 from fluctwalk.limit_laws import h_bm, half_stable_tau_tail
 from fluctwalk.oracle import distribution_equality
 from fluctwalk.scaling import _split_at_zero, wiener_hopf_factor
@@ -68,30 +68,30 @@ def test_kernel_degenerate_state():
         h_kernel_row(1, FAIR, lambda x: F(0))
     # a walk that only steps down has no chain conditioned to stay >= 0
     with pytest.raises(DegenerateStateError):
-        next(conditioned_states(IncrementLaw.lattice([-1], [1]), 3, 10, seed=0))
+        next(conditioned_states(IncrementLaw.lattice([-1], [1]), 3, 10, np.random.default_rng(0)))
 
 
 def test_kernel_step_samples_from_row():
     # a +-1 chain steps up from 0; every chain moves only to the states of
     # its kernel row and never goes negative
     for law in (FAIR, IncrementLaw.biased_pm1(F(3, 4))):
-        assert (next(conditioned_states(law, 1, 2000, 5)) == 1).all()
+        assert (next(conditioned_states(law, 1, 2000, np.random.default_rng(5))) == 1).all()
     for law in (FAIR, IncrementLaw.biased_pm1(F(3, 4)), IncrementLaw.uniform3()):
         V = renewal_function(law)
         prev = np.zeros(2000, dtype=np.int64)
-        for x in conditioned_states(law, 12, 2000, 5):
+        for x in conditioned_states(law, 12, 2000, np.random.default_rng(5)):
             assert x.min() >= 0
             for a in np.unique(prev):
                 row = {int(y) for y, _ in h_kernel_row(int(a), law, V)}
                 assert set(np.unique(x[prev == a]).tolist()) <= row
             prev = x
-    ys = {int(x[0]) for s in range(40) for x in conditioned_states(FAIR, 2, 1, s)}
+    ys = {int(x[0]) for s in range(40)
+          for x in conditioned_states(FAIR, 2, 1, np.random.default_rng(s))}
     assert ys == {0, 1, 2}
 
 
-def reference_pm1_endpoints(n, trials, seed):
+def reference_pm1_endpoints(n, trials, rng):
     """Fair +-1 chain endpoints by the closed-form up-probability."""
-    rng = _rng(seed)
     x = np.zeros(trials, dtype=np.int64)
     for _ in range(n):
         p_up = (x + 2) / (2.0 * (x + 1))
@@ -99,16 +99,18 @@ def reference_pm1_endpoints(n, trials, seed):
     return x
 
 
-@pytest.mark.parametrize("n,trials,seed", [
-    (32, 100_000, derive_seed(20240808, 7)),   # verify meander-ac weights
-    (4096, 10_000, derive_seed(23, 200)),      # converge meander, A9
-    (1024, 4000, 5),
-    (256, 4000, 5),
+@pytest.mark.parametrize("n,trials,master,index", [
+    (32, 100_000, 20240808, 0),   # verify meander-ac weights
+    (4096, 10_000, 23, 0),        # converge meander, A9
+    (1024, 4000, 5, 0),
+    (256, 4000, 5, 0),
 ], ids=["meander-ac", "a9", "n1024", "n256"])
-def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, seed):
-    for x in conditioned_states(FAIR, n, trials, seed):
+def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, master,
+                                                                      index):
+    for x in conditioned_states(FAIR, n, trials, stream(master, "chains", index)):
         pass
-    assert np.array_equal(x, reference_pm1_endpoints(n, trials, seed))
+    assert np.array_equal(x, reference_pm1_endpoints(n, trials,
+                                                     stream(master, "chains", index)))
 
 
 @pytest.mark.parametrize("law", [FAIR, IncrementLaw.biased_pm1(F(3, 4)),
@@ -117,8 +119,8 @@ def test_conditioned_states_fair_pm1_is_bit_identical_to_closed_form(n, trials, 
 def test_conditioned_states_endpoint_law_in_dkw_band(law):
     trials = 20_000
     eps = math.sqrt(math.log(2000) / (2 * trials))  # the DKW half-width at 0.999
-    for k, (x, dist) in enumerate(zip(conditioned_states(law, 8, trials, 31),
-                                      hchain_endpoint_distribution(law, 8)), start=1):
+    chains = conditioned_states(law, 8, trials, np.random.default_rng(31))
+    for k, (x, dist) in enumerate(zip(chains, hchain_endpoint_distribution(law, 8)), start=1):
         exact = dist.atoms
         cum = np.cumsum([float(exact[y]) for y in sorted(exact)])
         emp = np.array([np.count_nonzero(x <= y) for y in sorted(exact)]) / trials
@@ -128,7 +130,8 @@ def test_conditioned_states_endpoint_law_in_dkw_band(law):
 
 def one_chain(law, length, seed):
     """Levels S_0 = 0, ..., S_length of the one trial of conditioned_states."""
-    return [0] + [int(x[0]) for x in conditioned_states(law, length, 1, seed)]
+    chain = conditioned_states(law, length, 1, np.random.default_rng(seed))
+    return [0] + [int(x[0]) for x in chain]
 
 
 def test_conditioned_walk_first_step_up():
@@ -237,7 +240,8 @@ def test_meander_two_step_endpoint_law():
 def test_meander_reweight_weights_average_to_one():
     # one chain per seed, weighted at its last level
     n = 16
-    last = [list(conditioned_states(FAIR, n, 1, s))[-1][0] for s in range(800)]
+    last = [list(conditioned_states(FAIR, n, 1, np.random.default_rng(s)))[-1][0]
+            for s in range(800)]
     w = meander_weights(FAIR, n, last)
     assert abs(w.mean() - 1.0) < 4 * w.std(ddof=1) / math.sqrt(w.size)
 
@@ -413,7 +417,7 @@ def test_rejection_acceptance_rate_matches_survival_probability():
     p_exact = float(survival_probability(FAIR, k).probability)
     hits = sum(
         1 for t in range(trials)
-        if min(oracle_walk(FAIR, k, derive_seed(404, t))[1:]) >= 0)
+        if min(oracle_walk(FAIR, k, 404, t)[1:]) >= 0)
     se = math.sqrt(p_exact * (1 - p_exact) / trials)
     assert abs(hits / trials - p_exact) < 4 * se
 

@@ -13,7 +13,7 @@ from fluctwalk.experiments import (ExperimentConfig, first_ascent_tail,
                                    sample_ladder_times, swept_t1_tail,
                                    universal_t1_tail)
 from fluctwalk.fluctuation import local_time_curve_np
-from fluctwalk.increments import IncrementLaw, _rng
+from fluctwalk.increments import IncrementLaw
 from fluctwalk.limit_laws import levy_half_cdf, rayleigh_cdf
 from fluctwalk.scaling import (_split_at_zero, check_bilateral, norming_constant,
                                wiener_hopf_factor)
@@ -178,7 +178,7 @@ def test_swept_tail_constant_against_its_limit():
 
 def test_ladder_time_sampler_matches_tail_law():
     tail = universal_t1_tail(100_000)
-    rng = _rng(99)
+    rng = np.random.default_rng(99)
     draws = sample_ladder_times(rng, 40_000, tail, 1.0)
     # exact CDF at k: 1 - tail[k-1]
     for k in (1, 2, 5, 20):
@@ -187,12 +187,12 @@ def test_ladder_time_sampler_matches_tail_law():
 
 
 def test_first_passage_heights_fair_walk_are_unit():
-    h, cens = first_passage_heights(FAIR, 500, cap=4096, seed=11)
+    h, cens = first_passage_heights(FAIR, 500, cap=4096, rng=np.random.default_rng(11))
     assert np.all(h == 1.0)
 
 
 def test_first_passage_heights_gaussian_mean():
-    h, cens = first_passage_heights(GAUSS, 30_000, cap=50_000, seed=5)
+    h, cens = first_passage_heights(GAUSS, 30_000, cap=50_000, rng=np.random.default_rng(5))
     assert abs(h.mean() - 1 / math.sqrt(2)) < 0.015
     assert cens < 0.02
 
@@ -467,7 +467,7 @@ def test_joint_records_marginals_against_limits():
     # triple (walk value, scaled up-records, scaled down-records) at the
     # window end, simulated directly; each marginal must sit near its limit
     # (normal value; half-normal-type local time scaled by sqrt(2))
-    rng = _rng(4242)
+    rng = np.random.default_rng(4242)
     n = 1024
     trials = 4_000
     steps = rng.standard_normal((trials, n)) / math.sqrt(n)
@@ -494,7 +494,7 @@ def test_quadrivariate_ladder_marginals_stable_across_n():
     # the sampling noise floor for the scaled ladder-time coordinate, and the
     # height coordinates collapse onto the drift constant
     tail = universal_t1_tail(200_000)
-    rng = _rng(777)
+    rng = np.random.default_rng(777)
     trials = 3_000
     prev = None
     dists = []

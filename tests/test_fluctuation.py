@@ -87,7 +87,7 @@ def test_counts_are_unit_increment_and_bounded(steps):
 def test_variant_agreement_on_diffuse_paths():
     # ties have probability zero for Gaussian steps, so the two counts agree
     # pathwise; checked over 10^4 sampled paths, trial t being
-    # oracle_walk(law, 64, derive_seed(314159, t))
+    # oracle_walk(law, 64, 314159, t), drawn from stream(314159, "rows", t)
     law = IncrementLaw.gaussian()
     for V in iter_rows(law, 64, 314159, 10_000):
         assert (local_time_curve_np(V, "verbatim") == local_time_curve_np(V, "strict")).all()

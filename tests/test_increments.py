@@ -9,18 +9,17 @@ import pytest
 from fluctwalk import certify, conditioning, increments
 from fluctwalk.conditioning import meander_sample, survival_probability
 from fluctwalk.errors import BudgetError, ParameterError
-from fluctwalk.increments import (IncrementLaw, _derived_seeds, _lattice_steps,
-                                  _pcg64_states, _rng, derive_seed, iter_rows,
-                                  sample_rows)
+from fluctwalk.increments import (STREAMS, IncrementLaw, _lattice_steps, iter_rows,
+                                  sample_rows, stream)
 from fluctwalk.oracle import path_matrix
 from reference import (future_min_local_time, ladder_epochs, local_time_strict,
-                       local_time_verbatim, oracle_seed, oracle_steps, oracle_walk,
+                       local_time_verbatim, oracle_steps, oracle_walk,
                        tanaka_transform)
 
 
 def test_point_mass_walk_is_deterministic_ramp():
     law = IncrementLaw.lattice([1], [1])
-    w = oracle_walk(law, 3, seed=7)
+    w = oracle_walk(law, 3, master=7)
     assert w == (0.0, 1.0, 2.0, 3.0)
 
 
@@ -50,17 +49,11 @@ def test_other_laws_are_not_simple_symmetric():
 
 def test_same_seed_gives_identical_paths():
     law = IncrementLaw.gaussian(0.0, 1.0)
-    a = oracle_walk(law, 500, seed=123)
-    b = oracle_walk(law, 500, seed=123)
+    a = oracle_walk(law, 500, master=123)
+    b = oracle_walk(law, 500, master=123)
     assert a == b
-    c = oracle_walk(law, 500, seed=124)
+    c = oracle_walk(law, 500, master=124)
     assert a != c
-
-
-def test_derived_seeds_are_stable_and_distinct():
-    s = [derive_seed(42, i) for i in range(100)]
-    assert s == [derive_seed(42, i) for i in range(100)]
-    assert len(set(s)) == 100
 
 
 def test_endpoint_clt_band():
@@ -68,7 +61,7 @@ def test_endpoint_clt_band():
     # inside the 4-sigma band implied by unit step variance
     law = IncrementLaw.fair_pm1()
     m = 10_000
-    ends = np.array([oracle_walk(law, m, derive_seed(99, t))[-1]
+    ends = np.array([oracle_walk(law, m, 99, t)[-1]
                      for t in range(1000)])
     scaled = ends / math.sqrt(m)
     assert abs(scaled.mean()) < 4.0 / math.sqrt(1000)
@@ -113,7 +106,7 @@ def test_zero_mass_atoms_are_dropped():
 
 
 # ---------------------------------------------------------------------------
-# batched per-trial streams against numpy's own per-row seeding
+# named streams and batched rows against numpy's own per-row seeding
 
 STREAM_LAWS = [
     IncrementLaw.fair_pm1(),
@@ -126,44 +119,68 @@ STREAM_LAWS = [
     IncrementLaw.heavy_tail(0.5),
     IncrementLaw.heavy_tail(2.0),
 ]
-MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D3A9F21B]
+MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D3A9F21B, 2**64 + 12345]
 
 
 def oracle_rows(law, length, master, first, count):
-    return np.vstack([oracle_steps(law, length, oracle_seed(master, first + i))
-                      for i in range(count)])
+    return np.vstack([oracle_steps(law, length, master, first + i) for i in range(count)])
 
 
-@pytest.mark.parametrize("master", MASTERS)
+def test_stream_is_numpys_seeding_of_tag_and_jump():
+    for master in MASTERS:
+        for k, tag in enumerate(STREAMS):
+            for index in (0, 1, 2**64 + 3):
+                bit_gen = np.random.PCG64DXSM(np.random.SeedSequence((master, k)))
+                expected = np.random.Generator(bit_gen.jumped(index)).random(4)
+                assert np.array_equal(stream(master, tag, index).random(4), expected)
+    assert stream(5, "rows").random(4).tolist() == stream(5, "rows", 0).random(4).tolist()
+
+
+def test_unknown_stream_tag_raises():
+    with pytest.raises(ParameterError, match="unknown stream tag 'row'"):
+        stream(3, "row")
+
+
+def test_streams_are_stable_and_distinct():
+    # the four tags, and two indices of one tag, start with different draws
+    firsts = [stream(42, tag).random() for tag in STREAMS]
+    firsts += [stream(42, "heights", 1).random()]
+    assert firsts == [stream(42, tag).random() for tag in STREAMS] + [
+        stream(42, "heights", 1).random()]
+    assert len(set(firsts)) == len(STREAMS) + 1
+
+
+@pytest.mark.parametrize("master", MASTERS[:6])
 def test_batched_derivation_matches_seed_sequence(master):
-    expected = [oracle_seed(master, t) for t in range(3000)]
-    assert _derived_seeds(master, 0, 3000).tolist() == expected
-    assert [derive_seed(master, t) for t in range(0, 3000, 97)] == expected[::97]
-    # a batch across 2**32 mixes one- and two-word trial indices
-    first = 2**32 - 4
-    assert _derived_seeds(master, first, 8).tolist() == [
-        oracle_seed(master, first + i) for i in range(8)]
-
-
-def test_pcg64_states_match_numpy_seeding():
-    seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1] + _derived_seeds(3, 0, 300).tolist()
-    states = _pcg64_states(np.array(seeds, dtype=np.uint64))
-    for seed, (state, inc) in zip(seeds, states):
-        assert _rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+    # each row's state is reset and advanced by its trial's jump, also for
+    # trial indices past 2**32 and 2**64
+    law, length = IncrementLaw.uniform3(), 5
+    for first in (0, 2**32 - 2, 2**64 - 2):
+        assert np.array_equal(np.diff(sample_rows(law, length, master, first, 4), axis=1),
+                              oracle_rows(law, length, master, first, 4))
 
 
 @pytest.mark.parametrize("law", STREAM_LAWS, ids=lambda law: law.describe()["kind"])
 def test_sample_rows_equal_per_row_sampling(law):
-    master, first, count, length = 0x5DEECE66D3A9F21B, 40, 25, 57
-    S = sample_rows(law, length, master, first, count)
-    assert S.shape == (count, length + 1)
-    assert (S[:, 0] == 0.0).all() and not np.signbit(S[:, 0]).any()
-    for i, row in enumerate(S):
-        seed = derive_seed(master, first + i)
-        assert tuple(row.tolist()) == oracle_walk(law, length, seed)
-        walk = np.concatenate([[0.0], np.cumsum(oracle_steps(law, length, seed))])
-        assert np.array_equal(row, walk)
+    first, count, length = 40, 25, 57
+    for master in MASTERS:
+        S = sample_rows(law, length, master, first, count)
+        assert S.shape == (count, length + 1)
+        assert (S[:, 0] == 0.0).all() and not np.signbit(S[:, 0]).any()
+        for i, row in enumerate(S):
+            assert tuple(row.tolist()) == oracle_walk(law, length, master, first + i)
     assert sample_rows(law, length, master, first, 0).shape == (0, length + 1)
+
+
+@pytest.mark.parametrize("law", [IncrementLaw.gaussian(), IncrementLaw.heavy_tail(1.5)],
+                         ids=["gaussian", "signed"])
+def test_rows_do_not_depend_on_the_batch_cap(monkeypatch, law):
+    # a row is its trial's stream, whichever batch draws it: also for laws
+    # whose rows take a varying number of draws or two draws a step
+    whole = sample_rows(law, 9, 77, 0, 40)
+    for cap in (1, 50, 1 << 20):
+        monkeypatch.setattr(increments, "_BATCH_STEPS", cap)
+        assert np.array_equal(np.concatenate(list(iter_rows(law, 9, 77, 40))), whole)
 
 
 def test_lattice_map_matches_searchsorted_at_atom_boundaries():
@@ -199,7 +216,7 @@ def test_meander_rejection_matches_per_row_loop(law, k):
     for seed in range(6):
         rows, attempt = [], 0
         while len(rows) < count:
-            w = oracle_walk(law, k, oracle_seed(seed, attempt))
+            w = oracle_walk(law, k, seed, attempt)
             if min(w[1:]) >= 0:
                 rows.append(list(w))
             attempt += 1
@@ -251,7 +268,7 @@ def test_idloc_checks_the_per_row_paths(monkeypatch):
     res = certify.certify_idloc(enum_length=4, gaussian_paths=40, gaussian_length=30,
                                 seed=8)
     law = IncrementLaw.gaussian(0.0, 1.0)
-    assert seen == [oracle_walk(law, 30, oracle_seed(8, t)) for t in range(40)]
+    assert seen == [oracle_walk(law, 30, 8, t) for t in range(40)]
     assert res.passed and res.rows[-1] == ["gaussian_sampled_verbatim", 0]
 
 

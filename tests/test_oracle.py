@@ -8,7 +8,7 @@ import pytest
 from fluctwalk.certify import DEFAULT_LAWS
 from fluctwalk.conditioning import survival_sequence
 from fluctwalk.errors import BudgetError, ParameterError
-from fluctwalk.increments import IncrementLaw, derive_seed
+from fluctwalk.increments import IncrementLaw
 from fluctwalk.oracle import (DEFAULT_BUDGET, ExactDistribution, distribution_equality,
                               integer_law, lattice_sweep, path_matrix)
 from fluctwalk.scaling import _split_at_zero
@@ -75,7 +75,7 @@ def test_empirical_frequencies_within_dkw_band_of_oracle():
     xs = sorted(exact.atoms)
     cdf_exact = np.cumsum([float(exact.atoms[x]) for x in xs])
     n = 4000
-    ends = np.array([oracle_walk(law, 6, derive_seed(5150, t))[-1]
+    ends = np.array([oracle_walk(law, 6, 5150, t)[-1]
                      for t in range(n)])
     emp = np.array([(ends <= x).mean() for x in xs])
     assert np.max(np.abs(emp - cdf_exact)) <= dkw_epsilon(n)

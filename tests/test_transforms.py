@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fluctwalk import certify
 from fluctwalk.errors import ParameterError
-from fluctwalk.increments import IncrementLaw, derive_seed
+from fluctwalk.increments import IncrementLaw
 from fluctwalk.oracle import distribution_equality, path_matrix
 from fluctwalk.transforms import future_min_local_time_np, tanaka_transform_np
 from reference import (exact_functional_distribution, future_min_local_time, ladder_epochs,
@@ -94,7 +94,7 @@ def test_batched_rebuild_and_future_min_match_scalar_on_float_rows(rows):
 
 def test_batched_rebuild_of_gaussian_rows_is_bit_identical():
     law = IncrementLaw.gaussian()
-    rows = [oracle_walk(law, 200, derive_seed(4242, t)) for t in range(400)]
+    rows = [oracle_walk(law, 200, 4242, t) for t in range(400)]
     _assert_batched_forms_match_scalar(rows)
 
 
@@ -171,7 +171,7 @@ def test_weak_record_identity_fails_on_lattice_ties():
 def test_diffuse_paths_satisfy_verbatim_identity():
     law = IncrementLaw.gaussian()
     for t in range(300):
-        vals = oracle_walk(law, 120, derive_seed(777, t))
+        vals = oracle_walk(law, 120, 777, t)
         T = ladder_epochs(vals)
         if len(T) < 2:
             continue
