@@ -237,6 +237,7 @@ class IncrementLaw:
 STREAMS = ("rows", "ladder_times", "heights", "chains")
 # the advance PCG64DXSM.jumped takes per jump
 _JUMP = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835
+_MOD = 1 << 128
 
 
 def stream(master: int, tag: str, index: int = 0) -> np.random.Generator:
@@ -281,24 +282,19 @@ def _signed(law: IncrementLaw) -> bool:
     return law.kind == "heavy_tail" and law.alpha != 1.0
 
 
-def _draw_raw(law: IncrementLaw, rng: np.random.Generator, raw: np.ndarray,
-              negative: Optional[np.ndarray] = None) -> None:
-    """Draw the variates that :func:`_to_steps` maps to steps, in C order.
+def _variates(law: IncrementLaw, rng: np.random.Generator):
+    """The method of ``rng`` that draws the variates :func:`_to_steps` maps to
+    steps of ``law``: normals for a Gaussian law, uniforms otherwise.
 
-    Normals for a Gaussian law, uniforms otherwise; a signed heavy-tailed law
-    then draws one more uniform per step into the sign array ``negative``.
+    A signed heavy-tailed law then draws one more uniform per step, in C
+    order, into its sign array ``negative`` (true below 1/2).
     """
-    if law.kind == "gaussian":
-        rng.standard_normal(out=raw)
-    else:
-        rng.random(out=raw)
-    if negative is not None:
-        np.less(rng.random(raw.shape), 0.5, out=negative)
+    return rng.standard_normal if law.kind == "gaussian" else rng.random
 
 
 def _to_steps(law: IncrementLaw, raw: np.ndarray,
               negative: Optional[np.ndarray] = None) -> np.ndarray:
-    """Map the variates of :func:`_draw_raw` to steps of ``law`` in place."""
+    """Map the variates of :func:`_variates` to steps of ``law`` in place."""
     if law.kind == "gaussian":
         raw *= law.stddev
         raw += law.mean
@@ -321,8 +317,19 @@ def draw_steps(law: IncrementLaw, rng: np.random.Generator, out: np.ndarray) -> 
     heavy-tailed law with alpha != 1 draws all magnitudes, then all signs.
     """
     negative = np.empty(out.shape, dtype=bool) if _signed(law) else None
-    _draw_raw(law, rng, out, negative)
+    _variates(law, rng)(out=out)
+    if negative is not None:
+        np.less(rng.random(out.shape), 0.5, out=negative)
     return _to_steps(law, out, negative)
+
+
+def _advanced(bit_gen, state: dict, s: int, delta: int) -> int:
+    """The LCG state that numpy's ``advance(delta)`` reaches from state ``s``
+    with the increment of ``state``, a ``bit_gen.state`` dict."""
+    state["state"]["state"] = s
+    bit_gen.state = state
+    bit_gen.advance(delta)
+    return bit_gen.state["state"]["state"]
 
 
 def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
@@ -331,10 +338,11 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
 
     Row i holds S_0 = 0, ..., S_length and equals, bit for bit, the walk of
     the steps that ``stream(master_seed, "rows", first + i)`` draws for
-    ``law``.  One bit generator serves the batch: per row it is reset to the
-    stream's seeded state and advanced by the jump of trial first + i, then
-    draws the row's steps into columns 1..; the whole batch is mapped to
-    steps in one pass and summed along each row in place.
+    ``law``.  One bit generator serves the batch: its LCG state is set to
+    that of trial first + i, which one multiply-add mod 2^128 takes from
+    the state of trial first + i - 1 (the jump, read off numpy's own
+    ``advance``), and it draws the row's steps into columns 1..; the whole
+    batch is mapped to steps in one pass and summed along each row in place.
     """
     if length < 1 or count < 0 or first < 0:
         raise ParameterError("length must be >= 1, count >= 0 and first >= 0")
@@ -342,11 +350,22 @@ def sample_rows(law: IncrementLaw, length: int, master_seed: int, first: int,
     negative = np.empty(S.shape, dtype=bool) if _signed(law) else None
     rng = stream(master_seed, "rows")
     bit_gen = rng.bit_generator
-    seeded = bit_gen.state
+    state = bit_gen.state
+    seeded = state["state"]["state"]
+    # the jump is affine on the LCG state, s -> A s + C mod 2^128: numpy's own
+    # advance maps the states 0 and 1 to C and A + C
+    C = _advanced(bit_gen, state, 0, _JUMP)
+    A = (_advanced(bit_gen, state, 1, _JUMP) - C) % _MOD
+    s = _advanced(bit_gen, state, seeded, _JUMP * first % _MOD)
+    lcg = state["state"]
+    draw = _variates(law, rng)
     for i in range(count):
-        bit_gen.state = seeded
-        bit_gen.advance(_JUMP * (first + i) % (1 << 128))
-        _draw_raw(law, rng, S[i, 1:], None if negative is None else negative[i, 1:])
+        lcg["state"] = s
+        bit_gen.state = state
+        draw(out=S[i, 1:])
+        if negative is not None:
+            np.less(rng.random(length), 0.5, out=negative[i, 1:])
+        s = (A * s + C) % _MOD
     # the step map reshapes a flat array, which on the view S[:, 1:] would be
     # a copy, so it runs on the whole contiguous batch
     _to_steps(law, S, negative)

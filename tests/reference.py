@@ -13,6 +13,8 @@ row.  ``lattice_laws`` draws small lattice laws for property tests.
 
 from __future__ import annotations
 
+import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, Hashable
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from fluctwalk.errors import ParameterError, UnsupportedModeError
 from fluctwalk.increments import IncrementLaw
 from fluctwalk.oracle import ExactDistribution, integer_law, lattice_sweep, path_matrix
+from fluctwalk.scaling import FristedtReport, _split_at_zero
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,53 @@ def meander_endpoint_distribution(law: IncrementLaw, k: int) -> ExactDistributio
                               for j in range(start, len(w)) if w[j]})
     dist.validate()
     return dist
+
+
+# ---------------------------------------------------------------------------
+# the ladder-pair identity, one exponential per level
+
+
+def fristedt_per_level_exp(law: IncrementLaw, alphas, betas, K: int) -> list:
+    """The reports of :func:`fluctwalk.scaling.fristedt_residual` on the grid
+    ``alphas`` x ``betas`` (lists of floats), at the same precision, with
+    e^{-beta x u} taken as one ``Decimal.exp`` per level x that occurs and
+    each weighted sum accumulated term by term, skipping zero weights."""
+    ascents = [(t, Dt, x0, above) for t, Dt, x0, above, _ in _split_at_zero(law, K, keep=-1)]
+    walks = [(k, Dk, x0, above) for k, Dk, x0, above, _ in _split_at_zero(law, K, keep=0)]
+    unit = law.lattice_integer_form()[0]
+    digits = max(80, math.ceil(max(alphas) * K / math.log(10)) + 20)
+    reports = []
+    with localcontext(Context(prec=digits)):
+        u = Decimal(unit.numerator) / unit.denominator
+
+        def weighted(be, exp_h, x0, above):
+            total = Decimal(0)
+            for j, c in enumerate(above):
+                if c:
+                    x = x0 + j
+                    if x not in exp_h:
+                        exp_h[x] = (-be * x * u).exp()
+                    total += c * exp_h[x]
+            return total
+
+        sums = []
+        for b in betas:
+            be, exp_h = Decimal(repr(b)), {}
+            sums.append(([weighted(be, exp_h, x0, above) for _, _, x0, above in ascents],
+                         [weighted(be, exp_h, x0, above) / Dk for _, Dk, x0, above in walks]))
+        for a in alphas:
+            ea = (-Decimal(repr(a))).exp()
+            powers = [ea ** t for t in range(K + 2)]
+            bound = powers[K] + powers[K + 1] / ((K + 1) * (1 - ea))
+            for b, (first, positive) in zip(betas, sums):
+                lhs = 1 - sum(powers[t] * W / Dt for (t, Dt, _, _), W in zip(ascents, first))
+                s = sum(powers[k] / k * W for (k, _, _, _), W in zip(walks, positive))
+                rhs = (-s).exp()
+                reports.append(FristedtReport(
+                    alpha=a, beta=b, lhs=float(lhs), rhs=float(rhs),
+                    residual=float(abs(lhs - rhs)), tail_bound=float(bound),
+                    truncation=K))
+    return reports
 
 
 # ---------------------------------------------------------------------------

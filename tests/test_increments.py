@@ -152,8 +152,9 @@ def test_streams_are_stable_and_distinct():
 
 @pytest.mark.parametrize("master", MASTERS[:6])
 def test_batched_derivation_matches_seed_sequence(master):
-    # each row's state is reset and advanced by its trial's jump, also for
-    # trial indices past 2**32 and 2**64
+    # the first row's state is the seeded one advanced by its trial's jumps,
+    # and each later row's the one before under the jump's affine map, also
+    # across trial indices 2**32 and 2**64
     law, length = IncrementLaw.uniform3(), 5
     for first in (0, 2**32 - 2, 2**64 - 2):
         assert np.array_equal(np.diff(sample_rows(law, length, master, first, 4), axis=1),

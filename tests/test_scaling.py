@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctwalk.certify import _FRISTEDT_ALPHAS, _FRISTEDT_BETAS, DEFAULT_LAWS
 from fluctwalk.errors import ParameterError, UnboundedTailError, UnsupportedModeError
@@ -11,6 +13,7 @@ from fluctwalk.increments import IncrementLaw
 from fluctwalk.oracle import lattice_sweep
 from fluctwalk.scaling import (FristedtReport, _split_at_zero, fristedt_residual,
                                norming_constant, wiener_hopf_factor)
+from reference import fristedt_per_level_exp, lattice_laws
 
 F = Fraction
 U = 2.0 ** -53
@@ -309,6 +312,41 @@ def test_fristedt_grid_reports_equal_one_point_reports(law):
         for f in fields(FristedtReport):
             assert getattr(g, f.name) == getattr(p, f.name)
     assert fristedt_residual(law, 1.0, [0.0], K=60) == [points[3]]
+
+
+# the (alpha, beta) grid on which the dot products are held to the per-level
+# exponentials, report for report (dataclass ==, float == in every field)
+REF_ALPHAS = (0.25, 0.5, 1.0, 2.0, 3.0)
+REF_BETAS = (0.0, 0.3, 0.5, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("K", [1, 5, 60])
+@pytest.mark.parametrize("law", DEFAULT_LAWS(), ids=lambda law: law.description)
+def test_fristedt_dot_products_equal_the_per_level_exponentials(law, K):
+    assert (fristedt_residual(law, REF_ALPHAS, REF_BETAS, K)
+            == fristedt_per_level_exp(law, REF_ALPHAS, REF_BETAS, K))
+
+
+@given(lattice_laws(), st.integers(1, 20), st.sampled_from(REF_ALPHAS),
+       st.sampled_from(REF_BETAS))
+@settings(max_examples=40, deadline=None)
+def test_fristedt_dot_products_equal_the_per_level_exponentials_on_drawn_laws(law, K, a, b):
+    assert fristedt_residual(law, a, [0.0, b], K) == fristedt_per_level_exp(law, [a], [0.0, b], K)
+
+
+@pytest.mark.parametrize("support", [[-1, 0], [-2, -1, 0]])
+def test_fristedt_law_that_never_rises_has_both_sides_one(support):
+    # no level above 0 at any step: no first ascent and no positive S_k, so
+    # lhs = rhs = 1 exactly; the tail bound depends on alpha and K alone
+    law = IncrementLaw.lattice(support, [F(1, len(support))] * len(support))
+    reports = fristedt_residual(law, [0.5, 1.0, 2.0], [0.0, 1.0], K=10)
+    bounds = [0.007682174765225178, 4.7801902636600276e-05, 2.090481523013923e-09]
+    assert reports == [FristedtReport(alpha=a, beta=b, lhs=1.0, rhs=1.0, residual=0.0,
+                                      tail_bound=bound, truncation=10)
+                       for a, bound in zip([0.5, 1.0, 2.0], bounds) for b in [0.0, 1.0]]
+    assert fristedt_residual(law, 1.0, 0.5, K=1) == [FristedtReport(
+        alpha=1.0, beta=0.5, lhs=1.0, rhs=1.0, residual=0.0,
+        tail_bound=0.4749280740203844, truncation=1)]
 
 
 def test_fristedt_residual_stays_below_a_tail_far_under_1e_80():
